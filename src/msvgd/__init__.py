@@ -18,15 +18,11 @@ from .kernels import (
     DiagonalRBF,
     MixturePrecond,
     ScalarRBF,
-    eval_kernel,
-    gram_matrix,
     median_bandwidth,
     mixture_weights,
-    stein_direction,
 )
 from .dynamics import (
     METHODS,
-    ParticleSet,
     PrecondPolicy,
     RunResult,
     StepperState,
@@ -37,7 +33,6 @@ from .dynamics import (
     run,
     svn_direction,
     svn_metrics,
-    svn_step,
 )
 from .metrics import MmdReport, mmd_sq, predictive_metrics
 from .harness import RunConfig, RunRecord, compare, parse_config, run_experiment
@@ -47,13 +42,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorSet", "ConfigError", "ConstPrecond", "DiagonalRBF", "DoubleBanana",
     "Gaussian", "InvalidInputError", "LogisticDataset", "LogisticPosterior",
-    "METHODS", "MixturePrecond", "MmdReport", "NumericalAbort", "ParticleSet",
+    "METHODS", "MixturePrecond", "MmdReport", "NumericalAbort",
     "PrecondPolicy", "PreconditionerBundle", "RunConfig", "RunRecord",
     "RunResult", "ScalarRBF", "Sine", "StarMixture", "StepperState",
     "adagrad_step", "averaged_preconditioner", "change_of_variables_directions",
-    "compare", "eval_kernel", "gram_matrix", "grid_moments", "mahalanobis_sq",
-    "make_bundle", "make_target", "median_bandwidth", "mixture_weights",
-    "mmd_sq", "parse_config", "predictive_metrics", "psd_repair",
-    "refresh_anchors", "run", "run_experiment", "stein_direction",
-    "svn_direction", "svn_metrics", "svn_step",
+    "compare", "grid_moments", "mahalanobis_sq", "make_bundle", "make_target",
+    "median_bandwidth", "mixture_weights", "mmd_sq", "parse_config",
+    "predictive_metrics", "psd_repair", "refresh_anchors", "run",
+    "run_experiment", "svn_direction", "svn_metrics",
 ]

@@ -2,9 +2,11 @@
 
 Updates are synchronous: every iteration computes directions for all
 particles from the same frozen particle set, then moves them together, so
-results do not depend on particle order.  Kernel bandwidths, averaged
-preconditioners, mixture anchors and SVN metrics are all refreshed on the
-same ``refresh_period`` schedule (default: every iteration).
+results do not depend on particle order.  Every method goes through one
+protocol: a refresh builds a ``direction(positions, grads)`` callable from
+the current particles (kernel bandwidths, averaged preconditioners, mixture
+anchors or SVN metrics), on the ``refresh_period`` schedule (default: every
+iteration).
 """
 
 from __future__ import annotations
@@ -22,20 +24,10 @@ from .kernels import (
     ScalarRBF,
     median_bandwidth,
 )
-from .psdlin import PreconditionerBundle, make_bundle, psd_repair, symmetrize
+from .psdlin import PreconditionerBundle, make_bundle, psd_repair
 from .targets import Gaussian, TargetModel
 
-METHODS = ("vanilla_svgd", "matrix_svgd_average", "matrix_svgd_mixture", "svn")
 CONVERGENCE_TOL = 1e-8
-
-
-@dataclass
-class ParticleSet:
-    """Positions of n particles plus the iteration count that produced them."""
-
-    positions: np.ndarray
-    iteration: int = 0
-
 
 @dataclass(frozen=True)
 class PrecondPolicy:
@@ -92,7 +84,12 @@ def adagrad_step(state: StepperState, positions: np.ndarray, directions: np.ndar
 
 
 def _curvature_stack(positions, model: TargetModel, source: str) -> np.ndarray:
-    return np.stack([model.curvature(x, mode=source) for x in positions])
+    hs = model.curvature_batch(positions, mode=source)
+    bad = ~np.all(np.isfinite(hs), axis=(1, 2))
+    if np.any(bad):
+        raise NumericalAbort(f"refresh: curvature of particle {int(np.argmax(bad))} "
+                             "has non-finite entries")
+    return hs
 
 
 def averaged_preconditioner(positions, model: TargetModel, source: str = "exact_hessian",
@@ -137,55 +134,38 @@ def svn_metrics(positions, model: TargetModel, bandwidth: float, source: str = "
     term1 = np.einsum("ji,jab->iab", k * k, hs) / n
     g = k[:, :, None] * diff / bandwidth
     term2 = np.einsum("jia,jib->iab", g, g) / n
-    return np.stack([psd_repair(m, floor_ratio=floor_ratio) for m in term1 + term2])
+    return psd_repair(term1 + term2, floor_ratio=floor_ratio)
 
 
 def svn_direction(positions, grads, metrics: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Newton-like direction: per-particle solve of H~_i against the
+    """Newton-like direction: each particle's H~_i solved against its
     scalar-RBF Stein direction."""
     f = ScalarRBF(bandwidth).direction(positions, grads)
-    return np.stack([np.linalg.solve(m, fi) for m, fi in zip(metrics, f)])
+    return np.linalg.solve(metrics, f[:, :, None])[:, :, 0]
 
 
-def svn_step(positions, model: TargetModel, stepper: StepperState, bandwidth: float | None = None,
-             source: str = "exact_hessian", floor_ratio: float = 1e-6):
-    """One SVN update; returns (new_positions, new_stepper)."""
-    positions = np.asarray(positions, dtype=float)
-    h = _resolve_bandwidth(positions) if bandwidth is None else bandwidth
-    grads = model.grad_log_density_batch(positions)
-    mets = svn_metrics(positions, model, h, source=source, floor_ratio=floor_ratio)
-    return adagrad_step(stepper, positions, svn_direction(positions, grads, mets, h))
+def _refresh_average(positions, model: TargetModel, policy: PrecondPolicy):
+    bundle = averaged_preconditioner(positions, model, policy.source, policy.floor_ratio)
+    return ConstPrecond(bundle, _resolve_bandwidth(positions, metric=bundle)).direction
 
 
-class _Driver:
-    """Per-method state holder: refresh() rebuilds kernels/metrics from the
-    current particles, direction() evaluates the update."""
+def _refresh_svn(positions, model: TargetModel, policy: PrecondPolicy):
+    h = _resolve_bandwidth(positions)
+    metrics = svn_metrics(positions, model, h, policy.source, policy.floor_ratio)
+    return lambda points, grads: svn_direction(points, grads, metrics, h)
 
-    def __init__(self, method: str, model: TargetModel, policy: PrecondPolicy):
-        self.method = method
-        self.model = model
-        self.policy = policy
-        self._strategy = None
-        self._svn_h = None
-        self._svn_metrics = None
 
-    def refresh(self, positions):
-        p = self.policy
-        if self.method == "vanilla_svgd":
-            self._strategy = ScalarRBF(_resolve_bandwidth(positions))
-        elif self.method == "matrix_svgd_average":
-            bundle = averaged_preconditioner(positions, self.model, p.source, p.floor_ratio)
-            self._strategy = ConstPrecond(bundle, _resolve_bandwidth(positions, metric=bundle))
-        elif self.method == "matrix_svgd_mixture":
-            self._strategy = MixturePrecond(refresh_anchors(positions, self.model, p.source, p.floor_ratio))
-        else:  # svn
-            self._svn_h = _resolve_bandwidth(positions)
-            self._svn_metrics = svn_metrics(positions, self.model, self._svn_h, p.source, p.floor_ratio)
-
-    def direction(self, positions, grads):
-        if self.method == "svn":
-            return svn_direction(positions, grads, self._svn_metrics, self._svn_h)
-        return self._strategy.direction(positions, grads)
+# method -> refresh(positions, model, policy) returning direction(positions, grads);
+# the helpers are looked up at call time, so wrapping them in this module
+# (as the profiler does) reaches every run
+_REFRESH = {
+    "vanilla_svgd": lambda positions, model, policy: ScalarRBF(_resolve_bandwidth(positions)).direction,
+    "matrix_svgd_average": _refresh_average,
+    "matrix_svgd_mixture": lambda positions, model, policy: MixturePrecond(
+        refresh_anchors(positions, model, policy.source, policy.floor_ratio)).direction,
+    "svn": _refresh_svn,
+}
+METHODS = tuple(_REFRESH)
 
 
 @dataclass
@@ -196,17 +176,6 @@ class RunResult:
     converged_at: int | None
     iterations_run: int
     step_seconds: list[float] = field(default_factory=list)
-
-    @property
-    def final_positions(self) -> np.ndarray:
-        last = max(self.snapshots) if self.snapshots else None
-        if last is None:
-            raise InvalidInputError("run has no snapshots")
-        return self.snapshots[last]
-
-
-def _needs_curvature(method: str) -> bool:
-    return method in ("matrix_svgd_average", "matrix_svgd_mixture", "svn")
 
 
 def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
@@ -223,7 +192,7 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
     converged set; ``converged_at`` records the stopping iteration.
 
     All configuration problems are raised before iteration 0; non-finite
-    directions abort the run with the iteration index.
+    curvature, scores or directions abort the run with the iteration index.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method '{method}' (expected one of {METHODS})")
@@ -238,7 +207,7 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
         raise ConfigError(f"checkpoints must lie within [0, {iterations}], got {checkpoints}")
     stepper = StepperState() if stepper is None else stepper
     policy = PrecondPolicy() if policy is None else policy
-    if _needs_curvature(method) and policy.source not in model.supported_curvature:
+    if method != "vanilla_svgd" and policy.source not in model.supported_curvature:
         raise ConfigError(
             f"method '{method}' needs curvature source '{policy.source}', "
             f"but target '{model.kind}' supports {model.supported_curvature}")
@@ -252,7 +221,7 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
     snapshots: dict[int, np.ndarray] = {}
     if 0 in checkpoint_set:
         snapshots[0] = positions.copy()
-    driver = _Driver(method, model, policy)
+    refresh = _REFRESH[method]
     converged_at = None
     step_seconds: list[float] = []
     resample = getattr(model, "resample_minibatch", None)
@@ -263,11 +232,14 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
         if resample is not None:
             resample(batch_rng)
         if it % policy.refresh_period == 0:
-            driver.refresh(positions)
+            try:
+                direction = refresh(positions, model, policy)
+            except NumericalAbort as exc:
+                raise NumericalAbort(str(exc), iteration=it) from exc
         grads = model.grad_log_density_batch(positions)
         if not np.all(np.isfinite(grads)):
             raise NumericalAbort("score has non-finite entries", iteration=it)
-        directions = driver.direction(positions, grads)
+        directions = direction(positions, grads)
         if float(np.max(np.linalg.norm(directions, axis=1))) < convergence_tol:
             converged_at = it
             step_seconds.append(time.perf_counter() - t0)

@@ -21,7 +21,7 @@ Per run, the harness writes into the output directory:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,10 @@ _TARGET_PARAM_KEYS = {
 
 _TOP_KEYS = ("target", "method", "n", "iters", "seed", "checkpoints",
              "stepper", "precond", "init", "mmd_reference_n", "out_dir")
+
+# RunConfig fields that may differ within a comparison: the method, where its
+# record goes, and the stepper, whose base rate defaults per method
+_PER_METHOD_FIELDS = ("method", "out_dir", "stepper_method", "base_rate", "damping")
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ def parse_config(source) -> RunConfig:
     method = _as_choice(source["method"], "method", dynamics.METHODS)
     n = _as_int(source["n"], "n", minimum=1)
     iters = _as_int(source["iters"], "iters", minimum=0)
-    seed = _as_int(source["seed"], "seed")
+    seed = _as_int(source["seed"], "seed", minimum=0)
 
     raw_cp = source.get("checkpoints")
     if raw_cp is None:
@@ -348,7 +352,8 @@ def _comparison_value(row: dict) -> float:
 
 
 def compare(configs, out_dir=None) -> dict:
-    """Run several configs that differ only in method; tabulate their metrics.
+    """Run several configs that differ only in method and stepper; tabulate
+    their metrics.
 
     Returns {"checkpoints": [...], "methods": [...], "values": row-major list,
     "records": {method: RunRecord}} and, when ``out_dir`` is given, writes
@@ -364,7 +369,7 @@ def compare(configs, out_dir=None) -> dict:
         if cfg.method in methods:
             raise ConfigError(f"method: duplicate method '{cfg.method}' in comparison")
         methods.append(cfg.method)
-        for key in ("target_kind", "target_params", "n", "iters", "seed", "checkpoints"):
+        for key in (f.name for f in fields(RunConfig) if f.name not in _PER_METHOD_FIELDS):
             if getattr(cfg, key) != getattr(first, key):
                 raise ConfigError(f"{key}: configs in a comparison must agree, "
                                   f"got {getattr(cfg, key)!r} vs {getattr(first, key)!r}")

@@ -329,17 +329,3 @@ class MixturePrecond(KernelStrategy):
             phi += w[:, l, None] * (drive + repulse)
         return phi / n
 
-
-def eval_kernel(strategy: KernelStrategy, x, y) -> np.ndarray:
-    """Evaluate the matrix kernel at a pair of points."""
-    return strategy.eval(x, y)
-
-
-def stein_direction(strategy: KernelStrategy, points, grads) -> np.ndarray:
-    """Stein update direction for every particle under the given kernel."""
-    return strategy.direction(points, grads)
-
-
-def gram_matrix(strategy: KernelStrategy, points) -> np.ndarray:
-    """(n d) x (n d) block Gram matrix; PSD for any valid kernel."""
-    return strategy.gram(points)

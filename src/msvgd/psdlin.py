@@ -1,9 +1,11 @@
 """Dense symmetric linear algebra: PSD repair, matrix roots, Mahalanobis forms.
 
 Everything here operates on small d x d symmetric matrices through a single
-eigendecomposition backend (``numpy.linalg.eigh``).  Inputs are symmetrized on
-entry (averaged with their transpose) so downstream code never has to worry
-about asymmetry accumulated during Hessian assembly.
+eigendecomposition backend (``numpy.linalg.eigh``).  ``symmetrize`` and
+``psd_repair`` also accept stacks of shape (..., d, d) and work matrix by
+matrix.  Inputs are symmetrized on entry (averaged with their transpose) so
+downstream code never has to worry about asymmetry accumulated during Hessian
+assembly.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ DEFAULT_FLOOR_RATIO = 1e-6
 
 
 def symmetrize(m) -> np.ndarray:
-    """Validate a square matrix with finite entries and return 0.5*(m + m^T)."""
+    """Validate a square matrix (or a stack of them) with finite entries and
+    return 0.5*(m + m^T) per matrix."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix has non-finite entries")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -60,13 +63,14 @@ def _check_floor_ratio(floor_ratio: float) -> float:
 
 
 def _clipped_eigh(m, floor_ratio):
-    """Eigendecompose a symmetric matrix and clip eigenvalues from below.
+    """Eigendecompose symmetric matrices and clip eigenvalues from below.
 
-    The floor is relative to the largest eigenvalue but never collapses below
-    an absolute scale of ``floor_ratio``: floor = floor_ratio * max(1, lam_max).
+    The floor is relative to each matrix's largest eigenvalue but never
+    collapses below an absolute scale of ``floor_ratio``:
+    floor = floor_ratio * max(1, lam_max).
     """
     lam, vec = np.linalg.eigh(symmetrize(m))
-    floor = floor_ratio * max(1.0, float(lam[-1]))
+    floor = floor_ratio * np.maximum(1.0, lam[..., -1:])
     return np.maximum(lam, floor), vec
 
 
@@ -75,12 +79,13 @@ def psd_repair(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> np.ndarray:
 
     Eigenvalues below ``floor_ratio * max(1, lam_max)`` are raised to that
     floor; eigenvectors are untouched, so an already well-conditioned PD
-    matrix passes through up to round-off.
+    matrix passes through up to round-off.  A stack (..., d, d) is repaired
+    matrix by matrix.
     """
     floor_ratio = _check_floor_ratio(floor_ratio)
     lam, vec = _clipped_eigh(m, floor_ratio)
-    out = (vec * lam) @ vec.T
-    return 0.5 * (out + out.T)
+    out = (vec * lam[..., None, :]) @ np.swapaxes(vec, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def make_bundle(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> PreconditionerBundle:
@@ -90,6 +95,8 @@ def make_bundle(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> PreconditionerBu
     log det q, guaranteeing they are mutually consistent.
     """
     floor_ratio = _check_floor_ratio(floor_ratio)
+    if np.ndim(m) != 2:
+        raise InvalidInputError(f"expected a square matrix, got shape {np.shape(m)}")
     lam, vec = _clipped_eigh(m, floor_ratio)
 
     def form(power):

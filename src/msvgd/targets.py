@@ -1,13 +1,17 @@
 """Target distributions: log densities, scores, curvature, reference samplers.
 
-Every model exposes the same surface:
+Every model exposes the same surface.  The batch methods over points X of
+shape (n, d) are mandatory for every target; ``log_density(x)``,
+``grad_log_density(x)`` and ``curvature(x, mode)`` are single-point views on
+top of them.
 
-- ``log_density(x)`` / ``log_density_batch(X)``: possibly-unnormalized log p.
-- ``grad_log_density(x)`` / ``grad_log_density_batch(X)``: the score.
-- ``curvature(x, mode)``: a d x d local curvature matrix, ``-hessian(log p)``
-  for ``mode="exact_hessian"`` or the Fisher information for ``mode="fisher"``
-  (logistic posterior only).  Raw output; positive-definiteness is the
-  caller's problem (see ``psdlin.psd_repair``).
+- ``log_density_batch(X)``: possibly-unnormalized log p.
+- ``grad_log_density_batch(X)``: the score.
+- ``curvature_batch(X, mode)``: (n, d, d) local curvature matrices,
+  ``-hessian(log p)`` for ``mode="exact_hessian"`` or the Fisher information
+  for ``mode="fisher"`` (logistic posterior only).  Raw output;
+  positive-definiteness is the caller's problem (see ``psdlin.psd_repair``,
+  which repairs a whole stack at once).
 - ``reference_sample(n, seed)``: ground-truth-ish draws where available:
   exact ancestral sampling for Gaussian / mixture targets, a deterministic
   inverse-CDF grid sampler on [-3, 3]^2 for the two irregular 2-D targets.
@@ -42,7 +46,7 @@ class TargetModel:
     def grad_log_density_batch(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _curvature(self, x: np.ndarray, mode: str) -> np.ndarray:
+    def _curvature_batch(self, points: np.ndarray, mode: str) -> np.ndarray:
         raise NotImplementedError
 
     # --- shared plumbing ---------------------------------------------------------
@@ -70,10 +74,14 @@ class TargetModel:
         x = self._check_point(x)
         return self.grad_log_density_batch(x[None, :])[0]
 
-    def curvature(self, x, mode: str = "exact_hessian") -> np.ndarray:
+    def curvature_batch(self, points, mode: str = "exact_hessian") -> np.ndarray:
         if mode not in self.supported_curvature:
             raise ConfigError(f"curvature mode '{mode}' is not supported by target '{self.kind}'")
-        return self._curvature(self._check_point(x), mode)
+        return self._curvature_batch(self._check_points(points), mode)
+
+    def curvature(self, x, mode: str = "exact_hessian") -> np.ndarray:
+        x = self._check_point(x)
+        return self.curvature_batch(x[None, :], mode)[0]
 
     def reference_sample(self, n: int, seed: int) -> np.ndarray:
         raise ConfigError(f"target '{self.kind}' has no reference sampler")
@@ -120,8 +128,8 @@ class Gaussian(TargetModel):
         points = self._check_points(points)
         return -(points - self.mean) @ self.precision
 
-    def _curvature(self, x, mode):
-        return self.precision.copy()
+    def _curvature_batch(self, points, mode):
+        return np.repeat(self.precision[None, :, :], points.shape[0], axis=0)
 
     def reference_sample(self, n, seed):
         n = self._check_sample_size(n)
@@ -189,14 +197,15 @@ class StarMixture(TargetModel):
         comp_grads = -np.einsum("kij,nkj->nki", self.precisions, dc)
         return np.einsum("nk,nki->ni", resp, comp_grads)
 
-    def _curvature(self, x, mode):
-        resp = self._responsibilities(x[None, :])[0]
-        dc = x[None, :] - self.means
-        grads = -np.einsum("kij,kj->ki", self.precisions, dc)
-        gbar = resp @ grads
-        hess = -gbar[:, None] * gbar[None, :]
-        for r, g, prec in zip(resp, grads, self.precisions):
-            hess += r * (np.outer(g, g) - prec)
+    def _curvature_batch(self, points, mode):
+        resp = self._responsibilities(points)
+        dc = points[:, None, :] - self.means[None, :, :]
+        grads = -np.einsum("kij,nkj->nki", self.precisions, dc)
+        gbar = (resp[:, None, :] @ grads)[:, 0]
+        hess = -gbar[:, :, None] * gbar[:, None, :]
+        for k, prec in enumerate(self.precisions):
+            g = grads[:, k, :]
+            hess += resp[:, k, None, None] * (g[:, :, None] * g[:, None, :] - prec)
         return -hess
 
     def reference_sample(self, n, seed):
@@ -209,6 +218,11 @@ class StarMixture(TargetModel):
             idx = comp == k
             out[idx] = self.means[k] + z[idx] @ self._chols[k].T
         return out
+
+
+def _symmetric_2x2(a, b, c) -> np.ndarray:
+    """Stack of [[a, b], [b, c]] from three length-n arrays; shape (n, 2, 2)."""
+    return np.stack([np.column_stack([a, b]), np.column_stack([b, c])], axis=1)
 
 
 class _Grid2D:
@@ -299,15 +313,15 @@ class Sine(_GridSampledTarget):
         g2 = -u / self.sigma1 - x2 / self.sigma2
         return np.column_stack([g1, g2])
 
-    def _curvature(self, x, mode):
-        x1, x2 = x
+    def _curvature_batch(self, points, mode):
+        x1, x2 = points[:, 0], points[:, 1]
         u = x2 + np.sin(self.alpha * x1)
         du1 = self.alpha * np.cos(self.alpha * x1)
         d2u1 = -self.alpha**2 * np.sin(self.alpha * x1)
         h11 = -(du1 * du1 + u * d2u1) / self.sigma1 - 1.0 / self.sigma2
         h12 = -du1 / self.sigma1
-        h22 = -1.0 / self.sigma1 - 1.0 / self.sigma2
-        return -np.array([[h11, h12], [h12, h22]])
+        h22 = np.full_like(h11, -1.0 / self.sigma1 - 1.0 / self.sigma2)
+        return -_symmetric_2x2(h11, h12, h22)
 
 
 class DoubleBanana(_GridSampledTarget):
@@ -365,19 +379,19 @@ class DoubleBanana(_GridSampledTarget):
             return np.column_stack([-x1 / self.sigma1 + coef * dg1,
                                     -x2 / self.sigma1 + coef * dg2])
 
-    def _curvature(self, x, mode):
-        x1, x2 = x
-        g, dg1, dg2 = self._rosenbrock_parts(np.array([x1]), np.array([x2]))
-        g, dg1, dg2 = g[0], dg1[0], dg2[0]
+    def _curvature_batch(self, points, mode):
+        x1, x2 = points[:, 0], points[:, 1]
+        g, dg1, dg2 = self._rosenbrock_parts(x1, x2)
         d11 = 2.0 - 400.0 * (x2 - x1 * x1) + 800.0 * x1 * x1
         d12 = -400.0 * x1
-        d22 = 200.0
-        grad_g = np.array([dg1, dg2])
-        hess_g = np.array([[d11, d12], [d12, d22]])
-        grad_f = grad_g / g
-        hess_f = hess_g / g - np.outer(grad_g, grad_g) / (g * g)
+        grad_g = np.column_stack([dg1, dg2])
+        hess_g = _symmetric_2x2(d11, d12, np.full_like(d11, 200.0))
+        g = g[:, None, None]
+        grad_f = grad_g / g[:, 0]
+        hess_f = hess_g / g - (grad_g[:, :, None] * grad_g[:, None, :]) / (g * g)
         resid = self.y_obs - np.log(g)
-        hess = -np.eye(2) / self.sigma1 + (-np.outer(grad_f, grad_f) + resid * hess_f) / self.sigma2
+        outer_f = grad_f[:, :, None] * grad_f[:, None, :]
+        hess = -np.eye(2) / self.sigma1 + (-outer_f + resid * hess_f) / self.sigma2
         return -hess
 
 
@@ -479,11 +493,14 @@ class LogisticPosterior(TargetModel):
         probs = expit(points @ feats.T)
         return scale * (labs[None, :] - probs) @ feats - points
 
-    def _curvature(self, x, mode):
+    def _curvature_batch(self, points, mode):
         feats, _, scale = self._active()
-        probs = expit(feats @ x)
+        probs = expit(feats @ points[:, :, None])[..., 0]
         w = probs * (1.0 - probs)
-        return scale * (feats.T * w) @ feats + np.eye(self.dim)
+        eye = np.eye(self.dim)
+        # one (N, d) weighted copy of the features at a time: vectorising over
+        # particles would hold an (n, N, d) array and raise the peak memory
+        return np.stack([scale * (feats.T * wi) @ feats + eye for wi in w])
 
 
 def grid_moments(model: TargetModel, bounds, resolution: int):

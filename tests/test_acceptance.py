@@ -28,7 +28,7 @@ from msvgd.dynamics import (
     svn_metrics,
 )
 from msvgd.harness import parse_config, run_experiment
-from msvgd.kernels import MixturePrecond, ScalarRBF, gram_matrix, median_bandwidth, mixture_weights
+from msvgd.kernels import MixturePrecond, ScalarRBF, median_bandwidth, mixture_weights
 from msvgd.metrics import predictive_metrics
 from msvgd.psdlin import make_bundle
 from msvgd.targets import (
@@ -106,7 +106,7 @@ def test_criterion_3_block_gram_matrices_are_positive_semidefinite(capsys):
             d = int(rng.integers(2, 6))
             n = int(rng.integers(2, 16))
             strat = strategies_for(rng, d)[kind_index]
-            eig = np.linalg.eigvalsh(gram_matrix(strat, rng.standard_normal((n, d))))
+            eig = np.linalg.eigvalsh(strat.gram(rng.standard_normal((n, d))))
             scale = max(1.0, eig[-1])
             worst_ratio = min(worst_ratio, eig[0] / scale)
     elapsed = time.perf_counter() - t0

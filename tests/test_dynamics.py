@@ -13,7 +13,6 @@ from msvgd.dynamics import (
     run,
     svn_direction,
     svn_metrics,
-    svn_step,
 )
 from msvgd.errors import ConfigError, InvalidInputError, NumericalAbort
 from msvgd.harness import METHOD_DEFAULT_RATES
@@ -177,14 +176,15 @@ def test_single_particle_svn_is_exact_newton():
     mets = svn_metrics(x, model, bandwidth=1.0)
     direction = svn_direction(x, grads, mets, bandwidth=1.0)
     assert np.allclose(direction[0], -x[0], atol=1e-10)
-    stepped, _ = svn_step(x, model, StepperState(method="fixed", base_rate=1.0), bandwidth=1.0)
+    stepped, _ = adagrad_step(StepperState(method="fixed", base_rate=1.0), x, direction)
     assert np.allclose(stepped, 0.0, atol=1e-10)
 
 
 def test_svn_particle_at_mode_is_a_fixed_point():
     model = gaussian_target()
     x = np.zeros((1, 2))
-    stepped, _ = svn_step(x, model, StepperState(method="fixed", base_rate=0.5), bandwidth=1.0)
+    direction = svn_direction(x, model.grad_log_density_batch(x), svn_metrics(x, model, 1.0), 1.0)
+    stepped, _ = adagrad_step(StepperState(method="fixed", base_rate=0.5), x, direction)
     assert np.array_equal(stepped, x)
 
 
@@ -274,6 +274,11 @@ def test_run_aborts_with_iteration_index_on_blowup():
             stepper=StepperState(method="fixed", base_rate=500.0))
     assert exc.value.iteration is not None
     assert str(exc.value).startswith("iteration")
+    # non-finite curvature during the preconditioner refresh names the particle
+    with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore"):
+        run(StarMixture(), "matrix_svgd_average", n_particles=10, iterations=3, init_mean=1e160)
+    assert exc.value.iteration == 0
+    assert "refresh: curvature of particle 0" in str(exc.value)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -258,6 +258,18 @@ def test_compare_rejects_mismatched_or_duplicated_configs(tmp_path):
                                              checkpoints=[0, 5, 10]))
     with pytest.raises(ConfigError, match="n"):
         compare([a, mismatched])
+    shared = dict(method="svn", n=10, iters=10, checkpoints=[0, 5, 10], out_dir=str(tmp_path))
+    for key, override in [("init_mean", {"init": {"mean": 3.0}}),
+                          ("floor_ratio", {"precond": {"floor_ratio": 0.1}}),
+                          ("mmd_reference_n", {"mmd_reference_n": 299})]:
+        raw = minimal_config(**shared, mmd_reference_n=300, precond={"floor_ratio": 0.05})
+        raw.update(override)
+        with pytest.raises(ConfigError, match=key):
+            compare([a, parse_config(raw)])
+    # the stepper may differ: its base rate defaults per method
+    b_fixed = parse_config(minimal_config(**shared, mmd_reference_n=300, precond={"floor_ratio": 0.05},
+                                          stepper={"method": "fixed", "base_rate": 0.01}))
+    assert compare([a, b_fixed])["methods"] == ["vanilla_svgd", "svn"]
 
 
 # --------------------------------------------------------------------- cli
@@ -333,3 +345,26 @@ def test_cli_exit_codes_by_error_category(tmp_path, capsys):
     assert main(["run", str(boom), "--out", str(tmp_path / "boomed"), "--quiet"]) == 4
     assert capsys.readouterr().err.startswith("numeric:")
     assert (tmp_path / "boomed" / "aborted.json").exists()
+
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(minimal_config(n=4, iters=1, mmd_reference_n=0)))
+    assert main(["run", str(good), "--seed", "-1", "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config: seed:")
+
+
+@pytest.mark.parametrize("raw, iteration", [
+    (minimal_config(method="matrix_svgd_average", n=10, iters=3, init={"mean": 1e160}), 0),
+    (minimal_config(target="double_banana", method="svn", n=50, iters=100,
+                    stepper={"method": "fixed", "base_rate": 5.0}), 73),
+], ids=["star_far_init", "banana_svn_large_step"])
+def test_cli_non_finite_curvature_aborts_with_the_iteration(tmp_path, capsys, raw, iteration):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**raw, "mmd_reference_n": 0}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric: iteration {iteration}: refresh: curvature of particle")
+    flag = json.loads((tmp_path / "out" / "aborted.json").read_text())
+    assert flag["aborted"] is True
+    assert flag["iteration"] == iteration

@@ -16,12 +16,9 @@ from msvgd.kernels import (
     DiagonalRBF,
     MixturePrecond,
     ScalarRBF,
-    eval_kernel,
-    gram_matrix,
     median_bandwidth,
     mixture_weights,
     per_coordinate_median_bandwidths,
-    stein_direction,
 )
 from msvgd.psdlin import identity_bundle, make_bundle, pairwise_mahalanobis_sq
 
@@ -91,7 +88,7 @@ def test_eval_kernel_symmetry_across_kinds():
     rng = np.random.default_rng(3)
     for strat in strategies_for(rng, 3):
         x, y = rng.standard_normal(3), rng.standard_normal(3)
-        assert np.allclose(eval_kernel(strat, x, y), eval_kernel(strat, y, x).T, atol=1e-14)
+        assert np.allclose(strat.eval(x, y), strat.eval(y, x).T, atol=1e-14)
 
 
 def test_dimension_mismatch_rejected():
@@ -260,8 +257,8 @@ def test_direction_is_equivariant_under_particle_permutation():
     grads = rng.standard_normal((9, 3))
     perm = rng.permutation(9)
     for strat in strategies_for(rng, 3):
-        phi = stein_direction(strat, pts, grads)
-        phi_perm = stein_direction(strat, pts[perm], grads[perm])
+        phi = strat.direction(pts, grads)
+        phi_perm = strat.direction(pts[perm], grads[perm])
         assert np.allclose(phi_perm, phi[perm], atol=1e-12)
 
 
@@ -271,7 +268,7 @@ def test_gram_single_point_const_is_the_inverse_metric():
     rng = np.random.default_rng(16)
     b = make_bundle(random_spd(rng, 3))
     k = ConstPrecond(b, bandwidth=1.0)
-    g = gram_matrix(k, rng.standard_normal((1, 3)))
+    g = k.gram(rng.standard_normal((1, 3)))
     assert np.array_equal(g, b.q_inv)
 
 
@@ -282,7 +279,7 @@ def test_gram_matrices_are_symmetric_and_positive_semidefinite():
             d = int(rng.integers(2, 6))
             n = int(rng.integers(2, 16))
             strat = strategies_for(rng, d)[kind_index]
-            g = gram_matrix(strat, rng.standard_normal((n, d)))
+            g = strat.gram(rng.standard_normal((n, d)))
             assert np.array_equal(g, g.T)
             eig = np.linalg.eigvalsh(g)
             tol = 1e-8 * max(1.0, eig[-1])

@@ -68,6 +68,19 @@ def test_psd_repair_preserves_unclipped_eigenpairs():
                 assert np.linalg.norm(repaired @ v - lam_i * v) <= 1e-10 * max(1.0, abs(lam_i))
 
 
+def test_psd_repair_of_a_stack_equals_per_matrix_repair():
+    rng = np.random.default_rng(8)
+    for d in (2, 5, 20):
+        stack = symmetrize(rng.standard_normal((30, d, d)))
+        repaired = psd_repair(stack, 1e-3)
+        assert repaired.shape == (30, d, d)
+        assert np.array_equal(repaired, np.stack([psd_repair(m, 1e-3) for m in stack]))
+    with pytest.raises(InvalidInputError):
+        psd_repair(np.zeros((3, 2, 3)))
+    with pytest.raises(InvalidInputError):
+        make_bundle(np.stack([np.eye(2), np.eye(2)]))
+
+
 def test_make_bundle_identity():
     b = make_bundle(np.eye(3))
     for factor in (b.q, b.q_sqrt, b.q_inv_sqrt, b.q_inv):

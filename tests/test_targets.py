@@ -194,6 +194,29 @@ def test_models_reject_nonfinite_points_and_fisher_mode(model):
         model.grad_log_density(np.array([np.inf, 0.0]))
     with pytest.raises(ConfigError):
         model.curvature(np.zeros(2), mode="fisher")
+    with pytest.raises(ConfigError):
+        model.curvature_batch(np.zeros((3, 2)), mode="fisher")
+    for bad in (np.zeros(2), np.zeros((3, 3)), np.array([[0.0, np.nan]])):
+        with pytest.raises(InvalidInputError):
+            model.curvature_batch(bad)
+
+
+@pytest.mark.parametrize("model", [
+    Gaussian(mean=np.zeros(3), cov=np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])),
+    StarMixture(), Sine(), DoubleBanana(),
+    LogisticPosterior(synthetic_dataset(np.random.default_rng(12))),
+    LogisticPosterior(synthetic_dataset(np.random.default_rng(13), minibatch_size=7)),
+], ids=["gaussian", "star_mixture", "sine", "double_banana", "logistic", "logistic_minibatch"])
+def test_curvature_batch_stacks_single_point_curvatures(model):
+    rng = np.random.default_rng(14)
+    if hasattr(model, "resample_minibatch"):
+        model.resample_minibatch(rng)
+    mode = model.supported_curvature[0]
+    for scale in (0.3, 1.0, 3.0):
+        pts = scale * rng.standard_normal((9, model.dim))
+        batch = model.curvature_batch(pts, mode=mode)
+        assert batch.shape == (9, model.dim, model.dim)
+        assert np.array_equal(batch, np.stack([model.curvature(x, mode=mode) for x in pts]))
 
 
 # --------------------------------------------------------------- logistic
@@ -260,6 +283,10 @@ def test_logistic_rejects_exact_hessian_mode():
     model = LogisticPosterior(synthetic_dataset(rng))
     with pytest.raises(ConfigError):
         model.curvature(np.zeros(2), mode="exact_hessian")
+    with pytest.raises(ConfigError):
+        model.curvature_batch(np.zeros((4, 2)), mode="exact_hessian")
+    with pytest.raises(InvalidInputError):
+        model.curvature_batch(np.zeros((4, 3)), mode="fisher")
 
 
 def test_logistic_full_size_minibatch_equals_full_batch():
