@@ -83,13 +83,23 @@ def adagrad_step(state: StepperState, positions: np.ndarray, directions: np.ndar
     return new_positions, replace(state, accumulators=acc)
 
 
-def _curvature_stack(positions, model: TargetModel, source: str) -> np.ndarray:
-    hs = model.curvature_batch(positions, mode=source)
-    bad = ~np.all(np.isfinite(hs), axis=(1, 2))
+def _finite_or_abort(values, what: str, item: str | None = None):
+    """Return ``values``, or raise NumericalAbort for a refresh quantity with
+    non-finite entries; ``item`` names what the leading axis indexes."""
+    finite = np.isfinite(values)
+    if item is None:
+        if not np.all(finite):
+            raise NumericalAbort(f"refresh: {what} has non-finite entries")
+        return values
+    bad = ~np.all(finite.reshape(finite.shape[0], -1), axis=1)
     if np.any(bad):
-        raise NumericalAbort(f"refresh: curvature of particle {int(np.argmax(bad))} "
+        raise NumericalAbort(f"refresh: {what} of {item} {int(np.argmax(bad))} "
                              "has non-finite entries")
-    return hs
+    return values
+
+
+def _curvature_stack(positions, model: TargetModel, source: str) -> np.ndarray:
+    return _finite_or_abort(model.curvature_batch(positions, mode=source), "curvature", "particle")
 
 
 def averaged_preconditioner(positions, model: TargetModel, source: str = "exact_hessian",
@@ -97,26 +107,28 @@ def averaged_preconditioner(positions, model: TargetModel, source: str = "exact_
     """Particle-averaged curvature, repaired into a PD bundle."""
     positions = np.asarray(positions, dtype=float)
     avg = _curvature_stack(positions, model, source).mean(axis=0)
-    return make_bundle(avg, floor_ratio=floor_ratio)
+    return make_bundle(_finite_or_abort(avg, "averaged curvature"), floor_ratio=floor_ratio)
 
 
 def refresh_anchors(positions, model: TargetModel, source: str = "exact_hessian",
                     floor_ratio: float = 1e-6) -> AnchorSet:
     """One anchor per particle: local repaired curvature plus a median-trick
-    bandwidth measured in that anchor's own metric."""
+    bandwidth measured in that anchor's own metric, for all anchors at once."""
     positions = np.asarray(positions, dtype=float)
-    bundles = tuple(make_bundle(h, floor_ratio=floor_ratio)
-                    for h in _curvature_stack(positions, model, source))
-    bandwidths = np.array([_resolve_bandwidth(positions, metric=b) for b in bundles])
-    return AnchorSet(points=positions.copy(), bundles=bundles, bandwidths=bandwidths)
+    bundle = make_bundle(_curvature_stack(positions, model, source), floor_ratio=floor_ratio)
+    _finite_or_abort(bundle.q, "metric", "anchor")
+    return AnchorSet(points=positions.copy(), bundle=bundle,
+                     bandwidths=_resolve_bandwidth(positions, metric=bundle))
 
 
-def _resolve_bandwidth(positions, metric=None) -> float:
+def _resolve_bandwidth(positions, metric: PreconditionerBundle | None = None):
     # median trick where defined; a single particle sees no pairwise
     # distances, and any bandwidth acts the same there
+    stacked = metric is not None and metric.q.ndim > 2
     if positions.shape[0] < 2:
-        return 1.0
-    return median_bandwidth(positions, metric=metric)
+        return np.ones(metric.q.shape[:-2]) if stacked else 1.0
+    h = median_bandwidth(positions, metric=metric)
+    return _finite_or_abort(h, "bandwidth", "anchor" if stacked else None)
 
 
 def svn_metrics(positions, model: TargetModel, bandwidth: float, source: str = "exact_hessian",
@@ -134,7 +146,8 @@ def svn_metrics(positions, model: TargetModel, bandwidth: float, source: str = "
     term1 = np.einsum("ji,jab->iab", k * k, hs) / n
     g = k[:, :, None] * diff / bandwidth
     term2 = np.einsum("jia,jib->iab", g, g) / n
-    return psd_repair(term1 + term2, floor_ratio=floor_ratio)
+    return psd_repair(_finite_or_abort(term1 + term2, "SVN metric", "particle"),
+                      floor_ratio=floor_ratio)
 
 
 def svn_direction(positions, grads, metrics: np.ndarray, bandwidth: float) -> np.ndarray:

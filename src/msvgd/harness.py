@@ -142,7 +142,7 @@ def parse_config(source) -> RunConfig:
     if not isinstance(source, dict):
         raise ConfigError(f"config must be a JSON object, got {type(source).__name__}")
     _check_unknown(source, _TOP_KEYS, "")
-    for key in ("target", "method", "n", "iters", "seed"):
+    for key in ("target", "method", "n", "iters"):
         if key not in source:
             _fail(key, "required key is missing")
 
@@ -158,7 +158,7 @@ def parse_config(source) -> RunConfig:
     method = _as_choice(source["method"], "method", dynamics.METHODS)
     n = _as_int(source["n"], "n", minimum=1)
     iters = _as_int(source["iters"], "iters", minimum=0)
-    seed = _as_int(source["seed"], "seed", minimum=0)
+    seed = _as_int(source.get("seed", 0), "seed", minimum=0)
 
     raw_cp = source.get("checkpoints")
     if raw_cp is None:

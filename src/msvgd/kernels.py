@@ -21,6 +21,10 @@ implemented, each with its closed-form divergence:
   bandwidths.
 
 Bandwidths are plain (unsquared) denominators: k = exp(-dist^2 / (2h)).
+``median_bandwidth`` picks them by the median trick; given a stacked bundle
+(one metric per mixture anchor) it returns one bandwidth per metric.  The
+mixture kernel's anchors share one stacked bundle, and its bandwidths and
+direction are computed over chunks of anchors (``CHUNK_BYTES``).
 """
 
 from __future__ import annotations
@@ -47,24 +51,75 @@ def _check_points(points) -> np.ndarray:
     return points
 
 
-def median_bandwidth(points, metric: PreconditionerBundle | None = None) -> float:
+# byte budget for the (chunk, n, n) float temporaries of the stacked-metric
+# computations: anchors are processed this many bytes' worth at a time
+CHUNK_BYTES = 1 << 19
+
+
+def _chunks(count: int, n: int):
+    """Slices covering ``count`` metrics, each holding about CHUNK_BYTES of (n, n) floats."""
+    step = max(1, CHUNK_BYTES // (8 * n * n))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _metric_sq_dists(points, q) -> np.ndarray:
+    """Squared distances among ``points`` under each metric of the (c, d, d)
+    stack ``q``, shape (c, n, n).
+
+    Expanded form x_i'Q x_i + x_j'Q x_j - 2 x_i'Q x_j: the cross terms of the
+    whole chunk come from one (c*n, d) @ (d, n) GEMM.
+    """
+    xq = points @ q  # (c, n, d)
+    c, n, d = xq.shape
+    sq = np.sum(xq * points, axis=2)
+    d2 = sq[:, :, None] + sq[:, None, :]
+    d2 += ((-2.0 * xq).reshape(c * n, d) @ points.T).reshape(c, n, n)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _row_medians(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=-1)`` computed in place in ``a``.
+
+    One partition at the upper middle rank plus a max over the lower part
+    gives the two middle values; numpy's multi-rank partition (which
+    ``np.median`` uses for an even count) is several times slower.  NaNs sort
+    last, so a row holding one yields NaN, as ``np.median`` does.
+    """
+    k = a.shape[-1] // 2
+    a.partition(k, axis=-1)
+    upper = a[..., k]
+    middle = upper if a.shape[-1] % 2 else (np.max(a[..., :k], axis=-1) + upper) / 2.0
+    return np.where(np.isnan(np.max(a[..., k:], axis=-1)), np.nan, middle)
+
+
+def median_bandwidth(points, metric: PreconditionerBundle | None = None):
     """Median-trick bandwidth: median pairwise squared distance over log(n+1).
 
     Distances are Euclidean, or Mahalanobis under ``metric`` when a bundle is
-    given.  Needs at least two points; if all points coincide the median is
+    given.  A stacked bundle (metric q of shape (m, d, d)) gives one bandwidth
+    per metric, shape (m,); its distances are formed a chunk of metrics at a
+    time.  Needs at least two points; if all points coincide the median is
     zero and the fallback bandwidth 1.0 is returned.
     """
     points = _check_points(points)
     n = points.shape[0]
     if n < 2:
         raise InvalidInputError("median bandwidth needs at least two points")
+    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
     if metric is None:
-        d2 = pairwise_sq_dists(points)
+        medians = _row_medians(pairwise_sq_dists(points).ravel()[upper])
     else:
-        d2 = pairwise_mahalanobis_sq(points, None, metric)
-    iu = np.triu_indices(n, k=1)
-    h = float(np.median(d2[iu])) / np.log(n + 1.0)
-    return h if h > 0.0 else 1.0
+        q = metric.q
+        stack = q.reshape(-1, *q.shape[-2:])
+        medians = np.empty(stack.shape[0])
+        for chunk in _chunks(stack.shape[0], n):
+            d2 = _metric_sq_dists(points, stack[chunk])
+            medians[chunk] = _row_medians(np.take(d2.reshape(len(d2), -1), upper, axis=1))
+        medians = medians.reshape(q.shape[:-2])
+    h = medians / np.log(n + 1.0)
+    # a NaN median (overflowed distances) is passed on for the caller to flag
+    h = np.where(h == 0.0, 1.0, h)
+    return float(h) if h.ndim == 0 else h
 
 
 def per_coordinate_median_bandwidths(points) -> np.ndarray:
@@ -222,23 +277,23 @@ class DiagonalRBF(KernelStrategy):
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Anchors for the mixture kernel: points, local metrics, bandwidths."""
+    """Anchors for the mixture kernel: points, one stacked bundle of local
+    metrics (q of shape (m, d, d)) and one bandwidth per anchor."""
 
     points: np.ndarray
-    bundles: tuple[PreconditionerBundle, ...]
+    bundle: PreconditionerBundle
     bandwidths: np.ndarray
 
     def __post_init__(self):
         points = _check_points(self.points)
         bandwidths = np.asarray(self.bandwidths, dtype=float)
-        if len(self.bundles) != points.shape[0] or bandwidths.shape != (points.shape[0],):
-            raise InvalidInputError("anchors need one bundle and one bandwidth per point")
-        if any(b.dim != points.shape[1] for b in self.bundles):
-            raise InvalidInputError("anchor bundle dimensions must match anchor points")
+        if self.bundle.q.shape[:-2] != points.shape[:1] or bandwidths.shape != points.shape[:1]:
+            raise InvalidInputError("anchors need one metric and one bandwidth per point")
+        if self.bundle.dim != points.shape[1]:
+            raise InvalidInputError("anchor metric dimensions must match anchor points")
         if not np.all(np.isfinite(bandwidths)) or np.any(bandwidths <= 0.0):
             raise InvalidInputError("anchor bandwidths must be positive and finite")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "bundles", tuple(self.bundles))
         object.__setattr__(self, "bandwidths", bandwidths)
 
     @property
@@ -250,14 +305,14 @@ class AnchorSet:
         return self.points.shape[1]
 
 
-def _anchor_log_scores(points, anchors: AnchorSet) -> np.ndarray:
-    """log of N(x; z_l, Q_l^{-1}) for each point/anchor pair, up to the
-    shared (2 pi)^{-d/2} factor that cancels in the weights."""
-    out = np.empty((points.shape[0], anchors.size))
-    for l, bundle in enumerate(anchors.bundles):
-        m2 = pairwise_mahalanobis_sq(points, anchors.points[l:l + 1], bundle)[:, 0]
-        out[:, l] = 0.5 * bundle.log_det - 0.5 * m2
-    return out
+def _anchor_log_scores(points, anchors: AnchorSet):
+    """log of N(x; z_l, Q_l^{-1}) for each point/anchor pair, shape (n, m), up
+    to the shared (2 pi)^{-d/2} factor that cancels in the weights; and the
+    anchor Gaussians' scores t_l(x) = -Q_l (x - z_l), shape (m, n, d)."""
+    diff = points[None, :, :] - anchors.points[:, None, :]
+    t = -(diff @ anchors.bundle.q)
+    log_p = 0.5 * anchors.bundle.log_det[:, None] + 0.5 * np.sum(diff * t, axis=2)
+    return log_p.T, t
 
 
 def mixture_weights(x, anchors: AnchorSet) -> np.ndarray:
@@ -265,8 +320,8 @@ def mixture_weights(x, anchors: AnchorSet) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != anchors.dim:
         raise InvalidInputError(f"expected a point of dimension {anchors.dim}, got shape {x.shape}")
-    scores = _anchor_log_scores(x[None, :], anchors)
-    return np.exp(scores[0] - logsumexp(scores[0]))
+    scores = _anchor_log_scores(x[None, :], anchors)[0][0]
+    return np.exp(scores - logsumexp(scores))
 
 
 class MixturePrecond(KernelStrategy):
@@ -276,7 +331,8 @@ class MixturePrecond(KernelStrategy):
     responsibilities of Gaussians N(z_l, Q_l^{-1}).  The Stein direction
     distributes over anchors; each anchor contributes its driving term, its
     repulsion term, and a weight-gradient term from differentiating
-    w_l(x') under the divergence.
+    w_l(x') under the divergence.  Anchors are processed a chunk at a time
+    (see ``CHUNK_BYTES``).
     """
 
     kind = "mixture_precond"
@@ -285,47 +341,52 @@ class MixturePrecond(KernelStrategy):
         self.anchors = anchors
         self.dim = anchors.dim
 
-    def weights(self, points) -> np.ndarray:
-        points = self._check_pair_inputs(points)
-        scores = _anchor_log_scores(points, self.anchors)
-        return np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
-
-    def weight_gradients(self, points) -> np.ndarray:
-        """grad of w_l at each point, shape (n, m, d).
+    def _weights_and_gradients(self, points):
+        """w_l(x_i), shape (n, m), and grad w_l(x_i), shape (m, n, d).
 
         grad w_l(x) = w_l(x) (t_l(x) - sum_l' w_l'(x) t_l'(x)) with
         t_l(x) = -Q_l (x - z_l) the score of the anchor Gaussian.
         """
-        points = self._check_pair_inputs(points)
-        w = self.weights(points)
-        t = np.stack([-(points - self.anchors.points[l]) @ b.q
-                      for l, b in enumerate(self.anchors.bundles)])  # (m, n, d)
+        scores, t = _anchor_log_scores(points, self.anchors)
+        w = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
         avg = np.einsum("nl,lnd->nd", w, t)
-        return w[:, :, None] * (t.transpose(1, 0, 2) - avg[:, None, :])
+        t -= avg[None, :, :]
+        t *= w.T[:, :, None]
+        return w, t
+
+    def weight_gradients(self, points) -> np.ndarray:
+        """grad of w_l at each point, shape (n, m, d)."""
+        points = self._check_pair_inputs(points)
+        return self._weights_and_gradients(points)[1].transpose(1, 0, 2)
 
     def eval(self, x, y):
         x, y = self._check_point(x), self._check_point(y)
         wx = mixture_weights(x, self.anchors)
         wy = mixture_weights(y, self.anchors)
         d = x - y
-        out = np.zeros((self.dim, self.dim))
-        for l, (bundle, h) in enumerate(zip(self.anchors.bundles, self.anchors.bandwidths)):
-            s = np.exp(-max(float(d @ bundle.q @ d), 0.0) / (2.0 * h))
-            out += wx[l] * wy[l] * s * bundle.q_inv
-        return out
+        bundle = self.anchors.bundle
+        quad = np.maximum(np.einsum("i,lij,j->l", d, bundle.q, d), 0.0)
+        s = np.exp(-quad / (2.0 * self.anchors.bandwidths))
+        return np.tensordot(wx * wy * s, bundle.q_inv, axes=1)
 
     def direction(self, points, grads):
         points, grads = self._check_pair_inputs(points, grads)
-        n = points.shape[0]
-        w = self.weights(points)
-        wg = self.weight_gradients(points)
+        n, d = points.shape
+        w, wg = self._weights_and_gradients(points)
+        wt = w.T[:, :, None]  # (m, n, 1)
+        h = self.anchors.bandwidths[:, None, None]
+        bundle = self.anchors.bundle
         phi = np.zeros_like(points)
-        for l, (bundle, h) in enumerate(zip(self.anchors.bundles, self.anchors.bandwidths)):
-            s = np.exp(-pairwise_mahalanobis_sq(points, None, bundle) / (2.0 * h))
+        for chunk in _chunks(self.anchors.size, n):
+            s = _metric_sq_dists(points, bundle.q[chunk])
+            np.divide(s, -2.0 * h[chunk], out=s)
+            np.exp(s, out=s)
+            # one product gives sum_j s_ij of [w_l(x_j) g_j + grad w_l(x_j), w_l(x_j) x_j, w_l(x_j)]
+            rhs = np.concatenate([wt[chunk] * grads + wg[chunk],
+                                  wt[chunk] * points, wt[chunk]], axis=2)
+            sums = s @ rhs
             # w_l(x_j) K_l g_j and K_l grad w_l(x_j) share the Q_l^{-1} factor
-            drive = (s @ (w[:, l, None] * grads + wg[:, l, :])) @ bundle.q_inv
-            sw = s * w[None, :, l]
-            repulse = (sw.sum(axis=1)[:, None] * points - sw @ points) / h
-            phi += w[:, l, None] * (drive + repulse)
+            drive = sums[:, :, :d] @ bundle.q_inv[chunk]
+            repulse = (sums[:, :, 2 * d:] * points - sums[:, :, d:2 * d]) / h[chunk]
+            phi += np.einsum("ln,lnd->nd", w.T[chunk], drive + repulse)
         return phi / n
-

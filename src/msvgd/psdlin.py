@@ -1,11 +1,12 @@
 """Dense symmetric linear algebra: PSD repair, matrix roots, Mahalanobis forms.
 
 Everything here operates on small d x d symmetric matrices through a single
-eigendecomposition backend (``numpy.linalg.eigh``).  ``symmetrize`` and
-``psd_repair`` also accept stacks of shape (..., d, d) and work matrix by
-matrix.  Inputs are symmetrized on entry (averaged with their transpose) so
-downstream code never has to worry about asymmetry accumulated during Hessian
-assembly.
+eigendecomposition backend (``numpy.linalg.eigh``).  ``symmetrize``,
+``psd_repair`` and ``make_bundle`` also accept stacks of shape (..., d, d)
+and work matrix by matrix; a stacked ``make_bundle`` returns one bundle whose
+fields are stacks.  Inputs are symmetrized on entry (averaged with their
+transpose) so downstream code never has to worry about asymmetry accumulated
+during Hessian assembly.
 """
 
 from __future__ import annotations
@@ -32,15 +33,15 @@ def symmetrize(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PreconditionerBundle:
-    """A positive definite matrix together with its cached factors.
+    """A positive definite matrix (or a stack of them) with its cached factors.
 
     Attributes
     ----------
-    q : ndarray, shape (d, d)
+    q : ndarray, shape (..., d, d)
         The matrix itself.
-    q_sqrt, q_inv_sqrt, q_inv : ndarray, shape (d, d)
+    q_sqrt, q_inv_sqrt, q_inv : ndarray, shape (..., d, d)
         Symmetric square root, inverse square root, and inverse.
-    log_det : float
+    log_det : float or ndarray, shape (...)
         Log determinant of ``q``.
     """
 
@@ -48,11 +49,11 @@ class PreconditionerBundle:
     q_sqrt: np.ndarray
     q_inv_sqrt: np.ndarray
     q_inv: np.ndarray
-    log_det: float
+    log_det: float | np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.q.shape[0]
+        return self.q.shape[-1]
 
 
 def _check_floor_ratio(floor_ratio: float) -> float:
@@ -92,23 +93,24 @@ def make_bundle(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> PreconditionerBu
     """Repair ``m`` and package it with its symmetric factor matrices.
 
     A single eigendecomposition produces q, q^{1/2}, q^{-1/2}, q^{-1} and
-    log det q, guaranteeing they are mutually consistent.
+    log det q, guaranteeing they are mutually consistent.  A stack
+    (..., d, d) gives one bundle of stacks, equal matrix by matrix to the
+    bundles of its members.
     """
     floor_ratio = _check_floor_ratio(floor_ratio)
-    if np.ndim(m) != 2:
-        raise InvalidInputError(f"expected a square matrix, got shape {np.shape(m)}")
     lam, vec = _clipped_eigh(m, floor_ratio)
+    vec_t = np.swapaxes(vec, -1, -2)
 
     def form(power):
-        out = (vec * lam**power) @ vec.T
-        return 0.5 * (out + out.T)
+        out = (vec * lam[..., None, :]**power) @ vec_t
+        return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     return PreconditionerBundle(
         q=form(1.0),
         q_sqrt=form(0.5),
         q_inv_sqrt=form(-0.5),
         q_inv=form(-1.0),
-        log_det=float(np.sum(np.log(lam))),
+        log_det=np.sum(np.log(lam), axis=-1),
     )
 
 

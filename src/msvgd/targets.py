@@ -435,8 +435,6 @@ class LogisticDataset:
         """Load headerless delimited text: d feature columns then a label column."""
         try:
             raw = np.loadtxt(path, delimiter=delimiter, ndmin=2)
-        except OSError:
-            raise
         except ValueError as exc:
             raise InvalidInputError(f"could not parse dataset file {path}: {exc}") from exc
         if raw.shape[1] < 2:

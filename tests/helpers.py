@@ -70,9 +70,44 @@ def random_anchor_set(rng, n_anchors, d):
 
     return AnchorSet(
         points=rng.standard_normal((n_anchors, d)),
-        bundles=tuple(make_bundle(random_spd(rng, d)) for _ in range(n_anchors)),
+        bundle=make_bundle(np.stack([random_spd(rng, d) for _ in range(n_anchors)])),
         bandwidths=0.5 + rng.random(n_anchors),
     )
+
+
+def per_anchor_mixture_direction(anchors, points, grads):
+    """The mixture kernel's Stein direction built one anchor at a time.
+
+    Each anchor's weights, weight gradients and kernel come from that
+    anchor's own single-matrix bundle and ``pairwise_mahalanobis_sq``, as a
+    loop over anchors; an oracle for the chunked ``MixturePrecond.direction``.
+    """
+    from scipy.special import logsumexp
+
+    from msvgd.psdlin import PreconditionerBundle, pairwise_mahalanobis_sq
+
+    stack = anchors.bundle
+    bundles = [PreconditionerBundle(q=stack.q[l], q_sqrt=stack.q_sqrt[l],
+                                    q_inv_sqrt=stack.q_inv_sqrt[l], q_inv=stack.q_inv[l],
+                                    log_det=stack.log_det[l]) for l in range(anchors.size)]
+    n = points.shape[0]
+    scores = np.empty((n, anchors.size))
+    t = np.empty((anchors.size, n, points.shape[1]))
+    for l, b in enumerate(bundles):
+        z = anchors.points[l]
+        scores[:, l] = 0.5 * b.log_det - 0.5 * pairwise_mahalanobis_sq(points, z[None, :], b)[:, 0]
+        t[l] = -(points - z) @ b.q
+    w = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
+    avg = np.einsum("nl,lnd->nd", w, t)
+    phi = np.zeros_like(points)
+    for l, (b, h) in enumerate(zip(bundles, anchors.bandwidths)):
+        wg = w[:, l, None] * (t[l] - avg)
+        s = np.exp(-pairwise_mahalanobis_sq(points, None, b) / (2.0 * h))
+        drive = (s @ (w[:, l, None] * grads + wg)) @ b.q_inv
+        sw = s * w[None, :, l]
+        repulse = (sw.sum(axis=1)[:, None] * points - sw @ points) / h
+        phi += w[:, l, None] * (drive + repulse)
+    return phi / n
 
 
 def strategies_for(rng, d):

@@ -110,8 +110,8 @@ def test_refresh_anchors_places_anchors_at_particles():
     pts = rng.standard_normal((5, 2))
     anchors = refresh_anchors(pts, model)
     assert np.array_equal(anchors.points, pts)
-    for b in anchors.bundles:
-        assert np.allclose(b.q, q, atol=1e-12)
+    for q_l in anchors.bundle.q:
+        assert np.allclose(q_l, q, atol=1e-12)
     assert np.all(anchors.bandwidths > 0.0)
 
 
@@ -119,16 +119,16 @@ def test_refresh_anchors_is_deterministic_for_duplicated_particles():
     model = StarMixture()
     x = np.array([0.3, 1.2])
     anchors = refresh_anchors(np.stack([x, x, x]), model)
-    for b in anchors.bundles[1:]:
-        assert np.array_equal(b.q, anchors.bundles[0].q)
+    for q_l in anchors.bundle.q[1:]:
+        assert np.array_equal(q_l, anchors.bundle.q[0])
 
 
 def test_refresh_anchors_repairs_indefinite_star_curvature():
     model = StarMixture()
     rng = np.random.default_rng(4)
     anchors = refresh_anchors(rng.uniform(-2.0, 2.0, size=(5, 2)), model, floor_ratio=1e-6)
-    for b in anchors.bundles:
-        eig = np.linalg.eigvalsh(b.q)
+    for q_l in anchors.bundle.q:
+        eig = np.linalg.eigvalsh(q_l)
         assert eig[0] >= 1e-6 * max(1.0, eig[-1]) * (1.0 - 1e-9)
 
 
@@ -279,6 +279,21 @@ def test_run_aborts_with_iteration_index_on_blowup():
         run(StarMixture(), "matrix_svgd_average", n_particles=10, iterations=3, init_mean=1e160)
     assert exc.value.iteration == 0
     assert "refresh: curvature of particle 0" in str(exc.value)
+
+
+def test_refresh_overflow_from_finite_curvature_aborts_with_the_iteration():
+    # the curvature 1e307 I is finite, but averaging 50 copies of it overflows
+    model = Gaussian(np.zeros(2), precision=1e307 * np.eye(2))
+    with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore"):
+        run(model, "matrix_svgd_average", n_particles=50, iterations=2)
+    assert exc.value.iteration == 0
+    assert "refresh: averaged curvature has non-finite entries" in str(exc.value)
+    # each anchor's metric is finite, but its median-trick distances overflow
+    model = Gaussian(np.zeros(2), precision=1e306 * np.eye(2))
+    with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore", invalid="ignore"):
+        run(model, "matrix_svgd_mixture", n_particles=5, iterations=2, init_scale=10.0)
+    assert exc.value.iteration == 0
+    assert "refresh: bandwidth of anchor 0 has non-finite entries" in str(exc.value)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -49,6 +49,9 @@ def test_parse_minimal_config_fills_documented_defaults():
     assert cfg.init_mean == 0.0 and cfg.init_scale == 1.0
     assert cfg.mmd_reference_n == 2000
     assert cfg.out_dir == "runs"
+    raw = minimal_config()
+    del raw["seed"]
+    assert parse_config(raw).seed == 0
 
 
 def test_parse_default_rate_depends_on_method():

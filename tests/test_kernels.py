@@ -5,10 +5,13 @@ from helpers import (
     assert_fd_close,
     brute_force_direction,
     fd_jacobian,
+    per_anchor_mixture_direction,
     random_anchor_set,
     random_spd,
     strategies_for,
 )
+from msvgd import kernels
+from msvgd.dynamics import refresh_anchors
 from msvgd.errors import ConfigError, InvalidInputError
 from msvgd.kernels import (
     AnchorSet,
@@ -21,6 +24,7 @@ from msvgd.kernels import (
     per_coordinate_median_bandwidths,
 )
 from msvgd.psdlin import identity_bundle, make_bundle, pairwise_mahalanobis_sq
+from msvgd.targets import StarMixture
 
 
 # -------------------------------------------------------------- bandwidth
@@ -52,6 +56,36 @@ def test_median_bandwidth_under_metric_matches_manual_median():
     m2 = pairwise_mahalanobis_sq(pts, None, bundle)
     manual = np.median(m2[np.triu_indices(7, k=1)]) / np.log(8.0)
     assert median_bandwidth(pts, metric=bundle) == pytest.approx(manual, rel=1e-12)
+
+
+def test_row_medians_equal_numpy_median():
+    rng = np.random.default_rng(2)
+    for width in (1, 2, 7, 50, 51):
+        rows = rng.standard_normal((4, width))
+        rows[1, :width // 2] = rows[1, -1]  # ties across the middle
+        rows[2, width // 3] = np.nan
+        assert np.array_equal(kernels._row_medians(rows.copy()), np.median(rows, axis=1),
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("per_chunk", [None, 3])
+@pytest.mark.parametrize("n, d", [(200, 2), (100, 20)])
+def test_stacked_median_bandwidth_matches_per_metric_calls(monkeypatch, per_chunk, n, d):
+    if per_chunk is not None:  # 40 metrics in chunks of 3, the last one partial
+        monkeypatch.setattr(kernels, "CHUNK_BYTES", per_chunk * 8 * n * n)
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((n, d))
+    m = 40
+    assert len(kernels._chunks(m, n)) > 1
+    bundle = make_bundle(np.stack([random_spd(rng, d) for _ in range(m)]))
+    stacked = median_bandwidth(pts, metric=bundle)
+    assert stacked.shape == (m,)
+    upper = np.triu_indices(n, k=1)
+    for l in range(m):
+        single = make_bundle(bundle.q[l])
+        assert stacked[l] == pytest.approx(median_bandwidth(pts, metric=single), rel=1e-13)
+        manual = np.median(pairwise_mahalanobis_sq(pts, None, single)[upper]) / np.log(n + 1.0)
+        assert stacked[l] == pytest.approx(manual, rel=1e-12)
 
 
 def test_per_coordinate_median_bandwidths():
@@ -117,13 +151,13 @@ def test_bandwidth_validation():
 def test_anchor_set_validation():
     rng = np.random.default_rng(6)
     pts = rng.standard_normal((3, 2))
-    bundles = tuple(make_bundle(random_spd(rng, 2)) for _ in range(3))
+    bundle = make_bundle(np.stack([random_spd(rng, 2) for _ in range(3)]))
     with pytest.raises(InvalidInputError):
-        AnchorSet(points=pts, bundles=bundles[:2], bandwidths=np.ones(3))
+        AnchorSet(points=pts, bundle=make_bundle(bundle.q[:2]), bandwidths=np.ones(3))
     with pytest.raises(InvalidInputError):
-        AnchorSet(points=pts, bundles=bundles, bandwidths=np.array([1.0, -1.0, 1.0]))
+        AnchorSet(points=pts, bundle=bundle, bandwidths=np.array([1.0, -1.0, 1.0]))
     with pytest.raises(InvalidInputError):
-        AnchorSet(points=pts, bundles=tuple(make_bundle(random_spd(rng, 3)) for _ in range(3)),
+        AnchorSet(points=pts, bundle=make_bundle(np.stack([random_spd(rng, 3) for _ in range(3)])),
                   bandwidths=np.ones(3))
 
 
@@ -137,16 +171,16 @@ def test_mixture_weights_single_anchor_is_one():
 
 def test_mixture_weights_identical_anchors_split_evenly():
     rng = np.random.default_rng(8)
-    b = make_bundle(random_spd(rng, 2))
+    m = random_spd(rng, 2)
     z = rng.standard_normal(2)
-    anchors = AnchorSet(points=np.stack([z, z]), bundles=(b, b), bandwidths=np.ones(2))
+    anchors = AnchorSet(points=np.stack([z, z]), bundle=make_bundle(np.stack([m, m])),
+                        bandwidths=np.ones(2))
     assert np.allclose(mixture_weights(rng.standard_normal(2), anchors), [0.5, 0.5], atol=1e-15)
 
 
 def test_mixture_weights_equidistant_anchors_split_evenly():
-    eye = identity_bundle(2)
     anchors = AnchorSet(points=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                        bundles=(eye, eye), bandwidths=np.ones(2))
+                        bundle=make_bundle(np.stack([np.eye(2), np.eye(2)])), bandwidths=np.ones(2))
     assert np.allclose(mixture_weights(np.zeros(2), anchors), [0.5, 0.5], atol=1e-15)
 
 
@@ -227,8 +261,9 @@ def test_scalar_equals_const_with_identity_metric_exactly():
 
 def test_single_anchor_mixture_equals_const_precond():
     rng = np.random.default_rng(13)
-    b = make_bundle(random_spd(rng, 2))
-    anchors = AnchorSet(points=rng.standard_normal((1, 2)), bundles=(b,),
+    m = random_spd(rng, 2)
+    b = make_bundle(m)
+    anchors = AnchorSet(points=rng.standard_normal((1, 2)), bundle=make_bundle(m[None]),
                         bandwidths=np.array([0.8]))
     mix = MixturePrecond(anchors)
     const = ConstPrecond(b, bandwidth=0.8)
@@ -241,14 +276,38 @@ def test_single_anchor_mixture_equals_const_precond():
 
 def test_multi_anchor_mixture_differs_from_const_even_with_shared_metric():
     rng = np.random.default_rng(14)
-    b = make_bundle(random_spd(rng, 2))
-    anchors = AnchorSet(points=rng.standard_normal((3, 2)), bundles=(b, b, b),
+    m = random_spd(rng, 2)
+    b = make_bundle(m)
+    anchors = AnchorSet(points=rng.standard_normal((3, 2)), bundle=make_bundle(np.stack([m, m, m])),
                         bandwidths=np.full(3, 0.9))
     mix = MixturePrecond(anchors)
     const = ConstPrecond(b, bandwidth=0.9)
     pts = rng.standard_normal((6, 2))
     grads = rng.standard_normal((6, 2))
     assert not np.allclose(mix.direction(pts, grads), const.direction(pts, grads), atol=1e-6)
+
+
+@pytest.mark.parametrize("per_chunk", [None, 7])
+def test_mixture_direction_matches_the_per_anchor_loop(monkeypatch, per_chunk):
+    if per_chunk is not None:
+        monkeypatch.setattr(kernels, "CHUNK_BYTES", per_chunk * 8 * 200 * 200)
+    # one anchor per particle, as the sampler builds them: 200 anchors span
+    # many chunks
+    model = StarMixture()
+    rng = np.random.default_rng(16)
+    pts = rng.uniform(-3.0, 3.0, size=(200, 2))
+    anchors = refresh_anchors(pts, model, floor_ratio=0.05)
+    assert len(kernels._chunks(anchors.size, 200)) > 1
+    grads = model.grad_log_density_batch(pts)
+    phi = MixturePrecond(anchors).direction(pts, grads)
+    oracle = per_anchor_mixture_direction(anchors, pts, grads)
+    assert np.max(np.abs(phi - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    # particles away from the anchors, at d = 5
+    anchors = random_anchor_set(rng, 60, 5)
+    pts, grads = rng.standard_normal((30, 5)), rng.standard_normal((30, 5))
+    oracle = per_anchor_mixture_direction(anchors, pts, grads)
+    phi = MixturePrecond(anchors).direction(pts, grads)
+    assert np.max(np.abs(phi - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_direction_is_equivariant_under_particle_permutation():

@@ -77,8 +77,22 @@ def test_psd_repair_of_a_stack_equals_per_matrix_repair():
         assert np.array_equal(repaired, np.stack([psd_repair(m, 1e-3) for m in stack]))
     with pytest.raises(InvalidInputError):
         psd_repair(np.zeros((3, 2, 3)))
+
+
+def test_make_bundle_of_a_stack_equals_per_matrix_bundles():
+    rng = np.random.default_rng(9)
+    for d in (2, 5, 20):
+        stack = symmetrize(rng.standard_normal((30, d, d)))
+        bundle = make_bundle(stack, 1e-3)
+        singles = [make_bundle(m, 1e-3) for m in stack]
+        assert bundle.dim == d and bundle.log_det.shape == (30,)
+        for field in ("q", "q_sqrt", "q_inv_sqrt", "q_inv", "log_det"):
+            assert np.array_equal(getattr(bundle, field),
+                                  np.stack([getattr(b, field) for b in singles])), field
     with pytest.raises(InvalidInputError):
-        make_bundle(np.stack([np.eye(2), np.eye(2)]))
+        make_bundle(np.zeros((3, 2, 3)))
+    with pytest.raises(InvalidInputError):
+        make_bundle(np.zeros(3))
 
 
 def test_make_bundle_identity():
