@@ -1,7 +1,7 @@
 """Particle-based variational inference with matrix-valued Stein kernels."""
 
 from .errors import ConfigError, InvalidInputError, NumericalAbort
-from .psdlin import PreconditionerBundle, mahalanobis_sq, make_bundle, psd_repair
+from .psdlin import PreconditionerBundle, make_bundle, psd_repair
 from .targets import (
     DoubleBanana,
     Gaussian,
@@ -46,7 +46,7 @@ __all__ = [
     "PrecondPolicy", "PreconditionerBundle", "RunConfig", "RunRecord",
     "RunResult", "ScalarRBF", "Sine", "StarMixture", "StepperState",
     "adagrad_step", "averaged_preconditioner", "change_of_variables_directions",
-    "compare", "grid_moments", "mahalanobis_sq", "make_bundle", "make_target",
+    "compare", "grid_moments", "make_bundle", "make_target",
     "median_bandwidth", "mixture_weights", "mmd_sq", "parse_config",
     "predictive_metrics", "psd_repair", "refresh_anchors", "run",
     "run_experiment", "svn_direction", "svn_metrics",

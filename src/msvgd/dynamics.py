@@ -24,24 +24,30 @@ from .kernels import (
     ScalarRBF,
     median_bandwidth,
 )
-from .psdlin import PreconditionerBundle, make_bundle, psd_repair
+from .psdlin import DEFAULT_FLOOR_RATIO, PreconditionerBundle, make_bundle, psd_repair
 from .targets import Gaussian, TargetModel
 
 CONVERGENCE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PrecondPolicy:
-    """How curvature information is sourced and how often it is refreshed."""
+    """How curvature information is sourced and how often it is refreshed.
+
+    The defaults and range rules of these fields and of ``StepperState`` live
+    only in these two classes; each error message starts with the field name.
+    """
 
     source: str = "exact_hessian"
     refresh_period: int = 1
-    floor_ratio: float = 1e-6
+    floor_ratio: float = DEFAULT_FLOOR_RATIO
 
     def __post_init__(self):
         if self.source not in ("exact_hessian", "fisher"):
-            raise ConfigError(f"unknown curvature source '{self.source}'")
+            raise ConfigError(f"source: must be one of ['exact_hessian', 'fisher'], got {self.source!r}")
         if int(self.refresh_period) < 1:
-            raise ConfigError(f"refresh_period must be >= 1, got {self.refresh_period}")
+            raise ConfigError(f"refresh_period: must be >= 1, got {self.refresh_period}")
+        if not 0.0 < self.floor_ratio < 1.0:
+            raise ConfigError(f"floor_ratio: must lie in (0, 1), got {self.floor_ratio}")
 
 
 @dataclass
@@ -55,11 +61,10 @@ class StepperState:
 
     def __post_init__(self):
         if self.method not in ("adagrad", "fixed"):
-            raise ConfigError(f"unknown stepper method '{self.method}'")
-        if not self.base_rate > 0.0:
-            raise ConfigError(f"base_rate must be positive, got {self.base_rate}")
-        if not self.damping > 0.0:
-            raise ConfigError(f"damping must be positive, got {self.damping}")
+            raise ConfigError(f"method: must be one of ['adagrad', 'fixed'], got {self.method!r}")
+        for name in ("base_rate", "damping"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name}: must be positive and finite, got {getattr(self, name)}")
 
 
 def adagrad_step(state: StepperState, positions: np.ndarray, directions: np.ndarray):
@@ -103,7 +108,7 @@ def _curvature_stack(positions, model: TargetModel, source: str) -> np.ndarray:
 
 
 def averaged_preconditioner(positions, model: TargetModel, source: str = "exact_hessian",
-                            floor_ratio: float = 1e-6) -> PreconditionerBundle:
+                            floor_ratio: float = DEFAULT_FLOOR_RATIO) -> PreconditionerBundle:
     """Particle-averaged curvature, repaired into a PD bundle."""
     positions = np.asarray(positions, dtype=float)
     avg = _curvature_stack(positions, model, source).mean(axis=0)
@@ -111,7 +116,7 @@ def averaged_preconditioner(positions, model: TargetModel, source: str = "exact_
 
 
 def refresh_anchors(positions, model: TargetModel, source: str = "exact_hessian",
-                    floor_ratio: float = 1e-6) -> AnchorSet:
+                    floor_ratio: float = DEFAULT_FLOOR_RATIO) -> AnchorSet:
     """One anchor per particle: local repaired curvature plus a median-trick
     bandwidth measured in that anchor's own metric, for all anchors at once."""
     positions = np.asarray(positions, dtype=float)
@@ -132,7 +137,7 @@ def _resolve_bandwidth(positions, metric: PreconditionerBundle | None = None):
 
 
 def svn_metrics(positions, model: TargetModel, bandwidth: float, source: str = "exact_hessian",
-                floor_ratio: float = 1e-6) -> np.ndarray:
+                floor_ratio: float = DEFAULT_FLOOR_RATIO) -> np.ndarray:
     """Kernel-weighted local metrics H~_i, one PD (d, d) matrix per particle.
 
     H~_i = (1/n) sum_j [ H(x_j) k(x_j, x_i)^2 + g_ji g_ji^T ] where

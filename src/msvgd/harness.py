@@ -126,10 +126,34 @@ def _as_number(value, path: str, positive=False) -> float:
     return value
 
 
+def _as_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        _fail(path, f"must be a string, got {value!r}")
+    return value
+
+
 def _as_choice(value, path: str, choices) -> str:
     if value not in choices:
         _fail(path, f"must be one of {sorted(choices)}, got {value!r}")
     return value
+
+
+def _as_section(value, path: str, keys) -> dict:
+    if not isinstance(value, dict):
+        _fail(path, "must be an object")
+    _check_unknown(value, keys, path)
+    return value
+
+
+def _build(cls, path: str, section, types: dict, **defaults):
+    """``cls`` built from a config section over ``defaults``: only the JSON
+    types are checked here, and the range errors of ``cls`` get ``path``."""
+    section = _as_section(section, path, types)
+    kwargs = {key: types[key](value, f"{path}.{key}") for key, value in section.items()}
+    try:
+        return cls(**{**defaults, **kwargs})
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def parse_config(source) -> RunConfig:
@@ -171,32 +195,14 @@ def parse_config(source) -> RunConfig:
         if checkpoints[-1] > iters:
             _fail("checkpoints", f"must not exceed iters={iters}, got {checkpoints[-1]}")
 
-    stepper = source.get("stepper", {})
-    if not isinstance(stepper, dict):
-        _fail("stepper", "must be an object")
-    _check_unknown(stepper, ("method", "base_rate", "damping"), "stepper")
-    stepper_method = _as_choice(stepper.get("method", "adagrad"), "stepper.method",
-                                ("adagrad", "fixed"))
-    base_rate = _as_number(stepper.get("base_rate", METHOD_DEFAULT_RATES[method]),
-                           "stepper.base_rate", positive=True)
-    damping = _as_number(stepper.get("damping", 1e-6), "stepper.damping", positive=True)
+    stepper = _build(dynamics.StepperState, "stepper", source.get("stepper", {}),
+                     {"method": _as_str, "base_rate": _as_number, "damping": _as_number},
+                     base_rate=METHOD_DEFAULT_RATES[method])
+    policy = _build(dynamics.PrecondPolicy, "precond", source.get("precond", {}),
+                    {"source": _as_str, "refresh_period": _as_int, "floor_ratio": _as_number},
+                    source="fisher" if kind == "logistic_posterior" else "exact_hessian")
 
-    precond = source.get("precond", {})
-    if not isinstance(precond, dict):
-        _fail("precond", "must be an object")
-    _check_unknown(precond, ("source", "refresh_period", "floor_ratio"), "precond")
-    default_source = "fisher" if kind == "logistic_posterior" else "exact_hessian"
-    curv_source = _as_choice(precond.get("source", default_source), "precond.source",
-                             ("exact_hessian", "fisher"))
-    refresh_period = _as_int(precond.get("refresh_period", 1), "precond.refresh_period", minimum=1)
-    floor_ratio = _as_number(precond.get("floor_ratio", 1e-6), "precond.floor_ratio", positive=True)
-    if floor_ratio >= 1.0:
-        _fail("precond.floor_ratio", f"must be < 1, got {floor_ratio}")
-
-    init = source.get("init", {})
-    if not isinstance(init, dict):
-        _fail("init", "must be an object")
-    _check_unknown(init, ("mean", "scale"), "init")
+    init = _as_section(source.get("init", {}), "init", ("mean", "scale"))
     raw_mean = init.get("mean", 0.0)
     if isinstance(raw_mean, list):
         init_mean = [_as_number(v, f"init.mean[{i}]") for i, v in enumerate(raw_mean)]
@@ -212,15 +218,16 @@ def parse_config(source) -> RunConfig:
 
     return RunConfig(target_kind=kind, target_params=params, method=method, n=n,
                      iters=iters, seed=seed, checkpoints=checkpoints,
-                     stepper_method=stepper_method, base_rate=base_rate, damping=damping,
-                     source=curv_source, refresh_period=refresh_period,
-                     floor_ratio=floor_ratio, init_mean=init_mean, init_scale=init_scale,
+                     stepper_method=stepper.method, base_rate=stepper.base_rate,
+                     damping=stepper.damping, source=policy.source,
+                     refresh_period=policy.refresh_period, floor_ratio=policy.floor_ratio,
+                     init_mean=init_mean, init_scale=init_scale,
                      mmd_reference_n=mmd_reference_n, out_dir=out_dir)
 
 
 def build_target(config: RunConfig) -> TargetModel:
     """Materialize the configured target (loads data files for the logistic kind)."""
-    kind, params = config.target_kind, dict(config.target_params)
+    kind, params = config.target_kind, config.target_params
     try:
         if kind == "logistic_posterior":
             if "data_path" not in params:
@@ -229,10 +236,6 @@ def build_target(config: RunConfig) -> TargetModel:
                                                 delimiter=params.get("delimiter", ","),
                                                 minibatch_size=params.get("minibatch_size", 0))
             return LogisticPosterior(dataset)
-        if kind == "gaussian" and not params:
-            params = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
-        elif kind == "gaussian" and "cov" not in params:
-            params["cov"] = np.eye(len(params["mean"])).tolist()
         return make_target(kind, **params)
     except InvalidInputError as exc:
         raise ConfigError(f"target: {exc}") from exc

@@ -20,11 +20,15 @@ implemented, each with its closed-form divergence:
 - ``diagonal``: independent per-coordinate RBF factors with per-coordinate
   bandwidths.
 
+The first three are one family: the scalar RBF is the mixture with one
+anchor, unit weight and the identity metric, and ``const_precond`` is the
+same with its own metric.  Their directions all go through ``_stein_sum``,
+and every pair distance here comes from ``_metric_sq_dists``, computed a
+chunk of metrics at a time (``CHUNK_BYTES``).
+
 Bandwidths are plain (unsquared) denominators: k = exp(-dist^2 / (2h)).
 ``median_bandwidth`` picks them by the median trick; given a stacked bundle
-(one metric per mixture anchor) it returns one bandwidth per metric.  The
-mixture kernel's anchors share one stacked bundle, and its bandwidths and
-direction are computed over chunks of anchors (``CHUNK_BYTES``).
+(one metric per mixture anchor) it returns one bandwidth per metric.
 """
 
 from __future__ import annotations
@@ -35,11 +39,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigError, InvalidInputError
-from .psdlin import (
-    PreconditionerBundle,
-    pairwise_mahalanobis_sq,
-    pairwise_sq_dists,
-)
+from .psdlin import PreconditionerBundle, identity_bundle
 
 
 def _check_points(points) -> np.ndarray:
@@ -95,46 +95,65 @@ def _row_medians(a: np.ndarray) -> np.ndarray:
 def median_bandwidth(points, metric: PreconditionerBundle | None = None):
     """Median-trick bandwidth: median pairwise squared distance over log(n+1).
 
-    Distances are Euclidean, or Mahalanobis under ``metric`` when a bundle is
-    given.  A stacked bundle (metric q of shape (m, d, d)) gives one bandwidth
-    per metric, shape (m,); its distances are formed a chunk of metrics at a
-    time.  Needs at least two points; if all points coincide the median is
-    zero and the fallback bandwidth 1.0 is returned.
+    Distances are Mahalanobis under ``metric``, the identity (Euclidean) by
+    default.  A stacked bundle (metric q of shape (m, d, d)) gives one
+    bandwidth per metric, shape (m,); its distances are formed a chunk of
+    metrics at a time.  Needs at least two points; if all points coincide
+    the median is zero and the fallback bandwidth 1.0 is returned.
     """
     points = _check_points(points)
     n = points.shape[0]
     if n < 2:
         raise InvalidInputError("median bandwidth needs at least two points")
+    q = (metric or identity_bundle(points.shape[1])).q
+    stack = q.reshape(-1, *q.shape[-2:])
     upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
-    if metric is None:
-        medians = _row_medians(pairwise_sq_dists(points).ravel()[upper])
-    else:
-        q = metric.q
-        stack = q.reshape(-1, *q.shape[-2:])
-        medians = np.empty(stack.shape[0])
-        for chunk in _chunks(stack.shape[0], n):
-            d2 = _metric_sq_dists(points, stack[chunk])
-            medians[chunk] = _row_medians(np.take(d2.reshape(len(d2), -1), upper, axis=1))
-        medians = medians.reshape(q.shape[:-2])
-    h = medians / np.log(n + 1.0)
+    medians = np.empty(stack.shape[0])
+    for chunk in _chunks(stack.shape[0], n):
+        d2 = _metric_sq_dists(points, stack[chunk])
+        medians[chunk] = _row_medians(np.take(d2.reshape(len(d2), -1), upper, axis=1))
+    h = medians.reshape(q.shape[:-2]) / np.log(n + 1.0)
     # a NaN median (overflowed distances) is passed on for the caller to flag
     h = np.where(h == 0.0, 1.0, h)
     return float(h) if h.ndim == 0 else h
 
 
-def per_coordinate_median_bandwidths(points) -> np.ndarray:
-    """Median-trick bandwidth per coordinate (for the diagonal kernel)."""
-    points = _check_points(points)
+def _stein_sum(points, grads, q, q_inv, h, w, wg) -> np.ndarray:
+    """Stein direction of the kernel sum_l w_l(x) w_l(x') Q_l^{-1} k_l(x, x').
+
+    ``q``/``q_inv`` are (m, d, d) metric stacks, ``h`` the (m,) bandwidths,
+    ``w`` the weights w_l(x_j), shape (n, m), and ``wg`` their gradients,
+    shape (m, n, d).  With k_l = k_{Q_l}(x_i, x_j),
+
+        phi(x_i) = (1/n) sum_l w_l(x_i) sum_j k_l [Q_l^{-1} (w_l(x_j) g_j
+                   + grad w_l(x_j)) + w_l(x_j) (x_i - x_j) / h_l],
+
+    with anchors processed a chunk at a time (see ``CHUNK_BYTES``).
+    """
     n, d = points.shape
-    if n < 2:
-        raise InvalidInputError("median bandwidth needs at least two points")
-    iu = np.triu_indices(n, k=1)
-    out = np.empty(d)
-    for m in range(d):
-        diff = points[:, m, None] - points[None, :, m]
-        h = float(np.median((diff * diff)[iu])) / np.log(n + 1.0)
-        out[m] = h if h > 0.0 else 1.0
-    return out
+    wt = w.T[:, :, None]  # (m, n, 1)
+    h = h[:, None, None]
+    phi = np.zeros_like(points)
+    for chunk in _chunks(len(h), n):
+        s = _metric_sq_dists(points, q[chunk])
+        np.divide(s, -2.0 * h[chunk], out=s)
+        np.exp(s, out=s)
+        # one product gives sum_j s_ij of [w_l(x_j) g_j + grad w_l(x_j), w_l(x_j) x_j, w_l(x_j)]
+        rhs = np.concatenate([wt[chunk] * grads + wg[chunk],
+                              wt[chunk] * points, wt[chunk]], axis=2)
+        sums = s @ rhs
+        # w_l(x_j) K_l g_j and K_l grad w_l(x_j) share the Q_l^{-1} factor
+        drive = sums[:, :, :d] @ q_inv[chunk]
+        repulse = (sums[:, :, 2 * d:] * points - sums[:, :, d:2 * d]) / h[chunk]
+        phi += np.einsum("ln,lnd->nd", w.T[chunk], drive + repulse)
+    return phi / n
+
+
+def _one_metric_direction(points, grads, bundle: PreconditionerBundle, h: float) -> np.ndarray:
+    """``_stein_sum`` for one anchor of unit weight: the kernel Q^{-1} k_Q."""
+    n, d = points.shape
+    return _stein_sum(points, grads, bundle.q[None], bundle.q_inv[None], np.array([h]),
+                      np.ones((n, 1)), np.zeros((1, n, d)))
 
 
 def _check_bandwidth(h) -> float:
@@ -203,11 +222,7 @@ class ScalarRBF(KernelStrategy):
 
     def direction(self, points, grads):
         points, grads = self._check_pair_inputs(points, grads)
-        n = points.shape[0]
-        s = np.exp(-pairwise_sq_dists(points) / (2.0 * self.bandwidth))
-        drive = s @ grads
-        repulse = (s.sum(axis=1)[:, None] * points - s @ points) / self.bandwidth
-        return (drive + repulse) / n
+        return _one_metric_direction(points, grads, identity_bundle(points.shape[1]), self.bandwidth)
 
 
 class ConstPrecond(KernelStrategy):
@@ -225,9 +240,6 @@ class ConstPrecond(KernelStrategy):
         self.bandwidth = _check_bandwidth(bandwidth)
         self.dim = bundle.dim
 
-    def _scalar(self, points):
-        return np.exp(-pairwise_mahalanobis_sq(points, None, self.bundle) / (2.0 * self.bandwidth))
-
     def eval(self, x, y):
         x, y = self._check_point(x), self._check_point(y)
         d = x - y
@@ -236,11 +248,7 @@ class ConstPrecond(KernelStrategy):
 
     def direction(self, points, grads):
         points, grads = self._check_pair_inputs(points, grads)
-        n = points.shape[0]
-        s = self._scalar(points)
-        drive = (s @ grads) @ self.bundle.q_inv
-        repulse = (s.sum(axis=1)[:, None] * points - s @ points) / self.bandwidth
-        return (drive + repulse) / n
+        return _one_metric_direction(points, grads, self.bundle, self.bandwidth)
 
 
 class DiagonalRBF(KernelStrategy):
@@ -371,22 +379,6 @@ class MixturePrecond(KernelStrategy):
 
     def direction(self, points, grads):
         points, grads = self._check_pair_inputs(points, grads)
-        n, d = points.shape
         w, wg = self._weights_and_gradients(points)
-        wt = w.T[:, :, None]  # (m, n, 1)
-        h = self.anchors.bandwidths[:, None, None]
         bundle = self.anchors.bundle
-        phi = np.zeros_like(points)
-        for chunk in _chunks(self.anchors.size, n):
-            s = _metric_sq_dists(points, bundle.q[chunk])
-            np.divide(s, -2.0 * h[chunk], out=s)
-            np.exp(s, out=s)
-            # one product gives sum_j s_ij of [w_l(x_j) g_j + grad w_l(x_j), w_l(x_j) x_j, w_l(x_j)]
-            rhs = np.concatenate([wt[chunk] * grads + wg[chunk],
-                                  wt[chunk] * points, wt[chunk]], axis=2)
-            sums = s @ rhs
-            # w_l(x_j) K_l g_j and K_l grad w_l(x_j) share the Q_l^{-1} factor
-            drive = sums[:, :, :d] @ bundle.q_inv[chunk]
-            repulse = (sums[:, :, 2 * d:] * points - sums[:, :, d:2 * d]) / h[chunk]
-            phi += np.einsum("ln,lnd->nd", w.T[chunk], drive + repulse)
-        return phi / n
+        return _stein_sum(points, grads, bundle.q, bundle.q_inv, self.anchors.bandwidths, w, wg)

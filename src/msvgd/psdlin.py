@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra: PSD repair, matrix roots, Mahalanobis forms.
+"""Dense symmetric linear algebra: PSD repair, matrix roots, pair distances.
 
 Everything here operates on small d x d symmetric matrices through a single
 eigendecomposition backend (``numpy.linalg.eigh``).  ``symmetrize``,
@@ -6,7 +6,9 @@ eigendecomposition backend (``numpy.linalg.eigh``).  ``symmetrize``,
 and work matrix by matrix; a stacked ``make_bundle`` returns one bundle whose
 fields are stacks.  Inputs are symmetrized on entry (averaged with their
 transpose) so downstream code never has to worry about asymmetry accumulated
-during Hessian assembly.
+during Hessian assembly.  Distances under a metric are formed where they are
+used (``kernels._metric_sq_dists``); ``pairwise_sq_dists`` serves the
+Euclidean MMD scoring.
 """
 
 from __future__ import annotations
@@ -121,18 +123,6 @@ def identity_bundle(dim: int) -> PreconditionerBundle:
                                 q_inv=eye.copy(), log_det=0.0)
 
 
-def mahalanobis_sq(x, y, bundle: PreconditionerBundle) -> float:
-    """Squared Mahalanobis distance (x - y)^T q (x - y) under the bundle metric."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise InvalidInputError(f"expected two vectors of equal length, got shapes {x.shape} and {y.shape}")
-    if x.shape[0] != bundle.dim:
-        raise InvalidInputError(f"vector length {x.shape[0]} does not match metric dimension {bundle.dim}")
-    d = x - y
-    return max(float(d @ bundle.q @ d), 0.0)
-
-
 def pairwise_sq_dists(xs, ys=None) -> np.ndarray:
     """All pairwise squared Euclidean distances between rows of xs and ys."""
     xs = np.asarray(xs, dtype=float)
@@ -141,10 +131,3 @@ def pairwise_sq_dists(xs, ys=None) -> np.ndarray:
     yy = np.sum(ys * ys, axis=1)
     d2 = xx[:, None] + yy[None, :] - 2.0 * (xs @ ys.T)
     return np.maximum(d2, 0.0)
-
-
-def pairwise_mahalanobis_sq(xs, ys, bundle: PreconditionerBundle) -> np.ndarray:
-    """Pairwise squared Mahalanobis distances, computed in q^{1/2} coordinates."""
-    xs = np.asarray(xs, dtype=float) @ bundle.q_sqrt
-    ys = None if ys is None else np.asarray(ys, dtype=float) @ bundle.q_sqrt
-    return pairwise_sq_dists(xs, ys)

@@ -330,7 +330,8 @@ class DoubleBanana(_GridSampledTarget):
     log p(x) = -||x||^2 / (2 sigma1) - (y - F(x))^2 / (2 sigma2) with
     F(x) = log((1 - x1)^2 + 100 (x2 - x1^2)^2).  Where the Rosenbrock term
     vanishes F is -inf and the density is zero (log density -inf), which is a
-    legal value, not an error; the score is undefined there.
+    legal value, not an error; the score and curvature are undefined there and
+    come out non-finite, for the sampler to abort on.
     """
 
     kind = "double_banana"
@@ -363,8 +364,6 @@ class DoubleBanana(_GridSampledTarget):
 
     def _rosenbrock_parts(self, x1, x2):
         g = self._rosenbrock(x1, x2)
-        if np.any(g == 0.0):
-            raise InvalidInputError("score undefined where the density vanishes")
         dg1 = -2.0 * (1.0 - x1) - 400.0 * x1 * (x2 - x1 * x1)
         dg2 = 200.0 * (x2 - x1 * x1)
         return g, dg1, dg2
@@ -373,7 +372,8 @@ class DoubleBanana(_GridSampledTarget):
         points = self._check_points(points)
         x1, x2 = points[:, 0], points[:, 1]
         g, dg1, dg2 = self._rosenbrock_parts(x1, x2)
-        with np.errstate(invalid="ignore", over="ignore"):
+        # g = 0 (zero density) or overflow gives non-finite rows
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             resid = self.y_obs - np.log(g)
             coef = resid / (self.sigma2 * g)
             return np.column_stack([-x1 / self.sigma1 + coef * dg1,
@@ -387,11 +387,12 @@ class DoubleBanana(_GridSampledTarget):
         grad_g = np.column_stack([dg1, dg2])
         hess_g = _symmetric_2x2(d11, d12, np.full_like(d11, 200.0))
         g = g[:, None, None]
-        grad_f = grad_g / g[:, 0]
-        hess_f = hess_g / g - (grad_g[:, :, None] * grad_g[:, None, :]) / (g * g)
-        resid = self.y_obs - np.log(g)
-        outer_f = grad_f[:, :, None] * grad_f[:, None, :]
-        hess = -np.eye(2) / self.sigma1 + (-outer_f + resid * hess_f) / self.sigma2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            grad_f = grad_g / g[:, 0]
+            hess_f = hess_g / g - (grad_g[:, :, None] * grad_g[:, None, :]) / (g * g)
+            resid = self.y_obs - np.log(g)
+            outer_f = grad_f[:, :, None] * grad_f[:, None, :]
+            hess = -np.eye(2) / self.sigma1 + (-outer_f + resid * hess_f) / self.sigma2
         return -hess
 
 
@@ -544,9 +545,13 @@ _TARGET_KINDS = {
 
 
 def make_target(kind: str, **params) -> TargetModel:
-    """Construct a target by kind name; unknown kinds raise ConfigError."""
+    """Construct a target by kind name; unknown kinds raise ConfigError.  A bare
+    ``gaussian`` is the 2-D standard normal; a mean alone gets identity covariance."""
     if kind not in _TARGET_KINDS:
         raise ConfigError(f"unknown target kind '{kind}' (expected one of {sorted(_TARGET_KINDS)})")
+    if kind == "gaussian" and set(params) <= {"mean"}:
+        mean = params.get("mean", [0.0, 0.0])
+        params = {"mean": mean, "cov": np.eye(np.size(mean))}
     try:
         return _TARGET_KINDS[kind](**params)
     except TypeError as exc:

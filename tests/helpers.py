@@ -58,6 +58,30 @@ def brute_force_direction(strategy, points, grads, step=1e-6):
     return phi / n
 
 
+def mahalanobis_sq(x, y, bundle) -> float:
+    """Squared Mahalanobis distance (x - y)^T q (x - y) under the bundle metric."""
+    from msvgd.errors import InvalidInputError
+
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
+        raise InvalidInputError(f"expected two vectors of equal length, got shapes {x.shape} and {y.shape}")
+    if x.shape[0] != bundle.dim:
+        raise InvalidInputError(f"vector length {x.shape[0]} does not match metric dimension {bundle.dim}")
+    d = x - y
+    return max(float(d @ bundle.q @ d), 0.0)
+
+
+def pairwise_mahalanobis_sq(xs, ys, bundle) -> np.ndarray:
+    """Pairwise squared Mahalanobis distances, computed in q^{1/2} coordinates:
+    a second route to the library's expanded-form ``_metric_sq_dists``."""
+    from msvgd.psdlin import pairwise_sq_dists
+
+    xs = np.asarray(xs, dtype=float) @ bundle.q_sqrt
+    ys = None if ys is None else np.asarray(ys, dtype=float) @ bundle.q_sqrt
+    return pairwise_sq_dists(xs, ys)
+
+
 def random_spd(rng, d, jitter=0.3):
     """Random symmetric positive definite matrix with eigenvalues O(1)."""
     a = rng.standard_normal((d, d))
@@ -84,7 +108,7 @@ def per_anchor_mixture_direction(anchors, points, grads):
     """
     from scipy.special import logsumexp
 
-    from msvgd.psdlin import PreconditionerBundle, pairwise_mahalanobis_sq
+    from msvgd.psdlin import PreconditionerBundle
 
     stack = anchors.bundle
     bundles = [PreconditionerBundle(q=stack.q[l], q_sqrt=stack.q_sqrt[l],

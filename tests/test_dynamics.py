@@ -81,6 +81,9 @@ def test_stepper_and_policy_validation():
         PrecondPolicy(source="kfac")
     with pytest.raises(ConfigError):
         PrecondPolicy(refresh_period=0)
+    for floor_ratio in (0.0, 1.5):
+        with pytest.raises(ConfigError, match="^floor_ratio"):
+            PrecondPolicy(floor_ratio=floor_ratio)
 
 
 # ---------------------------------------------------------- preconditioners

@@ -326,6 +326,15 @@ def test_cli_sample_is_deterministic(tmp_path):
     assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_cli_sample_gaussian_draws_the_standard_normal_of_a_bare_config(tmp_path):
+    assert main(["sample", "gaussian", "5", "0", "--out", str(tmp_path), "--quiet"]) == 0
+    iteration, draws = load_particles(tmp_path / "sample_gaussian_n5_seed0.csv")
+    model = build_target(parse_config(minimal_config(target="gaussian")))
+    assert iteration == 0
+    assert np.array_equal(draws, model.reference_sample(5, 0))
+    assert np.array_equal(model.mean, np.zeros(2)) and np.array_equal(model.cov, np.eye(2))
+
+
 def test_cli_exit_codes_by_error_category(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -359,7 +368,9 @@ def test_cli_exit_codes_by_error_category(tmp_path, capsys):
     (minimal_config(method="matrix_svgd_average", n=10, iters=3, init={"mean": 1e160}), 0),
     (minimal_config(target="double_banana", method="svn", n=50, iters=100,
                     stepper={"method": "fixed", "base_rate": 5.0}), 73),
-], ids=["star_far_init", "banana_svn_large_step"])
+    (minimal_config(target="double_banana", method="svn", n=3, iters=2,
+                    init={"mean": [1.0, 1.0], "scale": 1e-300}), 0),
+], ids=["star_far_init", "banana_svn_large_step", "banana_svn_zero_density"])
 def test_cli_non_finite_curvature_aborts_with_the_iteration(tmp_path, capsys, raw, iteration):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**raw, "mmd_reference_n": 0}))

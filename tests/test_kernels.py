@@ -5,6 +5,7 @@ from helpers import (
     assert_fd_close,
     brute_force_direction,
     fd_jacobian,
+    pairwise_mahalanobis_sq,
     per_anchor_mixture_direction,
     random_anchor_set,
     random_spd,
@@ -21,9 +22,8 @@ from msvgd.kernels import (
     ScalarRBF,
     median_bandwidth,
     mixture_weights,
-    per_coordinate_median_bandwidths,
 )
-from msvgd.psdlin import identity_bundle, make_bundle, pairwise_mahalanobis_sq
+from msvgd.psdlin import identity_bundle, make_bundle
 from msvgd.targets import StarMixture
 
 
@@ -88,10 +88,15 @@ def test_stacked_median_bandwidth_matches_per_metric_calls(monkeypatch, per_chun
         assert stacked[l] == pytest.approx(manual, rel=1e-12)
 
 
-def test_per_coordinate_median_bandwidths():
-    pts = np.array([[0.0, 0.0], [2.0, 1.0]])
-    expected = np.array([4.0, 1.0]) / np.log(3.0)
-    assert np.allclose(per_coordinate_median_bandwidths(pts), expected, atol=1e-14)
+def test_metric_sq_dists_match_the_q_sqrt_route():
+    rng = np.random.default_rng(4)
+    pts = rng.standard_normal((12, 4))
+    bundle = make_bundle(np.stack([random_spd(rng, 4) for _ in range(3)]))
+    d2 = kernels._metric_sq_dists(pts, bundle.q)
+    assert d2.shape == (3, 12, 12)
+    for l in range(3):
+        single = make_bundle(bundle.q[l])
+        assert np.allclose(d2[l], pairwise_mahalanobis_sq(pts, None, single), rtol=1e-12, atol=1e-12)
 
 
 # ------------------------------------------------------------- evaluation

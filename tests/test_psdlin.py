@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from helpers import random_spd
+from helpers import mahalanobis_sq, pairwise_mahalanobis_sq, random_spd
 from msvgd.errors import InvalidInputError
 from msvgd.psdlin import (
     identity_bundle,
-    mahalanobis_sq,
     make_bundle,
-    pairwise_mahalanobis_sq,
     pairwise_sq_dists,
     psd_repair,
     symmetrize,

@@ -162,8 +162,14 @@ def test_banana_value_at_origin_matches_hand_evaluation():
 def test_banana_density_vanishes_where_the_residual_curve_pinches():
     b = DoubleBanana()
     assert b.log_density(np.array([1.0, 1.0])) == -np.inf
-    with pytest.raises(InvalidInputError):
-        b.grad_log_density(np.array([1.0, 1.0]))
+    # score and curvature are undefined there: non-finite, for the sampler to abort on
+    pts = np.array([[0.5, -0.3], [1.0, 1.0], [-1.2, 0.8]])
+    with np.errstate(all="raise"):  # no floating-point warning escapes
+        grads = b.grad_log_density_batch(pts)
+        curv = b.curvature_batch(pts)
+    assert not np.any(np.isfinite(grads[1])) and not np.any(np.isfinite(curv[1]))
+    assert np.all(np.isfinite(grads[[0, 2]])) and np.all(np.isfinite(curv[[0, 2]]))
+    assert not np.all(np.isfinite(b.grad_log_density(np.array([1.0, 1.0]))))
 
 
 def test_banana_gradient_and_hessian_match_finite_differences():
