@@ -15,7 +15,6 @@ from .targets import (
 from .kernels import (
     AnchorSet,
     ConstPrecond,
-    DiagonalRBF,
     MixturePrecond,
     ScalarRBF,
     median_bandwidth,
@@ -28,7 +27,6 @@ from .dynamics import (
     StepperState,
     adagrad_step,
     averaged_preconditioner,
-    change_of_variables_directions,
     refresh_anchors,
     run,
     svn_direction,
@@ -40,14 +38,13 @@ from .harness import RunConfig, RunRecord, compare, parse_config, run_experiment
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSet", "ConfigError", "ConstPrecond", "DiagonalRBF", "DoubleBanana",
-    "Gaussian", "InvalidInputError", "LogisticDataset", "LogisticPosterior",
-    "METHODS", "MixturePrecond", "MmdReport", "NumericalAbort",
-    "PrecondPolicy", "PreconditionerBundle", "RunConfig", "RunRecord",
-    "RunResult", "ScalarRBF", "Sine", "StarMixture", "StepperState",
-    "adagrad_step", "averaged_preconditioner", "change_of_variables_directions",
-    "compare", "grid_moments", "make_bundle", "make_target",
-    "median_bandwidth", "mixture_weights", "mmd_sq", "parse_config",
-    "predictive_metrics", "psd_repair", "refresh_anchors", "run",
-    "run_experiment", "svn_direction", "svn_metrics",
+    "AnchorSet", "ConfigError", "ConstPrecond", "DoubleBanana", "Gaussian",
+    "InvalidInputError", "LogisticDataset", "LogisticPosterior", "METHODS",
+    "MixturePrecond", "MmdReport", "NumericalAbort", "PrecondPolicy",
+    "PreconditionerBundle", "RunConfig", "RunRecord", "RunResult",
+    "ScalarRBF", "Sine", "StarMixture", "StepperState", "adagrad_step",
+    "averaged_preconditioner", "compare", "grid_moments", "make_bundle",
+    "make_target", "median_bandwidth", "mixture_weights", "mmd_sq",
+    "parse_config", "predictive_metrics", "psd_repair", "refresh_anchors",
+    "run", "run_experiment", "svn_direction", "svn_metrics",
 ]

@@ -81,6 +81,8 @@ def main(argv=None) -> int:
                     print(_summary_line(result["records"][method]))
                 print(f"comparison table: {Path(out) / 'comparison.csv'}")
         else:  # sample
+            if ns.seed < 0:
+                raise ConfigError(f"seed: must be >= 0, got {ns.seed}")
             model = make_target(ns.target)
             draws = model.reference_sample(ns.n, ns.seed)
             out = Path(ns.out if ns.out is not None else ".")

@@ -25,7 +25,7 @@ from .kernels import (
     median_bandwidth,
 )
 from .psdlin import DEFAULT_FLOOR_RATIO, PreconditionerBundle, make_bundle, psd_repair
-from .targets import Gaussian, TargetModel
+from .targets import TargetModel
 
 CONVERGENCE_TOL = 1e-8
 
@@ -283,22 +283,3 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
                      iterations_run=iterations_run,
                      step_seconds=step_seconds)
 
-
-def change_of_variables_directions(bundle: PreconditionerBundle, positions, bandwidth: float):
-    """The same update computed two ways on a zero-mean Gaussian target.
-
-    Direct route: constant-preconditioner kernel (metric ``bundle.q``) on the
-    original space against p = N(0, q^{-1}).  Mapped route: plain scalar-RBF
-    update in the whitened coordinates y = q^{1/2} x against N(0, I), pulled
-    back through q^{-1/2}.  The two coincide exactly (same bandwidth on both
-    sides); returns (direct, mapped) for comparison.
-    """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 2 or positions.shape[1] != bundle.dim:
-        raise InvalidInputError(f"expected particles of shape (n, {bundle.dim}), got {positions.shape}")
-    target = Gaussian(np.zeros(bundle.dim), precision=bundle.q)
-    grads = target.grad_log_density_batch(positions)
-    direct = ConstPrecond(bundle, bandwidth).direction(positions, grads)
-    mapped_points = positions @ bundle.q_sqrt
-    phi0 = ScalarRBF(bandwidth).direction(mapped_points, -mapped_points)
-    return direct, phi0 @ bundle.q_inv_sqrt

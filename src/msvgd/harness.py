@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, metrics
-from .errors import ConfigError, InvalidInputError, NumericalAbort
-from .targets import LogisticDataset, LogisticPosterior, TargetModel, make_target
+from .errors import ConfigError, NumericalAbort
+from .targets import LogisticPosterior, TargetModel, make_target
 
 DEFAULT_CHECKPOINTS = (0, 5, 10, 30, 100, 500)
 DEFAULT_MMD_REFERENCE_N = 2000
@@ -227,18 +227,7 @@ def parse_config(source) -> RunConfig:
 
 def build_target(config: RunConfig) -> TargetModel:
     """Materialize the configured target (loads data files for the logistic kind)."""
-    kind, params = config.target_kind, config.target_params
-    try:
-        if kind == "logistic_posterior":
-            if "data_path" not in params:
-                _fail("target.data_path", "required for logistic_posterior")
-            dataset = LogisticDataset.from_file(params["data_path"],
-                                                delimiter=params.get("delimiter", ","),
-                                                minibatch_size=params.get("minibatch_size", 0))
-            return LogisticPosterior(dataset)
-        return make_target(kind, **params)
-    except InvalidInputError as exc:
-        raise ConfigError(f"target: {exc}") from exc
+    return make_target(config.target_kind, **config.target_params)
 
 
 @dataclass

@@ -6,7 +6,7 @@ x_1..x_n with scores g_j = grad log p(x_j) is
     phi(x_i) = (1/n) sum_j [ K(x_i, x_j) g_j + div_j K(x_i, x_j) ],
 
 where the divergence is taken row-wise over the second argument:
-(div_j K)_l = sum_m d/dx_j^m K_{lm}(x_i, x_j).  Four kernel kinds are
+(div_j K)_l = sum_m d/dx_j^m K_{lm}(x_i, x_j).  Three kernel kinds are
 implemented, each with its closed-form divergence:
 
 - ``scalar_rbf``: k(x,x') I with k the Gaussian RBF, divergence
@@ -17,14 +17,13 @@ implemented, each with its closed-form divergence:
 - ``mixture_precond``: sum_l w_l(x) w_l(x') K_{Q_l}(x,x') with Gaussian
   mixture weights anchored at points z_l; the divergence picks up a
   K_{Q_l}(x,x') grad w_l(x') term from the product rule.
-- ``diagonal``: independent per-coordinate RBF factors with per-coordinate
-  bandwidths.
 
-The first three are one family: the scalar RBF is the mixture with one
-anchor, unit weight and the identity metric, and ``const_precond`` is the
-same with its own metric.  Their directions all go through ``_stein_sum``,
-and every pair distance here comes from ``_metric_sq_dists``, computed a
-chunk of metrics at a time (``CHUNK_BYTES``).
+They are one family: the scalar RBF is the mixture with one anchor, unit
+weight and the identity metric, and ``const_precond`` is the same with its
+own metric.  Their directions all go through ``_stein_sum``, and every pair
+distance here comes from ``_metric_sq_dists``, computed a chunk of metrics at
+a time (``CHUNK_BYTES``); the MMD scoring in ``metrics`` uses it too, with
+the identity metric.
 
 Bandwidths are plain (unsquared) denominators: k = exp(-dist^2 / (2h)).
 ``median_bandwidth`` picks them by the median trick; given a stacked bundle
@@ -62,18 +61,23 @@ def _chunks(count: int, n: int):
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _metric_sq_dists(points, q) -> np.ndarray:
-    """Squared distances among ``points`` under each metric of the (c, d, d)
-    stack ``q``, shape (c, n, n).
+def _metric_sq_dists(points, q, others=None) -> np.ndarray:
+    """Squared distances from ``points`` to ``others`` (default: ``points``
+    themselves) under each metric of the (c, d, d) stack ``q``, shape
+    (c, n, n_others).
 
-    Expanded form x_i'Q x_i + x_j'Q x_j - 2 x_i'Q x_j: the cross terms of the
-    whole chunk come from one (c*n, d) @ (d, n) GEMM.
+    Expanded form x_i'Q x_i + y_j'Q y_j - 2 x_i'Q y_j: the cross terms of the
+    whole chunk come from one (c*n, d) @ (d, n_others) GEMM.
     """
     xq = points @ q  # (c, n, d)
     c, n, d = xq.shape
     sq = np.sum(xq * points, axis=2)
-    d2 = sq[:, :, None] + sq[:, None, :]
-    d2 += ((-2.0 * xq).reshape(c * n, d) @ points.T).reshape(c, n, n)
+    if others is None:
+        others, sq_others = points, sq
+    else:
+        sq_others = np.sum((others @ q) * others, axis=2)
+    d2 = sq[:, :, None] + sq_others[:, None, :]
+    d2 += ((-2.0 * xq).reshape(c * n, d) @ others.T).reshape(c, n, -1)
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -249,38 +253,6 @@ class ConstPrecond(KernelStrategy):
     def direction(self, points, grads):
         points, grads = self._check_pair_inputs(points, grads)
         return _one_metric_direction(points, grads, self.bundle, self.bandwidth)
-
-
-class DiagonalRBF(KernelStrategy):
-    """Coordinatewise RBF factors with their own bandwidths on the diagonal."""
-
-    kind = "diagonal"
-
-    def __init__(self, bandwidths):
-        bandwidths = np.asarray(bandwidths, dtype=float)
-        if bandwidths.ndim != 1 or bandwidths.size < 1:
-            raise ConfigError("diagonal kernel needs a vector of per-coordinate bandwidths")
-        if not np.all(np.isfinite(bandwidths)) or np.any(bandwidths <= 0.0):
-            raise ConfigError("per-coordinate bandwidths must be positive and finite")
-        self.bandwidths = bandwidths
-        self.dim = bandwidths.size
-
-    def eval(self, x, y):
-        x, y = self._check_point(x), self._check_point(y)
-        d = x - y
-        return np.diag(np.exp(-d * d / (2.0 * self.bandwidths)))
-
-    def direction(self, points, grads):
-        points, grads = self._check_pair_inputs(points, grads)
-        n = points.shape[0]
-        out = np.empty_like(points)
-        for m, h in enumerate(self.bandwidths):
-            diff = points[:, m, None] - points[None, :, m]
-            s = np.exp(-diff * diff / (2.0 * h))
-            drive = s @ grads[:, m]
-            repulse = (s.sum(axis=1) * points[:, m] - s @ points[:, m]) / h
-            out[:, m] = (drive + repulse) / n
-        return out
 
 
 @dataclass(frozen=True)

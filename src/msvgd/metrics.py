@@ -8,8 +8,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InvalidInputError
-from .kernels import median_bandwidth
-from .psdlin import pairwise_sq_dists
+from .kernels import _metric_sq_dists, median_bandwidth
 from .targets import LogisticDataset
 
 _CHUNK = 2048
@@ -27,10 +26,11 @@ class MmdReport:
 
 def _mean_kernel(xs: np.ndarray, ys: np.ndarray, bandwidth: float) -> float:
     """Mean RBF kernel value over all cross pairs, computed in row chunks."""
+    eye = np.eye(xs.shape[1])[None]
     total = 0.0
     for start in range(0, xs.shape[0], _CHUNK):
-        block = xs[start:start + _CHUNK]
-        total += float(np.exp(-pairwise_sq_dists(block, ys) / (2.0 * bandwidth)).sum())
+        d2 = _metric_sq_dists(xs[start:start + _CHUNK], eye, ys)[0]
+        total += float(np.exp(np.divide(d2, -2.0 * bandwidth, out=d2), out=d2).sum())
     return total / (xs.shape[0] * ys.shape[0])
 
 

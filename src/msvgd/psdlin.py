@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra: PSD repair, matrix roots, pair distances.
+"""Dense symmetric linear algebra: PSD repair and matrix roots.
 
 Everything here operates on small d x d symmetric matrices through a single
 eigendecomposition backend (``numpy.linalg.eigh``).  ``symmetrize``,
@@ -6,9 +6,8 @@ eigendecomposition backend (``numpy.linalg.eigh``).  ``symmetrize``,
 and work matrix by matrix; a stacked ``make_bundle`` returns one bundle whose
 fields are stacks.  Inputs are symmetrized on entry (averaged with their
 transpose) so downstream code never has to worry about asymmetry accumulated
-during Hessian assembly.  Distances under a metric are formed where they are
-used (``kernels._metric_sq_dists``); ``pairwise_sq_dists`` serves the
-Euclidean MMD scoring.
+during Hessian assembly.  Pair distances, Euclidean or under a metric, are
+formed where they are used (``kernels._metric_sq_dists``).
 """
 
 from __future__ import annotations
@@ -122,12 +121,3 @@ def identity_bundle(dim: int) -> PreconditionerBundle:
     return PreconditionerBundle(q=eye, q_sqrt=eye.copy(), q_inv_sqrt=eye.copy(),
                                 q_inv=eye.copy(), log_det=0.0)
 
-
-def pairwise_sq_dists(xs, ys=None) -> np.ndarray:
-    """All pairwise squared Euclidean distances between rows of xs and ys."""
-    xs = np.asarray(xs, dtype=float)
-    ys = xs if ys is None else np.asarray(ys, dtype=float)
-    xx = np.sum(xs * xs, axis=1)
-    yy = np.sum(ys * ys, axis=1)
-    d2 = xx[:, None] + yy[None, :] - 2.0 * (xs @ ys.T)
-    return np.maximum(d2, 0.0)

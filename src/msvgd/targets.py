@@ -15,10 +15,14 @@ top of them.
 - ``reference_sample(n, seed)``: ground-truth-ish draws where available:
   exact ancestral sampling for Gaussian / mixture targets, a deterministic
   inverse-CDF grid sampler on [-3, 3]^2 for the two irregular 2-D targets.
+
+``make_target`` builds a target from its kind name and config parameters;
+it is where a bad parameter becomes a ``ConfigError``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,16 @@ from .psdlin import make_bundle, symmetrize
 GRID_BOUND = 3.0
 GRID_RESOLUTION = 512
 _GRID_CHUNK = 16384
+
+
+def _as_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int >= ``minimum``; a non-integral number is rejected,
+    not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 class TargetModel:
@@ -86,13 +100,6 @@ class TargetModel:
     def reference_sample(self, n: int, seed: int) -> np.ndarray:
         raise ConfigError(f"target '{self.kind}' has no reference sampler")
 
-    @staticmethod
-    def _check_sample_size(n) -> int:
-        n = int(n)
-        if n < 1:
-            raise InvalidInputError(f"sample size must be >= 1, got {n}")
-        return n
-
 
 class Gaussian(TargetModel):
     """Multivariate normal, parameterized by covariance or by precision."""
@@ -132,7 +139,7 @@ class Gaussian(TargetModel):
         return np.repeat(self.precision[None, :, :], points.shape[0], axis=0)
 
     def reference_sample(self, n, seed):
-        n = self._check_sample_size(n)
+        n = _as_count(n, "sample size", 1)
         rng = np.random.default_rng(seed)
         return self.mean + rng.standard_normal((n, self.dim)) @ self._cov_sqrt
 
@@ -149,9 +156,7 @@ class StarMixture(TargetModel):
     kind = "star_mixture"
 
     def __init__(self, components: int = 5, mu1=(0.0, 1.5), sigma1=((1.0, 0.0), (0.0, 0.01))):
-        components = int(components)
-        if components < 1:
-            raise InvalidInputError(f"components must be >= 1, got {components}")
+        components = _as_count(components, "components", 1)
         mu1 = np.asarray(mu1, dtype=float)
         sigma1 = symmetrize(sigma1)
         if mu1.shape != (2,) or sigma1.shape != (2, 2):
@@ -209,7 +214,7 @@ class StarMixture(TargetModel):
         return -hess
 
     def reference_sample(self, n, seed):
-        n = self._check_sample_size(n)
+        n = _as_count(n, "sample size", 1)
         rng = np.random.default_rng(seed)
         comp = rng.integers(self.n_components, size=n)
         z = rng.standard_normal((n, 2))
@@ -276,7 +281,7 @@ class _GridSampledTarget(TargetModel):
         return self._grid_cache
 
     def reference_sample(self, n, seed):
-        n = self._check_sample_size(n)
+        n = _as_count(n, "sample size", 1)
         return self._grid().sample(n, seed)
 
 
@@ -416,8 +421,8 @@ class LogisticDataset:
         lab = labels.astype(float)
         if not np.all(np.isin(lab, (0.0, 1.0))):
             raise InvalidInputError("labels must be 0 or 1")
-        mb = int(self.minibatch_size)
-        if mb < 0 or mb > features.shape[0]:
+        mb = _as_count(self.minibatch_size, "minibatch_size", 0)
+        if mb > features.shape[0]:
             raise InvalidInputError(f"minibatch_size must lie in [0, {features.shape[0]}], got {mb}")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", lab.astype(int))
@@ -432,12 +437,12 @@ class LogisticDataset:
         return self.features.shape[1]
 
     @classmethod
-    def from_file(cls, path, delimiter: str = ",", minibatch_size: int = 0) -> "LogisticDataset":
+    def from_file(cls, data_path, delimiter: str = ",", minibatch_size: int = 0) -> "LogisticDataset":
         """Load headerless delimited text: d feature columns then a label column."""
         try:
-            raw = np.loadtxt(path, delimiter=delimiter, ndmin=2)
+            raw = np.loadtxt(data_path, delimiter=delimiter, ndmin=2)
         except ValueError as exc:
-            raise InvalidInputError(f"could not parse dataset file {path}: {exc}") from exc
+            raise InvalidInputError(f"could not parse dataset file {data_path}: {exc}") from exc
         if raw.shape[1] < 2:
             raise InvalidInputError("dataset needs at least one feature column and a label column")
         return cls(features=raw[:, :-1], labels=raw[:, -1], minibatch_size=minibatch_size)
@@ -523,18 +528,6 @@ def grid_moments(model: TargetModel, bounds, resolution: int):
     return grid.moments()
 
 
-def map_estimate(model: TargetModel, x0, iterations: int = 100, tol: float = 1e-12) -> np.ndarray:
-    """Newton ascent on log density using the model's curvature as the metric."""
-    x = np.asarray(x0, dtype=float).copy()
-    mode = model.supported_curvature[0]
-    for _ in range(iterations):
-        step = np.linalg.solve(model.curvature(x, mode), model.grad_log_density(x))
-        x = x + step
-        if float(np.linalg.norm(step)) < tol:
-            break
-    return x
-
-
 _TARGET_KINDS = {
     "gaussian": Gaussian,
     "star_mixture": StarMixture,
@@ -545,14 +538,24 @@ _TARGET_KINDS = {
 
 
 def make_target(kind: str, **params) -> TargetModel:
-    """Construct a target by kind name; unknown kinds raise ConfigError.  A bare
-    ``gaussian`` is the 2-D standard normal; a mean alone gets identity covariance."""
+    """Construct a target from its kind name and config parameters.
+
+    The one place targets are built: unknown kinds and bad parameters raise
+    ConfigError (``target: ...``), while a data file that cannot be opened
+    raises OSError.  A bare ``gaussian`` is the 2-D standard normal; a mean
+    alone gets identity covariance.  ``logistic_posterior`` loads its dataset
+    from ``data_path`` (see ``LogisticDataset.from_file``).
+    """
     if kind not in _TARGET_KINDS:
         raise ConfigError(f"unknown target kind '{kind}' (expected one of {sorted(_TARGET_KINDS)})")
     if kind == "gaussian" and set(params) <= {"mean"}:
         mean = params.get("mean", [0.0, 0.0])
         params = {"mean": mean, "cov": np.eye(np.size(mean))}
     try:
+        if kind == "logistic_posterior":
+            if "data_path" not in params:
+                raise InvalidInputError("data_path: required for logistic_posterior")
+            params = {"dataset": LogisticDataset.from_file(**params)}
         return _TARGET_KINDS[kind](**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for target '{kind}': {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"target: {exc}") from exc

@@ -13,7 +13,9 @@ from scipy.stats import norm
 from helpers import (
     assert_fd_close,
     brute_force_direction,
+    change_of_variables_directions,
     fd_jacobian,
+    map_estimate,
     random_anchor_set,
     random_spd,
     strategies_for,
@@ -22,7 +24,6 @@ from msvgd.dynamics import (
     METHODS,
     PrecondPolicy,
     StepperState,
-    change_of_variables_directions,
     run,
     svn_direction,
     svn_metrics,
@@ -39,7 +40,6 @@ from msvgd.targets import (
     Sine,
     StarMixture,
     grid_moments,
-    map_estimate,
 )
 
 
@@ -101,7 +101,7 @@ def test_criterion_3_block_gram_matrices_are_positive_semidefinite(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(3)
     worst_ratio = np.inf
-    for kind_index in range(4):
+    for kind_index in range(3):
         for _ in range(20):
             d = int(rng.integers(2, 6))
             n = int(rng.integers(2, 16))
@@ -112,7 +112,7 @@ def test_criterion_3_block_gram_matrices_are_positive_semidefinite(capsys):
     elapsed = time.perf_counter() - t0
     ok = worst_ratio >= -1e-8 and elapsed < 5.0
     report(capsys, 3, ok,
-           f"80 gram matrices (20 per kernel kind), worst min-eig ratio {worst_ratio:.2e}",
+           f"60 gram matrices (20 per kernel kind), worst min-eig ratio {worst_ratio:.2e}",
            elapsed)
     assert worst_ratio >= -1e-8
     assert elapsed < 5.0
@@ -124,7 +124,7 @@ def test_criterion_4_divergences_and_derivatives_match_finite_differences(capsys
     # closed-form kernel divergences, via the direction assembled against a
     # finite-difference divergence oracle (50 points per kernel kind)
     rng = np.random.default_rng(4)
-    for kind_index in range(4):
+    for kind_index in range(3):
         for _ in range(5):
             d = int(rng.integers(2, 4))
             strat = strategies_for(rng, d)[kind_index]

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import fd_jacobian, random_spd
+from helpers import change_of_variables_directions, fd_jacobian, random_spd
 from msvgd.dynamics import (
     METHODS,
     PrecondPolicy,
     StepperState,
     adagrad_step,
     averaged_preconditioner,
-    change_of_variables_directions,
     refresh_anchors,
     run,
     svn_direction,

@@ -362,6 +362,28 @@ def test_cli_exit_codes_by_error_category(tmp_path, capsys):
     good.write_text(json.dumps(minimal_config(n=4, iters=1, mmd_reference_n=0)))
     assert main(["run", str(good), "--seed", "-1", "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config: seed:")
+    for target in ("star_mixture", "sine"):
+        assert main(["sample", target, "5", "-1", "--out", str(tmp_path), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("config: seed:")
+
+    data_path = write_dataset(tmp_path)
+    for target in ({"kind": "gaussian", "mean": "x"},
+                   {"kind": "star_mixture", "components": "five"},
+                   {"kind": "star_mixture", "components": 2.7},
+                   {"kind": "sine", "alpha": "fast"},
+                   {"kind": "logistic_posterior", "data_path": data_path, "delimiter": 5},
+                   {"kind": "logistic_posterior", "data_path": data_path, "minibatch_size": "x"},
+                   {"kind": "logistic_posterior", "data_path": data_path, "minibatch_size": 2.7}):
+        bad_target = tmp_path / "bad_target.json"
+        bad_target.write_text(json.dumps(minimal_config(target=target, n=4, iters=1)))
+        assert main(["run", str(bad_target), "--quiet"]) == 2, target
+        assert capsys.readouterr().err.startswith("config: target"), target
+
+    missing_data = tmp_path / "missing_data.json"
+    missing_data.write_text(json.dumps(minimal_config(
+        target={"kind": "logistic_posterior", "data_path": str(tmp_path / "absent.csv")})))
+    assert main(["run", str(missing_data), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("io:")
 
 
 @pytest.mark.parametrize("raw, iteration", [

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from helpers import mahalanobis_sq, pairwise_mahalanobis_sq, random_spd
+from helpers import mahalanobis_sq, pairwise_mahalanobis_sq, pairwise_sq_dists, random_spd
 from msvgd.errors import InvalidInputError
 from msvgd.psdlin import (
     identity_bundle,
     make_bundle,
-    pairwise_sq_dists,
     psd_repair,
     symmetrize,
 )

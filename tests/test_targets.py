@@ -3,7 +3,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from helpers import assert_fd_close, fd_gradient, fd_jacobian
+from helpers import assert_fd_close, fd_gradient, fd_jacobian, map_estimate
 from msvgd.errors import ConfigError, InvalidInputError
 from msvgd.targets import (
     DoubleBanana,
@@ -14,7 +14,6 @@ from msvgd.targets import (
     StarMixture,
     grid_moments,
     make_target,
-    map_estimate,
 )
 
 
@@ -66,6 +65,8 @@ def test_gaussian_sampler_moments_and_determinism():
     assert not np.array_equal(xs[:10], g.reference_sample(10, seed=5))
     with pytest.raises(InvalidInputError):
         g.reference_sample(0, seed=1)
+    with pytest.raises(InvalidInputError, match="sample size must be an integer"):
+        g.reference_sample(2.5, seed=1)
 
 
 # ------------------------------------------------------------------- star
@@ -111,6 +112,11 @@ def test_star_single_component_mode_has_zero_gradient():
 def test_star_rejects_nonpositive_component_count():
     with pytest.raises(InvalidInputError):
         StarMixture(components=0)
+    # a non-integral count is rejected, not truncated
+    for bad in (2.7, True, "5", None):
+        with pytest.raises(InvalidInputError, match="components must be an integer"):
+            StarMixture(components=bad)
+    assert StarMixture(components=3.0).n_components == 3
 
 
 def test_star_sampler_mean_near_zero_by_symmetry():
@@ -232,9 +238,12 @@ def test_logistic_dataset_validation():
         LogisticDataset(features=np.zeros((3, 2)), labels=np.array([0.0, 1.0, 2.0]))
     with pytest.raises(InvalidInputError):
         LogisticDataset(features=np.full((2, 2), np.nan), labels=np.array([0.0, 1.0]))
-    with pytest.raises(InvalidInputError):
-        LogisticDataset(features=np.zeros((2, 2)), labels=np.array([0.0, 1.0]),
-                        minibatch_size=3)
+    for bad in (3, -1, 1.5, "1"):
+        with pytest.raises(InvalidInputError, match="minibatch_size"):
+            LogisticDataset(features=np.zeros((2, 2)), labels=np.array([0.0, 1.0]),
+                            minibatch_size=bad)
+    assert LogisticDataset(features=np.zeros((2, 2)), labels=np.array([0.0, 1.0]),
+                           minibatch_size=2.0).minibatch_size == 2
 
 
 def test_logistic_dataset_file_round_trip(tmp_path):
@@ -374,3 +383,9 @@ def test_make_target_factory():
         make_target("banana")
     with pytest.raises(ConfigError):
         make_target("sine", wavelength=2.0)
+    for kind, params in (("gaussian", {"mean": "x"}), ("star_mixture", {"components": "five"}),
+                         ("star_mixture", {"components": 2.7}), ("sine", {"alpha": "fast"}),
+                         ("sine", {"sigma1": "x"})):
+        with pytest.raises(ConfigError, match="^target: "):
+            make_target(kind, **params)
+
