@@ -254,6 +254,24 @@ def _reference_seed(seed: int) -> int:
     return int(np.random.SeedSequence([seed, 2]).generate_state(1)[0])
 
 
+# the one prepared MMD reference kept in this process, keyed by
+# (canonical target, seed, mmd_reference_n); a miss replaces it
+_reference_memo: dict = {}
+
+
+def _mmd_reference(config: RunConfig, model: TargetModel) -> metrics.MmdReference:
+    """The run's prepared MMD reference, shared by every run in this process
+    with the same target, seed and reference size (both checkpoints of a run,
+    all methods of a comparison)."""
+    key = (json.dumps(config.to_dict()["target"], sort_keys=True), config.seed,
+           config.mmd_reference_n)
+    if key not in _reference_memo:
+        _reference_memo.clear()
+        draws = model.reference_sample(config.mmd_reference_n, seed=_reference_seed(config.seed))
+        _reference_memo[key] = metrics.prepare_reference(draws)
+    return _reference_memo[key]
+
+
 def run_experiment(config: RunConfig, out_dir: str | None = None,
                    persist: bool = True) -> RunRecord:
     """Execute one configured run, compute per-checkpoint metrics, write files."""
@@ -277,7 +295,7 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
 
     reference = None
     if config.mmd_reference_n > 0 and not isinstance(model, LogisticPosterior):
-        reference = model.reference_sample(config.mmd_reference_n, seed=_reference_seed(config.seed))
+        reference = _mmd_reference(config, model)
     rows = []
     for c in sorted(result.snapshots):
         row: dict = {"iter": c}

@@ -116,10 +116,16 @@ def median_bandwidth(points, metric: PreconditionerBundle | None = None):
     for chunk in _chunks(stack.shape[0], n):
         d2 = _metric_sq_dists(points, stack[chunk])
         medians[chunk] = _row_medians(np.take(d2.reshape(len(d2), -1), upper, axis=1))
-    h = medians.reshape(q.shape[:-2]) / np.log(n + 1.0)
-    # a NaN median (overflowed distances) is passed on for the caller to flag
-    h = np.where(h == 0.0, 1.0, h)
+    h = _median_trick(medians.reshape(q.shape[:-2]), n)
     return float(h) if h.ndim == 0 else h
+
+
+def _median_trick(medians, n: int) -> np.ndarray:
+    """Bandwidths from the median pairwise squared distances of ``n``
+    points: median / log(n + 1), and 1.0 where the median is zero."""
+    h = medians / np.log(n + 1.0)
+    # a NaN median (overflowed distances) is passed on for the caller to flag
+    return np.where(h == 0.0, 1.0, h)
 
 
 def _stein_sum(points, grads, q, q_inv, h, w, wg) -> np.ndarray:

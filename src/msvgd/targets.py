@@ -40,10 +40,25 @@ def _as_count(value, name: str, minimum: int) -> int:
     """``value`` as an int >= ``minimum``; a non-integral number is rejected,
     not truncated."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        raise InvalidInputError(f"{name}: must be an integer, got {value!r}")
     if value < minimum:
-        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+        raise InvalidInputError(f"{name}: must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _as_real(value, name: str, positive: bool = False) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name}: must be a number, got {value!r}")
+    if positive and not value > 0:
+        raise InvalidInputError(f"{name}: must be positive, got {value}")
+    return float(value)
+
+
+def _as_floats(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name}: {exc}") from exc
 
 
 class TargetModel:
@@ -107,12 +122,13 @@ class Gaussian(TargetModel):
     kind = "gaussian"
 
     def __init__(self, mean, cov=None, precision=None):
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        mean = np.atleast_1d(_as_floats(mean, "mean"))
         if mean.ndim != 1 or not np.all(np.isfinite(mean)):
-            raise InvalidInputError("mean must be a finite vector")
+            raise InvalidInputError("mean: must be a finite vector")
         if (cov is None) == (precision is None):
             raise InvalidInputError("pass exactly one of cov or precision")
-        base = symmetrize(cov if cov is not None else precision)
+        base = symmetrize(_as_floats(cov, "cov") if cov is not None
+                          else _as_floats(precision, "precision"))
         if base.shape[0] != mean.shape[0]:
             raise InvalidInputError("mean and matrix dimensions disagree")
         bundle = make_bundle(base, floor_ratio=1e-12)
@@ -157,8 +173,8 @@ class StarMixture(TargetModel):
 
     def __init__(self, components: int = 5, mu1=(0.0, 1.5), sigma1=((1.0, 0.0), (0.0, 0.01))):
         components = _as_count(components, "components", 1)
-        mu1 = np.asarray(mu1, dtype=float)
-        sigma1 = symmetrize(sigma1)
+        mu1 = _as_floats(mu1, "mu1")
+        sigma1 = symmetrize(_as_floats(sigma1, "sigma1"))
         if mu1.shape != (2,) or sigma1.shape != (2, 2):
             raise InvalidInputError("star mixture is 2-D: mu1 has shape (2,), sigma1 shape (2, 2)")
         theta = 2.0 * np.pi / components
@@ -296,11 +312,9 @@ class Sine(_GridSampledTarget):
 
     def __init__(self, alpha: float = 1.0, sigma1: float = 0.003, sigma2: float = 1.0):
         super().__init__()
-        if sigma1 <= 0 or sigma2 <= 0:
-            raise InvalidInputError("sigma1 and sigma2 must be positive")
-        self.alpha = float(alpha)
-        self.sigma1 = float(sigma1)
-        self.sigma2 = float(sigma2)
+        self.alpha = _as_real(alpha, "alpha")
+        self.sigma1 = _as_real(sigma1, "sigma1", positive=True)
+        self.sigma2 = _as_real(sigma2, "sigma2", positive=True)
         self.dim = 2
 
     def log_density_batch(self, points):
@@ -343,11 +357,9 @@ class DoubleBanana(_GridSampledTarget):
 
     def __init__(self, y_obs: float | None = None, sigma1: float = 1.0, sigma2: float = 0.09):
         super().__init__()
-        if sigma1 <= 0 or sigma2 <= 0:
-            raise InvalidInputError("sigma1 and sigma2 must be positive")
-        self.y_obs = float(np.log(30.0)) if y_obs is None else float(y_obs)
-        self.sigma1 = float(sigma1)
-        self.sigma2 = float(sigma2)
+        self.y_obs = float(np.log(30.0)) if y_obs is None else _as_real(y_obs, "y_obs")
+        self.sigma1 = _as_real(sigma1, "sigma1", positive=True)
+        self.sigma2 = _as_real(sigma2, "sigma2", positive=True)
         self.dim = 2
 
     @staticmethod
@@ -423,7 +435,7 @@ class LogisticDataset:
             raise InvalidInputError("labels must be 0 or 1")
         mb = _as_count(self.minibatch_size, "minibatch_size", 0)
         if mb > features.shape[0]:
-            raise InvalidInputError(f"minibatch_size must lie in [0, {features.shape[0]}], got {mb}")
+            raise InvalidInputError(f"minibatch_size: must lie in [0, {features.shape[0]}], got {mb}")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", lab.astype(int))
         object.__setattr__(self, "minibatch_size", mb)
@@ -541,7 +553,8 @@ def make_target(kind: str, **params) -> TargetModel:
     """Construct a target from its kind name and config parameters.
 
     The one place targets are built: unknown kinds and bad parameters raise
-    ConfigError (``target: ...``), while a data file that cannot be opened
+    ConfigError, ``target.<key>: ...`` when one parameter is at fault and
+    ``target: ...`` otherwise, while a data file that cannot be opened
     raises OSError.  A bare ``gaussian`` is the 2-D standard normal; a mean
     alone gets identity covariance.  ``logistic_posterior`` loads its dataset
     from ``data_path`` (see ``LogisticDataset.from_file``).
@@ -551,11 +564,13 @@ def make_target(kind: str, **params) -> TargetModel:
     if kind == "gaussian" and set(params) <= {"mean"}:
         mean = params.get("mean", [0.0, 0.0])
         params = {"mean": mean, "cov": np.eye(np.size(mean))}
+    if kind == "logistic_posterior" and "data_path" not in params:
+        raise ConfigError("target.data_path: required for logistic_posterior")
     try:
         if kind == "logistic_posterior":
-            if "data_path" not in params:
-                raise InvalidInputError("data_path: required for logistic_posterior")
             params = {"dataset": LogisticDataset.from_file(**params)}
         return _TARGET_KINDS[kind](**params)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"target: {exc}") from exc
+        # a parameter's own error starts with its key, as in "alpha: ..."
+        key = str(exc).partition(":")[0]
+        raise ConfigError(f"target.{exc}" if key in params else f"target: {exc}") from exc

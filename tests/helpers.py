@@ -198,3 +198,24 @@ def assert_fd_close(analytic, numeric, rel=1e-4, abs_=1e-6, label="values"):
     tol = abs_ + rel * np.abs(numeric)
     worst = float(np.max(err - tol))
     assert np.all(err <= tol), f"{label} exceed tolerance by {worst:.3e}"
+
+
+def pooled_median_bandwidth(xs, ys) -> float:
+    """Median-trick bandwidth of ``xs`` pooled with ``ys`` by brute force:
+    the whole pooled squared-distance matrix in the library's expanded form
+    |x|^2 + |y|^2 - 2 x.y, its upper triangle, and ``np.median``."""
+    pooled = np.vstack([xs, ys])
+    sq = np.sum(pooled * pooled, axis=1)
+    d2 = sq[:, None] + sq[None, :]
+    d2 += (-2.0 * pooled) @ pooled.T
+    n = pooled.shape[0]
+    h = np.median(np.maximum(d2, 0.0)[np.triu_indices(n, 1)]) / np.log(n + 1.0)
+    return 1.0 if h == 0.0 else float(h)
+
+
+def double_loop_mmd_sq(xs, ys, bandwidth: float) -> float:
+    """Biased squared MMD under exp(-|a - b|^2 / (2 h)), one pair at a time."""
+    def mean_kernel(a_set, b_set):
+        return sum(np.exp(-float(np.sum((a - b) ** 2)) / (2.0 * bandwidth))
+                   for a in a_set for b in b_set) / (len(a_set) * len(b_set))
+    return mean_kernel(xs, xs) + mean_kernel(ys, ys) - 2.0 * mean_kernel(xs, ys)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msvgd.harness as harness_module
 from msvgd.cli import main
 from msvgd.errors import ConfigError, NumericalAbort
 from msvgd.harness import (
@@ -14,6 +19,7 @@ from msvgd.harness import (
     run_experiment,
     write_particles,
 )
+from msvgd.metrics import mmd_sq
 from msvgd.targets import Gaussian, LogisticPosterior, Sine, StarMixture
 
 
@@ -184,6 +190,45 @@ def test_run_experiment_writes_snapshots_and_metric_rows(tmp_path):
         iteration, loaded = load_particles(out / f"particles_iter{c:06d}.csv")
         assert iteration == c
         assert np.array_equal(loaded, record.snapshots[c])
+
+
+def _count_prepared_references(monkeypatch):
+    calls = []
+    prepare = harness_module.metrics.prepare_reference
+    monkeypatch.setattr(harness_module.metrics, "prepare_reference",
+                        lambda ys: calls.append(len(ys)) or prepare(ys))
+    return calls
+
+
+def test_metrics_json_is_identical_with_the_reference_memo_cold_and_warm(tmp_path, monkeypatch):
+    calls = _count_prepared_references(monkeypatch)
+    cfg = parse_config(minimal_config(n=12, iters=5, checkpoints=[0, 5], mmd_reference_n=300))
+    harness_module._reference_memo.clear()
+    run_experiment(cfg, out_dir=str(tmp_path / "cold"))
+    run_experiment(cfg, out_dir=str(tmp_path / "warm"))
+    assert calls == [300]  # both checkpoints of both runs share one preparation
+    for name in ("metrics.json", "particles_iter000000.csv", "particles_iter000005.csv"):
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+
+def test_runs_differing_in_target_seed_or_reference_size_never_share_a_reference(monkeypatch):
+    calls = _count_prepared_references(monkeypatch)
+    base = minimal_config(target={"kind": "gaussian", "mean": [0.0, 0.0]}, n=6, iters=2,
+                          checkpoints=[0, 2], mmd_reference_n=80)
+    variants = [base, {**base, "target": {"kind": "gaussian", "mean": [0.0, 0.5]}},
+                {**base, "mmd_reference_n": 90}, {**base, "seed": 2}]
+    harness_module._reference_memo.clear()
+    for raw in variants + variants[:1]:
+        cfg = parse_config(raw)
+        calls.clear()
+        record = run_experiment(cfg, persist=False)
+        assert calls == [cfg.mmd_reference_n]  # each run is a miss: nothing was shared
+        draws = build_target(cfg).reference_sample(cfg.mmd_reference_n,
+                                                   harness_module._reference_seed(cfg.seed))
+        for row in record.metric_rows:
+            fresh = mmd_sq(record.snapshots[row["iter"]], draws)
+            assert (row["mmd"]["value"], row["mmd"]["bandwidth"]) == (fresh.value, fresh.bandwidth)
+        assert len(harness_module._reference_memo) == 1
 
 
 def test_run_experiment_is_byte_deterministic(tmp_path):
@@ -367,23 +412,37 @@ def test_cli_exit_codes_by_error_category(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config: seed:")
 
     data_path = write_dataset(tmp_path)
-    for target in ({"kind": "gaussian", "mean": "x"},
-                   {"kind": "star_mixture", "components": "five"},
-                   {"kind": "star_mixture", "components": 2.7},
-                   {"kind": "sine", "alpha": "fast"},
-                   {"kind": "logistic_posterior", "data_path": data_path, "delimiter": 5},
-                   {"kind": "logistic_posterior", "data_path": data_path, "minibatch_size": "x"},
-                   {"kind": "logistic_posterior", "data_path": data_path, "minibatch_size": 2.7}):
+    for target, prefix in (({"kind": "gaussian", "mean": "x"}, "target.mean: "),
+                           ({"kind": "star_mixture", "components": "five"}, "target.components: "),
+                           ({"kind": "star_mixture", "components": 2.7}, "target.components: "),
+                           ({"kind": "sine", "alpha": "fast"}, "target.alpha: "),
+                           ({"kind": "logistic_posterior", "data_path": data_path, "delimiter": 5},
+                            "target"),
+                           ({"kind": "logistic_posterior", "data_path": data_path,
+                             "minibatch_size": "x"}, "target.minibatch_size: "),
+                           ({"kind": "logistic_posterior", "data_path": data_path,
+                             "minibatch_size": 2.7}, "target.minibatch_size: ")):
         bad_target = tmp_path / "bad_target.json"
         bad_target.write_text(json.dumps(minimal_config(target=target, n=4, iters=1)))
         assert main(["run", str(bad_target), "--quiet"]) == 2, target
-        assert capsys.readouterr().err.startswith("config: target"), target
+        assert capsys.readouterr().err.startswith(f"config: {prefix}"), target
 
     missing_data = tmp_path / "missing_data.json"
     missing_data.write_text(json.dumps(minimal_config(
         target={"kind": "logistic_posterior", "data_path": str(tmp_path / "absent.csv")})))
     assert main(["run", str(missing_data), "--quiet"]) == 3
     assert capsys.readouterr().err.startswith("io:")
+
+
+def test_cli_module_run_exits_2_on_a_bad_target_parameter(tmp_path):
+    cfg_path = tmp_path / "bad_target.json"
+    cfg_path.write_text(json.dumps(minimal_config(target={"kind": "gaussian", "mean": "x"})))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "msvgd.cli", "run", str(cfg_path), "--quiet"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("config: target.mean: ")
 
 
 @pytest.mark.parametrize("raw, iteration", [

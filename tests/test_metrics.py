@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import msvgd.metrics as metrics_module
+from helpers import double_loop_mmd_sq, pooled_median_bandwidth
 from msvgd.errors import InvalidInputError
 from msvgd.kernels import median_bandwidth
-from msvgd.metrics import mmd_sq, predictive_metrics
+from msvgd.metrics import mmd_sq, predictive_metrics, prepare_reference
 from msvgd.targets import LogisticDataset, StarMixture
 
 
@@ -75,6 +76,53 @@ def test_mmd_validation():
         mmd_sq(xs, xs, bandwidth=-1.0)
     with pytest.raises(InvalidInputError):
         mmd_sq(xs, xs, bandwidth=np.nan)
+
+
+def test_mmd_median_route_rejects_non_finite_particles():
+    xs, ys = np.zeros((3, 2)), np.ones((4, 2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            mmd_sq(np.vstack([xs, [[bad, 0.0]]]), ys)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            mmd_sq(xs, np.vstack([ys, [[0.0, bad]]]))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            mmd_sq(np.vstack([xs, [[bad, 0.0]]]), prepare_reference(ys))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            prepare_reference(np.vstack([ys, [[0.0, bad]]]))
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_mmd_median_route_matches_pooled_and_double_loop_oracles(d):
+    for seed in range(6):
+        rng = np.random.default_rng([d, seed])
+        xs = rng.standard_normal((int(rng.integers(2, 40)), d))
+        ys = 1.3 * rng.standard_normal((int(rng.integers(2, 160)), d)) + 0.2
+        reference = prepare_reference(ys)
+        for report in (mmd_sq(xs, ys), mmd_sq(xs, reference)):
+            assert report.bandwidth == pooled_median_bandwidth(xs, ys)
+            assert abs(report.value - double_loop_mmd_sq(xs, ys, report.bandwidth)) <= 1e-12
+        # an explicit bandwidth scores a prepared reference like the plain draws
+        explicit = mmd_sq(xs, ys, bandwidth=0.8).value
+        assert abs(mmd_sq(xs, reference, bandwidth=0.8).value - explicit) <= 1e-12
+    # single points on either side: an empty reference triangle, one pooled pair
+    for xs, ys in ((xs, ys[:1]), (xs[:1], ys[:1]), (xs[:1], ys)):
+        report = mmd_sq(xs, ys)
+        assert report.bandwidth == pooled_median_bandwidth(xs, ys)
+        assert abs(report.value - double_loop_mmd_sq(xs, ys, report.bandwidth)) <= 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 5, 37])
+def test_prepared_reference_holds_the_pair_triangle_and_is_read_only(monkeypatch, rows):
+    rng = np.random.default_rng(7)
+    ys = rng.standard_normal((37, 3))
+    monkeypatch.setattr(metrics_module, "CHUNK_BYTES", 8 * 37 * rows)
+    reference = prepare_reference(ys)
+    full = np.sum((ys[:, None, :] - ys[None, :, :]) ** 2, axis=2)
+    assert np.allclose(reference.pair_sq_dists, full[np.triu_indices(37, 1)], rtol=1e-12, atol=1e-12)
+    assert np.all(np.abs(reference.self_sq_dists) <= 1e-12)
+    for a in (reference.points, reference.pair_sq_dists, reference.self_sq_dists):
+        assert not a.flags.writeable
+    assert ys.flags.writeable
 
 
 def test_mmd_value_independent_of_chunk_size(monkeypatch):

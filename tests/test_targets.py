@@ -65,7 +65,7 @@ def test_gaussian_sampler_moments_and_determinism():
     assert not np.array_equal(xs[:10], g.reference_sample(10, seed=5))
     with pytest.raises(InvalidInputError):
         g.reference_sample(0, seed=1)
-    with pytest.raises(InvalidInputError, match="sample size must be an integer"):
+    with pytest.raises(InvalidInputError, match="sample size: must be an integer"):
         g.reference_sample(2.5, seed=1)
 
 
@@ -114,7 +114,7 @@ def test_star_rejects_nonpositive_component_count():
         StarMixture(components=0)
     # a non-integral count is rejected, not truncated
     for bad in (2.7, True, "5", None):
-        with pytest.raises(InvalidInputError, match="components must be an integer"):
+        with pytest.raises(InvalidInputError, match="components: must be an integer"):
             StarMixture(components=bad)
     assert StarMixture(components=3.0).n_components == 3
 
@@ -385,7 +385,10 @@ def test_make_target_factory():
         make_target("sine", wavelength=2.0)
     for kind, params in (("gaussian", {"mean": "x"}), ("star_mixture", {"components": "five"}),
                          ("star_mixture", {"components": 2.7}), ("sine", {"alpha": "fast"}),
-                         ("sine", {"sigma1": "x"})):
-        with pytest.raises(ConfigError, match="^target: "):
+                         ("sine", {"sigma1": "x"}), ("sine", {"sigma2": 0.0}),
+                         ("double_banana", {"y_obs": "high"})):
+        with pytest.raises(ConfigError, match=rf"^target\.{next(iter(params))}: "):
             make_target(kind, **params)
+    with pytest.raises(ConfigError, match="^target: "):
+        make_target("star_mixture", mu1=[0.0, 1.0, 2.0])
 
