@@ -78,8 +78,9 @@ def adagrad_step(state: StepperState, positions: np.ndarray, directions: np.ndar
     directions = np.asarray(directions, dtype=float)
     if directions.shape != positions.shape:
         raise InvalidInputError(f"directions shape {directions.shape} must match positions {positions.shape}")
-    if not np.all(np.isfinite(directions)):
-        raise NumericalAbort("update direction has non-finite entries")
+    bad = _first_bad_row(directions)
+    if bad is not None:
+        raise NumericalAbort("update direction has non-finite entries", phase="direction", particle=bad)
     if state.method == "fixed":
         return positions + state.base_rate * directions, state
     acc = np.zeros_like(positions) if state.accumulators is None else state.accumulators
@@ -88,18 +89,26 @@ def adagrad_step(state: StepperState, positions: np.ndarray, directions: np.ndar
     return new_positions, replace(state, accumulators=acc)
 
 
+def _first_bad_row(values) -> int | None:
+    """Index of the first row of ``values`` with a non-finite entry, or None."""
+    finite = np.isfinite(values)
+    if np.all(finite):
+        return None
+    return int(np.argmax(~np.all(finite.reshape(finite.shape[0], -1), axis=1)))
+
+
 def _finite_or_abort(values, what: str, item: str | None = None):
     """Return ``values``, or raise NumericalAbort for a refresh quantity with
-    non-finite entries; ``item`` names what the leading axis indexes."""
-    finite = np.isfinite(values)
+    non-finite entries; ``item`` names what the leading axis indexes, a
+    particle or the anchor placed at one."""
     if item is None:
-        if not np.all(finite):
-            raise NumericalAbort(f"refresh: {what} has non-finite entries")
+        if not np.all(np.isfinite(values)):
+            raise NumericalAbort(f"refresh: {what} has non-finite entries", phase="refresh")
         return values
-    bad = ~np.all(finite.reshape(finite.shape[0], -1), axis=1)
-    if np.any(bad):
-        raise NumericalAbort(f"refresh: {what} of {item} {int(np.argmax(bad))} "
-                             "has non-finite entries")
+    bad = _first_bad_row(values)
+    if bad is not None:
+        raise NumericalAbort(f"refresh: {what} of {item} {bad} has non-finite entries",
+                             phase="refresh", particle=bad)
     return values
 
 
@@ -253,10 +262,11 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
             try:
                 direction = refresh(positions, model, policy)
             except NumericalAbort as exc:
-                raise NumericalAbort(str(exc), iteration=it) from exc
+                raise NumericalAbort(str(exc), it, exc.phase, exc.particle) from exc
         grads = model.grad_log_density_batch(positions)
-        if not np.all(np.isfinite(grads)):
-            raise NumericalAbort("score has non-finite entries", iteration=it)
+        bad = _first_bad_row(grads)
+        if bad is not None:
+            raise NumericalAbort("score has non-finite entries", it, "score", bad)
         directions = direction(positions, grads)
         if float(np.max(np.linalg.norm(directions, axis=1))) < convergence_tol:
             converged_at = it
@@ -265,9 +275,10 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
         try:
             positions, stepper = adagrad_step(stepper, positions, directions)
         except NumericalAbort as exc:
-            raise NumericalAbort(str(exc), iteration=it) from exc
-        if not np.all(np.isfinite(positions)):
-            raise NumericalAbort("particles left the finite domain", iteration=it)
+            raise NumericalAbort(str(exc), it, exc.phase, exc.particle) from exc
+        bad = _first_bad_row(positions)
+        if bad is not None:
+            raise NumericalAbort("particles left the finite domain", it, "step", bad)
         step_seconds.append(time.perf_counter() - t0)
         if (it + 1) in checkpoint_set:
             snapshots[it + 1] = positions.copy()

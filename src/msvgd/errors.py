@@ -10,10 +10,18 @@ class ConfigError(ValueError):
 
 
 class NumericalAbort(RuntimeError):
-    """A run produced non-finite values and cannot continue."""
+    """A run produced non-finite values and cannot continue.
 
-    def __init__(self, message: str, iteration: int | None = None):
+    ``phase`` names the part of the iteration that produced them: ``refresh``,
+    ``score``, ``direction`` or ``step``.  ``particle`` is the first particle
+    whose row is non-finite, or None when the value belongs to no particle.
+    """
+
+    def __init__(self, message: str, iteration: int | None = None,
+                 phase: str | None = None, particle: int | None = None):
         if iteration is not None:
             message = f"iteration {iteration}: {message}"
         super().__init__(message)
         self.iteration = iteration
+        self.phase = phase
+        self.particle = particle

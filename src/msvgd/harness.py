@@ -289,7 +289,8 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
     except NumericalAbort as exc:
         if persist:
             destination.mkdir(parents=True, exist_ok=True)
-            payload = {"aborted": True, "error": str(exc), "iteration": exc.iteration}
+            payload = {"aborted": True, "error": str(exc), "iteration": exc.iteration,
+                       "phase": exc.phase, "particle": exc.particle}
             (destination / "aborted.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         raise
 

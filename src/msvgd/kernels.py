@@ -23,7 +23,9 @@ weight and the identity metric, and ``const_precond`` is the same with its
 own metric.  Their directions all go through ``_stein_sum``, and every pair
 distance here comes from ``_metric_sq_dists``, computed a chunk of metrics at
 a time (``CHUNK_BYTES``); the MMD scoring in ``metrics`` uses it too, with
-the identity metric.
+the identity metric.  The mixture's anchor weights are mostly round-off:
+``_stein_sum`` forms each anchor's kernel only over the particles whose
+weight is above ``WEIGHT_FLOOR``.
 
 Bandwidths are plain (unsquared) denominators: k = exp(-dist^2 / (2h)).
 ``median_bandwidth`` picks them by the median trick; given a stacked bundle
@@ -54,6 +56,10 @@ def _check_points(points) -> np.ndarray:
 # computations: anchors are processed this many bytes' worth at a time
 CHUNK_BYTES = 1 << 19
 
+# a mixture weight at or below this is round-off: the Stein sum skips the
+# (anchor, particle) pairs that carry one (see ``_stein_sum``)
+WEIGHT_FLOOR = 1e-16
+
 
 def _chunks(count: int, n: int):
     """Slices covering ``count`` metrics, each holding about CHUNK_BYTES of (n, n) floats."""
@@ -64,10 +70,11 @@ def _chunks(count: int, n: int):
 def _metric_sq_dists(points, q, others=None) -> np.ndarray:
     """Squared distances from ``points`` to ``others`` (default: ``points``
     themselves) under each metric of the (c, d, d) stack ``q``, shape
-    (c, n, n_others).
+    (c, n, n_others).  ``points`` may also be a (c, n, d) stack, one point set
+    per metric, each measured against itself.
 
-    Expanded form x_i'Q x_i + y_j'Q y_j - 2 x_i'Q y_j: the cross terms of the
-    whole chunk come from one (c*n, d) @ (d, n_others) GEMM.
+    Expanded form x_i'Q x_i + y_j'Q y_j - 2 x_i'Q y_j: for shared points the
+    cross terms of the whole chunk come from one (c*n, d) @ (d, n_others) GEMM.
     """
     xq = points @ q  # (c, n, d)
     c, n, d = xq.shape
@@ -77,7 +84,10 @@ def _metric_sq_dists(points, q, others=None) -> np.ndarray:
     else:
         sq_others = np.sum((others @ q) * others, axis=2)
     d2 = sq[:, :, None] + sq_others[:, None, :]
-    d2 += ((-2.0 * xq).reshape(c * n, d) @ others.T).reshape(c, n, -1)
+    if points.ndim == 3:
+        d2 += (-2.0 * xq) @ points.transpose(0, 2, 1)
+    else:
+        d2 += ((-2.0 * xq).reshape(c * n, d) @ others.T).reshape(c, n, -1)
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -136,27 +146,80 @@ def _stein_sum(points, grads, q, q_inv, h, w, wg) -> np.ndarray:
     shape (m, n, d).  With k_l = k_{Q_l}(x_i, x_j),
 
         phi(x_i) = (1/n) sum_l w_l(x_i) sum_j k_l [Q_l^{-1} (w_l(x_j) g_j
-                   + grad w_l(x_j)) + w_l(x_j) (x_i - x_j) / h_l],
+                   + grad w_l(x_j)) + w_l(x_j) (x_i - x_j) / h_l].
 
-    with anchors processed a chunk at a time (see ``CHUNK_BYTES``).
+    Anchor l's term is scaled by w_l(x_i) on the left, and on the right by
+    w_l(x_j) and grad w_l(x_j), which is proportional to w_l(x_j).  So it is
+    formed only over l's active particles, those whose weight is above
+    ``WEIGHT_FLOOR`` or not finite (a NaN weight must reach the direction),
+    as both rows and columns: what is skipped is round-off.  Anchors are
+    sorted by active count and processed a chunk at a time (see
+    ``_active_chunks``), each one's active set padded to the chunk's largest
+    with weight 0 and weight gradient 0, which add exact zeros.  When every
+    pair is active (one anchor of unit weight, or dense weights), the anchors
+    share the whole particle set, a chunk of about ``CHUNK_BYTES`` at a time,
+    and nothing is gathered or scattered.
     """
     n, d = points.shape
-    wt = w.T[:, :, None]  # (m, n, 1)
+    active = ~(w.T <= WEIGHT_FLOOR)  # (m, n)
     h = h[:, None, None]
     phi = np.zeros_like(points)
-    for chunk in _chunks(len(h), n):
-        s = _metric_sq_dists(points, q[chunk])
-        np.divide(s, -2.0 * h[chunk], out=s)
-        np.exp(s, out=s)
-        # one product gives sum_j s_ij of [w_l(x_j) g_j + grad w_l(x_j), w_l(x_j) x_j, w_l(x_j)]
-        rhs = np.concatenate([wt[chunk] * grads + wg[chunk],
-                              wt[chunk] * points, wt[chunk]], axis=2)
-        sums = s @ rhs
-        # w_l(x_j) K_l g_j and K_l grad w_l(x_j) share the Q_l^{-1} factor
-        drive = sums[:, :, :d] @ q_inv[chunk]
-        repulse = (sums[:, :, 2 * d:] * points - sums[:, :, d:2 * d]) / h[chunk]
-        phi += np.einsum("ln,lnd->nd", w.T[chunk], drive + repulse)
+    if np.all(active):
+        for chunk in _chunks(len(h), n):
+            wc = w.T[chunk]
+            phi += np.einsum("ln,lnd->nd", wc, _anchor_terms(
+                points, grads, wc, wg[chunk], q[chunk], q_inv[chunk], h[chunk]))
+        return phi / n
+    counts = np.count_nonzero(active, axis=1)
+    for anchors, size in _active_chunks(counts):
+        # each row lists its anchor's active particles first; the rest pads
+        idx = np.argsort(~active[anchors], axis=1, kind="stable")[:, :size]
+        pad = np.arange(size) >= counts[anchors][:, None]
+        wc = np.where(pad, 0.0, w[idx, anchors[:, None]])
+        wgc = np.where(pad[:, :, None], 0.0, wg[anchors[:, None], idx])
+        terms = _anchor_terms(points[idx], grads[idx], wc, wgc, q[anchors], q_inv[anchors], h[anchors])
+        np.add.at(phi, idx, wc[:, :, None] * terms)
     return phi / n
+
+
+def _active_chunks(counts: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """Anchors with at least one active particle, in ascending order of their
+    active ``counts``, cut into chunks of c anchors with c s^2 floats about
+    ``CHUNK_BYTES``, s being the chunk's largest count; a list of (anchor
+    indices, s)."""
+    order = np.argsort(counts, kind="stable")
+    order = order[counts[order] > 0]
+    sizes = counts[order]
+    budget = CHUNK_BYTES // 8
+    out = []
+    lo = 0
+    while lo < len(order):
+        # sizes ascend, so the anchors that fit after lo are a prefix
+        fits = np.arange(1, len(order) - lo + 1) * sizes[lo:] ** 2 <= budget
+        hi = lo + max(1, int(np.count_nonzero(fits)))
+        out.append((order[lo:hi], int(sizes[hi - 1])))
+        lo = hi
+    return out
+
+
+def _anchor_terms(points, grads, w, wg, q, q_inv, h) -> np.ndarray:
+    """For a chunk of c anchors, each anchor l's sum over j in ``_stein_sum``
+    at each of its rows x_i (before the left weight w_l(x_i)), shape (c, s, d).
+
+    ``points``/``grads`` are (s, d), shared by the chunk, or (c, s, d), one
+    set per anchor; ``w`` is (c, s), ``wg`` (c, s, d) and ``h`` (c, 1, 1).
+    """
+    d = points.shape[-1]
+    s = _metric_sq_dists(points, q)
+    np.divide(s, -2.0 * h, out=s)
+    np.exp(s, out=s)
+    wt = w[:, :, None]
+    # one product gives sum_j s_ij of [w_l(x_j) g_j + grad w_l(x_j), w_l(x_j) x_j, w_l(x_j)]
+    sums = s @ np.concatenate([wt * grads + wg, wt * points, wt], axis=2)
+    # w_l(x_j) K_l g_j and K_l grad w_l(x_j) share the Q_l^{-1} factor
+    drive = sums[:, :, :d] @ q_inv
+    repulse = (sums[:, :, 2 * d:] * points - sums[:, :, d:2 * d]) / h
+    return drive + repulse
 
 
 def _one_metric_direction(points, grads, bundle: PreconditionerBundle, h: float) -> np.ndarray:
@@ -317,8 +380,9 @@ class MixturePrecond(KernelStrategy):
     responsibilities of Gaussians N(z_l, Q_l^{-1}).  The Stein direction
     distributes over anchors; each anchor contributes its driving term, its
     repulsion term, and a weight-gradient term from differentiating
-    w_l(x') under the divergence.  Anchors are processed a chunk at a time
-    (see ``CHUNK_BYTES``).
+    w_l(x') under the divergence.  Each anchor's term is formed only over
+    the particles where its weight is above ``WEIGHT_FLOOR``, anchors of
+    similar active counts a chunk at a time (see ``_stein_sum``).
     """
 
     kind = "mixture_precond"

@@ -11,8 +11,6 @@ from .errors import InvalidInputError
 from .kernels import CHUNK_BYTES, _check_points, _median_trick, _metric_sq_dists, _row_medians
 from .targets import LogisticDataset
 
-_CHUNK = 2048
-
 
 @dataclass(frozen=True)
 class MmdReport:
@@ -65,11 +63,13 @@ def _kernel_sum(d2: np.ndarray, bandwidth: float, out: np.ndarray | None = None)
 
 
 def _mean_kernel(xs: np.ndarray, ys: np.ndarray, bandwidth: float) -> float:
-    """Mean RBF kernel value over all cross pairs, computed in row chunks."""
+    """Mean RBF kernel value over all cross pairs, computed a block of rows
+    (about ``CHUNK_BYTES``) at a time."""
     eye = np.eye(xs.shape[1])[None]
+    rows = max(1, CHUNK_BYTES // (8 * ys.shape[0]))
     total = 0.0
-    for start in range(0, xs.shape[0], _CHUNK):
-        total += _kernel_sum(_metric_sq_dists(xs[start:start + _CHUNK], eye, ys)[0], bandwidth)
+    for start in range(0, xs.shape[0], rows):
+        total += _kernel_sum(_metric_sq_dists(xs[start:start + rows], eye, ys)[0], bandwidth)
     return total / (xs.shape[0] * ys.shape[0])
 
 

@@ -63,8 +63,9 @@ def test_adagrad_accumulators_grow_monotonically():
 
 def test_step_rejects_bad_directions():
     state = StepperState()
-    with pytest.raises(NumericalAbort):
-        adagrad_step(state, np.zeros((1, 2)), np.array([[np.nan, 0.0]]))
+    with pytest.raises(NumericalAbort) as exc:
+        adagrad_step(state, np.zeros((3, 2)), np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, np.inf]]))
+    assert (exc.value.phase, exc.value.particle) == ("direction", 1)
     with pytest.raises(InvalidInputError):
         adagrad_step(state, np.zeros((1, 2)), np.zeros((2, 2)))
 
@@ -276,11 +277,19 @@ def test_run_aborts_with_iteration_index_on_blowup():
             stepper=StepperState(method="fixed", base_rate=500.0))
     assert exc.value.iteration is not None
     assert str(exc.value).startswith("iteration")
+    assert (exc.value.phase, exc.value.particle) == ("score", 0)
     # non-finite curvature during the preconditioner refresh names the particle
     with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore"):
         run(StarMixture(), "matrix_svgd_average", n_particles=10, iterations=3, init_mean=1e160)
     assert exc.value.iteration == 0
     assert "refresh: curvature of particle 0" in str(exc.value)
+    assert (exc.value.phase, exc.value.particle) == ("refresh", 0)
+    # a finite direction times a huge fixed rate overflows in the step
+    with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore"):
+        run(Gaussian(np.zeros(2), precision=1e10 * np.eye(2)), "vanilla_svgd", n_particles=3,
+            iterations=5, stepper=StepperState(method="fixed", base_rate=1e300))
+    assert str(exc.value) == "iteration 0: particles left the finite domain"
+    assert (exc.value.iteration, exc.value.phase, exc.value.particle) == (0, "step", 0)
 
 
 def test_refresh_overflow_from_finite_curvature_aborts_with_the_iteration():
@@ -290,12 +299,14 @@ def test_refresh_overflow_from_finite_curvature_aborts_with_the_iteration():
         run(model, "matrix_svgd_average", n_particles=50, iterations=2)
     assert exc.value.iteration == 0
     assert "refresh: averaged curvature has non-finite entries" in str(exc.value)
+    assert (exc.value.phase, exc.value.particle) == ("refresh", None)
     # each anchor's metric is finite, but its median-trick distances overflow
     model = Gaussian(np.zeros(2), precision=1e306 * np.eye(2))
     with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore", invalid="ignore"):
         run(model, "matrix_svgd_mixture", n_particles=5, iterations=2, init_scale=10.0)
     assert exc.value.iteration == 0
     assert "refresh: bandwidth of anchor 0 has non-finite entries" in str(exc.value)
+    assert (exc.value.phase, exc.value.particle) == ("refresh", 0)
 
 
 @pytest.mark.parametrize("method", METHODS)

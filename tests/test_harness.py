@@ -265,6 +265,7 @@ def test_run_experiment_flags_aborted_runs(tmp_path):
     flag = json.loads((tmp_path / "boom" / "aborted.json").read_text())
     assert flag["aborted"] is True
     assert isinstance(flag["iteration"], int)
+    assert (flag["phase"], flag["particle"]) == ("score", 0)
 
 
 # -------------------------------------------------------------- comparison
@@ -445,21 +446,21 @@ def test_cli_module_run_exits_2_on_a_bad_target_parameter(tmp_path):
     assert done.stderr.startswith("config: target.mean: ")
 
 
-@pytest.mark.parametrize("raw, iteration", [
-    (minimal_config(method="matrix_svgd_average", n=10, iters=3, init={"mean": 1e160}), 0),
+@pytest.mark.parametrize("raw, iteration, particle", [
+    (minimal_config(method="matrix_svgd_average", n=10, iters=3, init={"mean": 1e160}), 0, 0),
     (minimal_config(target="double_banana", method="svn", n=50, iters=100,
-                    stepper={"method": "fixed", "base_rate": 5.0}), 73),
+                    stepper={"method": "fixed", "base_rate": 5.0}), 73, 49),
     (minimal_config(target="double_banana", method="svn", n=3, iters=2,
-                    init={"mean": [1.0, 1.0], "scale": 1e-300}), 0),
+                    init={"mean": [1.0, 1.0], "scale": 1e-300}), 0, 0),
 ], ids=["star_far_init", "banana_svn_large_step", "banana_svn_zero_density"])
-def test_cli_non_finite_curvature_aborts_with_the_iteration(tmp_path, capsys, raw, iteration):
+def test_cli_non_finite_curvature_aborts_with_the_iteration(tmp_path, capsys, raw, iteration, particle):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**raw, "mmd_reference_n": 0}))
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"numeric: iteration {iteration}: refresh: curvature of particle")
+    assert err.startswith(f"numeric: iteration {iteration}: refresh: curvature of particle {particle} ")
     flag = json.loads((tmp_path / "out" / "aborted.json").read_text())
-    assert flag["aborted"] is True
-    assert flag["iteration"] == iteration
+    assert flag == {"aborted": True, "error": err.strip()[len("numeric: "):],
+                    "iteration": iteration, "phase": "refresh", "particle": particle}

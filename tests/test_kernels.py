@@ -24,7 +24,7 @@ from msvgd.kernels import (
     mixture_weights,
 )
 from msvgd.psdlin import identity_bundle, make_bundle
-from msvgd.targets import StarMixture
+from msvgd.targets import LogisticDataset, LogisticPosterior, StarMixture
 
 
 # -------------------------------------------------------------- bandwidth
@@ -304,27 +304,78 @@ def test_multi_anchor_mixture_differs_from_const_even_with_shared_metric():
     assert not np.allclose(mix.direction(pts, grads), const.direction(pts, grads), atol=1e-6)
 
 
+def _fisher_logistic_anchors(rng, n):
+    """Anchors ``refresh_anchors`` builds for n particles on a d=20 logistic
+    posterior with Fisher curvature: each is active on about one particle."""
+    feats = np.column_stack([np.ones(300), rng.standard_normal((300, 19))])
+    labels = (rng.random(300) < 1.0 / (1.0 + np.exp(-feats @ np.linspace(-1.0, 1.0, 20)))).astype(float)
+    model = LogisticPosterior(LogisticDataset(features=feats, labels=labels))
+    pts = rng.standard_normal((n, 20))
+    return refresh_anchors(pts, model, source="fisher"), pts, model.grad_log_density_batch(pts)
+
+
+def _active_counts(anchors, pts):
+    w = MixturePrecond(anchors)._weights_and_gradients(pts)[0]
+    return np.count_nonzero(~(w <= kernels.WEIGHT_FLOOR), axis=0)
+
+
 @pytest.mark.parametrize("per_chunk", [None, 7])
 def test_mixture_direction_matches_the_per_anchor_loop(monkeypatch, per_chunk):
     if per_chunk is not None:
         monkeypatch.setattr(kernels, "CHUNK_BYTES", per_chunk * 8 * 200 * 200)
+
+    def check(anchors, pts, grads):
+        oracle = per_anchor_mixture_direction(anchors, pts, grads)
+        phi = MixturePrecond(anchors).direction(pts, grads)
+        assert np.max(np.abs(phi - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
     # one anchor per particle, as the sampler builds them: 200 anchors span
-    # many chunks
+    # many chunks, and the active counts of a chunk differ, so it pads
     model = StarMixture()
     rng = np.random.default_rng(16)
     pts = rng.uniform(-3.0, 3.0, size=(200, 2))
     anchors = refresh_anchors(pts, model, floor_ratio=0.05)
+    counts = _active_counts(anchors, pts)
     assert len(kernels._chunks(anchors.size, 200)) > 1
-    grads = model.grad_log_density_batch(pts)
-    phi = MixturePrecond(anchors).direction(pts, grads)
-    oracle = per_anchor_mixture_direction(anchors, pts, grads)
-    assert np.max(np.abs(phi - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    chunks = kernels._active_chunks(counts)
+    assert len(chunks) > 1
+    assert any(len(np.unique(counts[chunk])) > 1 for chunk, _ in chunks)
+    check(anchors, pts, model.grad_log_density_batch(pts))
     # particles away from the anchors, at d = 5
     anchors = random_anchor_set(rng, 60, 5)
     pts, grads = rng.standard_normal((30, 5)), rng.standard_normal((30, 5))
-    oracle = per_anchor_mixture_direction(anchors, pts, grads)
-    phi = MixturePrecond(anchors).direction(pts, grads)
-    assert np.max(np.abs(phi - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    check(anchors, pts, grads)
+    # d = 20 Fisher logistic anchors: each is active on about one particle
+    anchors, pts, grads = _fisher_logistic_anchors(rng, 40)
+    assert np.mean(_active_counts(anchors, pts)) < 1.5
+    check(anchors, pts, grads)
+    # one anchor far from every particle has an empty active set
+    anchors = random_anchor_set(rng, 8, 3)
+    far = anchors.points.copy()
+    far[5] = 50.0
+    anchors = AnchorSet(points=far, bundle=anchors.bundle, bandwidths=anchors.bandwidths)
+    pts, grads = rng.standard_normal((12, 3)), rng.standard_normal((12, 3))
+    counts = _active_counts(anchors, pts)
+    assert counts[5] == 0 and np.all(np.delete(counts, 5) > 0)
+    check(anchors, pts, grads)
+    # identical anchors: every weight is 1/m and every pair is active
+    m = random_spd(rng, 3)
+    anchors = AnchorSet(points=np.tile(rng.standard_normal(3), (6, 1)),
+                        bundle=make_bundle(np.stack([m] * 6)), bandwidths=np.full(6, 0.8))
+    assert np.all(_active_counts(anchors, pts) == 12)
+    check(anchors, pts, grads)
+
+
+def test_mixture_direction_stays_non_finite_for_a_non_finite_weight():
+    # a particle so far out that every anchor weight is NaN there: the
+    # direction must stay non-finite, for the sampler to abort on
+    rng = np.random.default_rng(17)
+    anchors = random_anchor_set(rng, 6, 2)
+    pts = rng.standard_normal((5, 2))
+    pts[3] = [1e200, -1e200]
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = MixturePrecond(anchors).direction(pts, rng.standard_normal((5, 2)))
+    assert not np.all(np.isfinite(phi))
 
 
 def test_direction_is_equivariant_under_particle_permutation():

@@ -129,7 +129,7 @@ def test_mmd_value_independent_of_chunk_size(monkeypatch):
     rng = np.random.default_rng(5)
     xs, ys = rng.standard_normal((17, 2)), rng.standard_normal((23, 2))
     base = mmd_sq(xs, ys, bandwidth=0.7).value
-    monkeypatch.setattr(metrics_module, "_CHUNK", 3)
+    monkeypatch.setattr(metrics_module, "CHUNK_BYTES", 8 * 3 * 23)
     assert abs(mmd_sq(xs, ys, bandwidth=0.7).value - base) <= 1e-12
 
 
