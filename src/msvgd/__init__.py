@@ -13,7 +13,6 @@ from .targets import (
     make_target,
 )
 from .kernels import (
-    AnchorSet,
     ConstPrecond,
     MixturePrecond,
     ScalarRBF,
@@ -38,7 +37,7 @@ from .harness import RunConfig, RunRecord, compare, parse_config, run_experiment
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSet", "ConfigError", "ConstPrecond", "DoubleBanana", "Gaussian",
+    "ConfigError", "ConstPrecond", "DoubleBanana", "Gaussian",
     "InvalidInputError", "LogisticDataset", "LogisticPosterior", "METHODS",
     "MixturePrecond", "MmdReport", "NumericalAbort", "PrecondPolicy",
     "PreconditionerBundle", "RunConfig", "RunRecord", "RunResult",

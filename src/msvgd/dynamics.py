@@ -6,7 +6,9 @@ results do not depend on particle order.  Every method goes through one
 protocol: a refresh builds a ``direction(positions, grads)`` callable from
 the current particles (kernel bandwidths, averaged preconditioners, mixture
 anchors or SVN metrics), on the ``refresh_period`` schedule (default: every
-iteration).
+iteration).  The refresh helpers ``averaged_preconditioner``,
+``refresh_anchors`` (which returns the mixture kernel) and ``svn_metrics``
+read the curvature source and eigenvalue floor from a ``PrecondPolicy``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError, NumericalAbort
 from .kernels import (
-    AnchorSet,
     ConstPrecond,
     MixturePrecond,
     ScalarRBF,
@@ -116,23 +117,24 @@ def _curvature_stack(positions, model: TargetModel, source: str) -> np.ndarray:
     return _finite_or_abort(model.curvature_batch(positions, mode=source), "curvature", "particle")
 
 
-def averaged_preconditioner(positions, model: TargetModel, source: str = "exact_hessian",
-                            floor_ratio: float = DEFAULT_FLOOR_RATIO) -> PreconditionerBundle:
+def averaged_preconditioner(positions, model: TargetModel,
+                            policy: PrecondPolicy = PrecondPolicy()) -> PreconditionerBundle:
     """Particle-averaged curvature, repaired into a PD bundle."""
     positions = np.asarray(positions, dtype=float)
-    avg = _curvature_stack(positions, model, source).mean(axis=0)
-    return make_bundle(_finite_or_abort(avg, "averaged curvature"), floor_ratio=floor_ratio)
+    avg = _curvature_stack(positions, model, policy.source).mean(axis=0)
+    return make_bundle(_finite_or_abort(avg, "averaged curvature"), floor_ratio=policy.floor_ratio)
 
 
-def refresh_anchors(positions, model: TargetModel, source: str = "exact_hessian",
-                    floor_ratio: float = DEFAULT_FLOOR_RATIO) -> AnchorSet:
-    """One anchor per particle: local repaired curvature plus a median-trick
-    bandwidth measured in that anchor's own metric, for all anchors at once."""
+def refresh_anchors(positions, model: TargetModel,
+                    policy: PrecondPolicy = PrecondPolicy()) -> MixturePrecond:
+    """The mixture kernel with one anchor per particle: local repaired
+    curvature plus a median-trick bandwidth measured in that anchor's own
+    metric, for all anchors at once."""
     positions = np.asarray(positions, dtype=float)
-    bundle = make_bundle(_curvature_stack(positions, model, source), floor_ratio=floor_ratio)
+    bundle = make_bundle(_curvature_stack(positions, model, policy.source),
+                         floor_ratio=policy.floor_ratio)
     _finite_or_abort(bundle.q, "metric", "anchor")
-    return AnchorSet(points=positions.copy(), bundle=bundle,
-                     bandwidths=_resolve_bandwidth(positions, metric=bundle))
+    return MixturePrecond(positions.copy(), bundle, _resolve_bandwidth(positions, metric=bundle))
 
 
 def _resolve_bandwidth(positions, metric: PreconditionerBundle | None = None):
@@ -145,8 +147,8 @@ def _resolve_bandwidth(positions, metric: PreconditionerBundle | None = None):
     return _finite_or_abort(h, "bandwidth", "anchor" if stacked else None)
 
 
-def svn_metrics(positions, model: TargetModel, bandwidth: float, source: str = "exact_hessian",
-                floor_ratio: float = DEFAULT_FLOOR_RATIO) -> np.ndarray:
+def svn_metrics(positions, model: TargetModel, bandwidth: float,
+                policy: PrecondPolicy = PrecondPolicy()) -> np.ndarray:
     """Kernel-weighted local metrics H~_i, one PD (d, d) matrix per particle.
 
     H~_i = (1/n) sum_j [ H(x_j) k(x_j, x_i)^2 + g_ji g_ji^T ] where
@@ -156,12 +158,12 @@ def svn_metrics(positions, model: TargetModel, bandwidth: float, source: str = "
     n = positions.shape[0]
     diff = positions[:, None, :] - positions[None, :, :]  # (j, i, d) as x_j - x_i
     k = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * bandwidth))
-    hs = _curvature_stack(positions, model, source)
+    hs = _curvature_stack(positions, model, policy.source)
     term1 = np.einsum("ji,jab->iab", k * k, hs) / n
     g = k[:, :, None] * diff / bandwidth
     term2 = np.einsum("jia,jib->iab", g, g) / n
     return psd_repair(_finite_or_abort(term1 + term2, "SVN metric", "particle"),
-                      floor_ratio=floor_ratio)
+                      floor_ratio=policy.floor_ratio)
 
 
 def svn_direction(positions, grads, metrics: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -172,13 +174,13 @@ def svn_direction(positions, grads, metrics: np.ndarray, bandwidth: float) -> np
 
 
 def _refresh_average(positions, model: TargetModel, policy: PrecondPolicy):
-    bundle = averaged_preconditioner(positions, model, policy.source, policy.floor_ratio)
+    bundle = averaged_preconditioner(positions, model, policy)
     return ConstPrecond(bundle, _resolve_bandwidth(positions, metric=bundle)).direction
 
 
 def _refresh_svn(positions, model: TargetModel, policy: PrecondPolicy):
     h = _resolve_bandwidth(positions)
-    metrics = svn_metrics(positions, model, h, policy.source, policy.floor_ratio)
+    metrics = svn_metrics(positions, model, h, policy)
     return lambda points, grads: svn_direction(points, grads, metrics, h)
 
 
@@ -188,8 +190,8 @@ def _refresh_svn(positions, model: TargetModel, policy: PrecondPolicy):
 _REFRESH = {
     "vanilla_svgd": lambda positions, model, policy: ScalarRBF(_resolve_bandwidth(positions)).direction,
     "matrix_svgd_average": _refresh_average,
-    "matrix_svgd_mixture": lambda positions, model, policy: MixturePrecond(
-        refresh_anchors(positions, model, policy.source, policy.floor_ratio)).direction,
+    "matrix_svgd_mixture": lambda positions, model, policy: refresh_anchors(
+        positions, model, policy).direction,
     "svn": _refresh_svn,
 }
 METHODS = tuple(_REFRESH)
@@ -258,27 +260,24 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
         t0 = time.perf_counter()
         if resample is not None:
             resample(batch_rng)
-        if it % policy.refresh_period == 0:
-            try:
-                direction = refresh(positions, model, policy)
-            except NumericalAbort as exc:
-                raise NumericalAbort(str(exc), it, exc.phase, exc.particle) from exc
-        grads = model.grad_log_density_batch(positions)
-        bad = _first_bad_row(grads)
-        if bad is not None:
-            raise NumericalAbort("score has non-finite entries", it, "score", bad)
-        directions = direction(positions, grads)
-        if float(np.max(np.linalg.norm(directions, axis=1))) < convergence_tol:
-            converged_at = it
-            step_seconds.append(time.perf_counter() - t0)
-            break
         try:
+            if it % policy.refresh_period == 0:
+                direction = refresh(positions, model, policy)
+            grads = model.grad_log_density_batch(positions)
+            bad = _first_bad_row(grads)
+            if bad is not None:
+                raise NumericalAbort("score has non-finite entries", phase="score", particle=bad)
+            directions = direction(positions, grads)
+            if float(np.max(np.linalg.norm(directions, axis=1))) < convergence_tol:
+                converged_at = it
+                step_seconds.append(time.perf_counter() - t0)
+                break
             positions, stepper = adagrad_step(stepper, positions, directions)
+            bad = _first_bad_row(positions)
+            if bad is not None:
+                raise NumericalAbort("particles left the finite domain", phase="step", particle=bad)
         except NumericalAbort as exc:
             raise NumericalAbort(str(exc), it, exc.phase, exc.particle) from exc
-        bad = _first_bad_row(positions)
-        if bad is not None:
-            raise NumericalAbort("particles left the finite domain", it, "step", bad)
         step_seconds.append(time.perf_counter() - t0)
         if (it + 1) in checkpoint_set:
             snapshots[it + 1] = positions.copy()

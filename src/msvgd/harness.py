@@ -21,7 +21,7 @@ Per run, the harness writes into the output directory:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,7 @@ _TOP_KEYS = ("target", "method", "n", "iters", "seed", "checkpoints",
 
 # RunConfig fields that may differ within a comparison: the method, where its
 # record goes, and the stepper, whose base rate defaults per method
-_PER_METHOD_FIELDS = ("method", "out_dir", "stepper_method", "base_rate", "damping")
+_PER_METHOD_FIELDS = ("method", "out_dir", "stepper")
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,8 @@ class RunConfig:
     iters: int
     seed: int
     checkpoints: tuple[int, ...]
-    stepper_method: str
-    base_rate: float
-    damping: float
-    source: str
-    refresh_period: int
-    floor_ratio: float
+    stepper: dynamics.StepperState
+    precond: dynamics.PrecondPolicy
     init_mean: object  # float or list of floats
     init_scale: float
     mmd_reference_n: int
@@ -87,10 +83,9 @@ class RunConfig:
             "iters": self.iters,
             "seed": self.seed,
             "checkpoints": list(self.checkpoints),
-            "stepper": {"method": self.stepper_method, "base_rate": self.base_rate,
-                        "damping": self.damping},
-            "precond": {"source": self.source, "refresh_period": self.refresh_period,
-                        "floor_ratio": self.floor_ratio},
+            "stepper": {"method": self.stepper.method, "base_rate": self.stepper.base_rate,
+                        "damping": self.stepper.damping},
+            "precond": asdict(self.precond),
             "init": {"mean": self.init_mean, "scale": self.init_scale},
             "mmd_reference_n": self.mmd_reference_n,
             "out_dir": self.out_dir,
@@ -198,9 +193,9 @@ def parse_config(source) -> RunConfig:
     stepper = _build(dynamics.StepperState, "stepper", source.get("stepper", {}),
                      {"method": _as_str, "base_rate": _as_number, "damping": _as_number},
                      base_rate=METHOD_DEFAULT_RATES[method])
-    policy = _build(dynamics.PrecondPolicy, "precond", source.get("precond", {}),
-                    {"source": _as_str, "refresh_period": _as_int, "floor_ratio": _as_number},
-                    source="fisher" if kind == "logistic_posterior" else "exact_hessian")
+    precond = _build(dynamics.PrecondPolicy, "precond", source.get("precond", {}),
+                     {"source": _as_str, "refresh_period": _as_int, "floor_ratio": _as_number},
+                     source="fisher" if kind == "logistic_posterior" else "exact_hessian")
 
     init = _as_section(source.get("init", {}), "init", ("mean", "scale"))
     raw_mean = init.get("mean", 0.0)
@@ -218,10 +213,7 @@ def parse_config(source) -> RunConfig:
 
     return RunConfig(target_kind=kind, target_params=params, method=method, n=n,
                      iters=iters, seed=seed, checkpoints=checkpoints,
-                     stepper_method=stepper.method, base_rate=stepper.base_rate,
-                     damping=stepper.damping, source=policy.source,
-                     refresh_period=policy.refresh_period, floor_ratio=policy.floor_ratio,
-                     init_mean=init_mean, init_scale=init_scale,
+                     stepper=stepper, precond=precond, init_mean=init_mean, init_scale=init_scale,
                      mmd_reference_n=mmd_reference_n, out_dir=out_dir)
 
 
@@ -276,15 +268,11 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
                    persist: bool = True) -> RunRecord:
     """Execute one configured run, compute per-checkpoint metrics, write files."""
     model = build_target(config)
-    stepper = dynamics.StepperState(method=config.stepper_method, base_rate=config.base_rate,
-                                    damping=config.damping)
-    policy = dynamics.PrecondPolicy(source=config.source, refresh_period=config.refresh_period,
-                                    floor_ratio=config.floor_ratio)
     destination = Path(out_dir if out_dir is not None else config.out_dir)
     try:
         result = dynamics.run(model, config.method, n_particles=config.n,
                               iterations=config.iters, checkpoints=config.checkpoints,
-                              stepper=stepper, policy=policy, seed=config.seed,
+                              stepper=config.stepper, policy=config.precond, seed=config.seed,
                               init_mean=config.init_mean, init_scale=config.init_scale)
     except NumericalAbort as exc:
         if persist:

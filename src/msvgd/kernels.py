@@ -20,12 +20,15 @@ implemented, each with its closed-form divergence:
 
 They are one family: the scalar RBF is the mixture with one anchor, unit
 weight and the identity metric, and ``const_precond`` is the same with its
-own metric.  Their directions all go through ``_stein_sum``, and every pair
-distance here comes from ``_metric_sq_dists``, computed a chunk of metrics at
-a time (``CHUNK_BYTES``); the MMD scoring in ``metrics`` uses it too, with
-the identity metric.  The mixture's anchor weights are mostly round-off:
-``_stein_sum`` forms each anchor's kernel only over the particles whose
-weight is above ``WEIGHT_FLOOR``.
+own metric.  Their directions all go through ``_stein_sum``, and the pairwise
+squared distances of the directions and bandwidths come from
+``_metric_sq_dists``, computed a chunk of metrics at a time (``CHUNK_BYTES``);
+the MMD scoring in ``metrics`` uses it too, with the identity metric.  The
+mixture weights form the (m, n, d) offsets of the points from the anchors
+instead, because the anchor Gaussians' scores need the offsets themselves.
+The mixture's anchor weights are mostly round-off: ``_stein_sum`` forms each
+anchor's kernel only over the particles whose weight is above
+``WEIGHT_FLOOR``.
 
 Bandwidths are plain (unsquared) denominators: k = exp(-dist^2 / (2h)).
 ``median_bandwidth`` picks them by the median trick; given a stacked bundle
@@ -33,8 +36,6 @@ Bandwidths are plain (unsquared) denominators: k = exp(-dist^2 / (2h)).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -324,52 +325,21 @@ class ConstPrecond(KernelStrategy):
         return _one_metric_direction(points, grads, self.bundle, self.bandwidth)
 
 
-@dataclass(frozen=True)
-class AnchorSet:
-    """Anchors for the mixture kernel: points, one stacked bundle of local
-    metrics (q of shape (m, d, d)) and one bandwidth per anchor."""
-
-    points: np.ndarray
-    bundle: PreconditionerBundle
-    bandwidths: np.ndarray
-
-    def __post_init__(self):
-        points = _check_points(self.points)
-        bandwidths = np.asarray(self.bandwidths, dtype=float)
-        if self.bundle.q.shape[:-2] != points.shape[:1] or bandwidths.shape != points.shape[:1]:
-            raise InvalidInputError("anchors need one metric and one bandwidth per point")
-        if self.bundle.dim != points.shape[1]:
-            raise InvalidInputError("anchor metric dimensions must match anchor points")
-        if not np.all(np.isfinite(bandwidths)) or np.any(bandwidths <= 0.0):
-            raise InvalidInputError("anchor bandwidths must be positive and finite")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "bandwidths", bandwidths)
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
-def _anchor_log_scores(points, anchors: AnchorSet):
+def _anchor_log_scores(points, kernel: MixturePrecond):
     """log of N(x; z_l, Q_l^{-1}) for each point/anchor pair, shape (n, m), up
     to the shared (2 pi)^{-d/2} factor that cancels in the weights; and the
     anchor Gaussians' scores t_l(x) = -Q_l (x - z_l), shape (m, n, d)."""
-    diff = points[None, :, :] - anchors.points[:, None, :]
-    t = -(diff @ anchors.bundle.q)
-    log_p = 0.5 * anchors.bundle.log_det[:, None] + 0.5 * np.sum(diff * t, axis=2)
+    diff = points[None, :, :] - kernel.points[:, None, :]
+    t = -(diff @ kernel.bundle.q)
+    log_p = 0.5 * kernel.bundle.log_det[:, None] + 0.5 * np.sum(diff * t, axis=2)
     return log_p.T, t
 
 
-def mixture_weights(x, anchors: AnchorSet) -> np.ndarray:
-    """Normalized anchor responsibilities w_l(x); a point on the simplex."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != anchors.dim:
-        raise InvalidInputError(f"expected a point of dimension {anchors.dim}, got shape {x.shape}")
-    scores = _anchor_log_scores(x[None, :], anchors)[0][0]
+def mixture_weights(x, kernel: MixturePrecond) -> np.ndarray:
+    """Normalized anchor responsibilities w_l(x) of the mixture ``kernel``; a
+    point on the simplex."""
+    x = kernel._check_point(x)
+    scores = _anchor_log_scores(x[None, :], kernel)[0][0]
     return np.exp(scores - logsumexp(scores))
 
 
@@ -377,19 +347,32 @@ class MixturePrecond(KernelStrategy):
     """Mixture of constant-preconditioner kernels glued by anchor weights.
 
     K(x, x') = sum_l w_l(x) w_l(x') K_{Q_l}(x, x') where w_l are the
-    responsibilities of Gaussians N(z_l, Q_l^{-1}).  The Stein direction
-    distributes over anchors; each anchor contributes its driving term, its
-    repulsion term, and a weight-gradient term from differentiating
-    w_l(x') under the divergence.  Each anchor's term is formed only over
-    the particles where its weight is above ``WEIGHT_FLOOR``, anchors of
-    similar active counts a chunk at a time (see ``_stein_sum``).
+    responsibilities of Gaussians N(z_l, Q_l^{-1}).  The anchor set is the
+    kernel's whole state: ``points`` z_l, one stacked ``bundle`` of local
+    metrics Q_l (q of shape (m, d, d)) and one bandwidth h_l per anchor in
+    ``bandwidths``.  The Stein direction distributes over anchors; each
+    anchor contributes its driving term, its repulsion term, and a
+    weight-gradient term from differentiating w_l(x') under the divergence.
+    Each anchor's term is formed only over the particles where its weight is
+    above ``WEIGHT_FLOOR``, anchors of similar active counts a chunk at a
+    time (see ``_stein_sum``).
     """
 
     kind = "mixture_precond"
 
-    def __init__(self, anchors: AnchorSet):
-        self.anchors = anchors
-        self.dim = anchors.dim
+    def __init__(self, points, bundle: PreconditionerBundle, bandwidths):
+        points = _check_points(points)
+        bandwidths = np.asarray(bandwidths, dtype=float)
+        if bundle.q.shape[:-2] != points.shape[:1] or bandwidths.shape != points.shape[:1]:
+            raise InvalidInputError("anchors need one metric and one bandwidth per point")
+        if bundle.dim != points.shape[1]:
+            raise InvalidInputError("anchor metric dimensions must match anchor points")
+        if not np.all(np.isfinite(bandwidths)) or np.any(bandwidths <= 0.0):
+            raise InvalidInputError("anchor bandwidths must be positive and finite")
+        self.points = points
+        self.bundle = bundle
+        self.bandwidths = bandwidths
+        self.dim = points.shape[1]
 
     def _weights_and_gradients(self, points):
         """w_l(x_i), shape (n, m), and grad w_l(x_i), shape (m, n, d).
@@ -397,7 +380,7 @@ class MixturePrecond(KernelStrategy):
         grad w_l(x) = w_l(x) (t_l(x) - sum_l' w_l'(x) t_l'(x)) with
         t_l(x) = -Q_l (x - z_l) the score of the anchor Gaussian.
         """
-        scores, t = _anchor_log_scores(points, self.anchors)
+        scores, t = _anchor_log_scores(points, self)
         w = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
         avg = np.einsum("nl,lnd->nd", w, t)
         t -= avg[None, :, :]
@@ -411,16 +394,14 @@ class MixturePrecond(KernelStrategy):
 
     def eval(self, x, y):
         x, y = self._check_point(x), self._check_point(y)
-        wx = mixture_weights(x, self.anchors)
-        wy = mixture_weights(y, self.anchors)
+        wx = mixture_weights(x, self)
+        wy = mixture_weights(y, self)
         d = x - y
-        bundle = self.anchors.bundle
-        quad = np.maximum(np.einsum("i,lij,j->l", d, bundle.q, d), 0.0)
-        s = np.exp(-quad / (2.0 * self.anchors.bandwidths))
-        return np.tensordot(wx * wy * s, bundle.q_inv, axes=1)
+        quad = np.maximum(np.einsum("i,lij,j->l", d, self.bundle.q, d), 0.0)
+        s = np.exp(-quad / (2.0 * self.bandwidths))
+        return np.tensordot(wx * wy * s, self.bundle.q_inv, axes=1)
 
     def direction(self, points, grads):
         points, grads = self._check_pair_inputs(points, grads)
         w, wg = self._weights_and_gradients(points)
-        bundle = self.anchors.bundle
-        return _stein_sum(points, grads, bundle.q, bundle.q_inv, self.anchors.bandwidths, w, wg)
+        return _stein_sum(points, grads, self.bundle.q, self.bundle.q_inv, self.bandwidths, w, wg)

@@ -97,10 +97,10 @@ def random_spd(rng, d, jitter=0.3):
 
 
 def random_anchor_set(rng, n_anchors, d):
-    from msvgd.kernels import AnchorSet
+    from msvgd.kernels import MixturePrecond
     from msvgd.psdlin import make_bundle
 
-    return AnchorSet(
+    return MixturePrecond(
         points=rng.standard_normal((n_anchors, d)),
         bundle=make_bundle(np.stack([random_spd(rng, d) for _ in range(n_anchors)])),
         bandwidths=0.5 + rng.random(n_anchors),
@@ -121,10 +121,10 @@ def per_anchor_mixture_direction(anchors, points, grads):
     stack = anchors.bundle
     bundles = [PreconditionerBundle(q=stack.q[l], q_sqrt=stack.q_sqrt[l],
                                     q_inv_sqrt=stack.q_inv_sqrt[l], q_inv=stack.q_inv[l],
-                                    log_det=stack.log_det[l]) for l in range(anchors.size)]
+                                    log_det=stack.log_det[l]) for l in range(len(anchors.points))]
     n = points.shape[0]
-    scores = np.empty((n, anchors.size))
-    t = np.empty((anchors.size, n, points.shape[1]))
+    scores = np.empty((n, len(anchors.points)))
+    t = np.empty((len(anchors.points), n, points.shape[1]))
     for l, b in enumerate(bundles):
         z = anchors.points[l]
         scores[:, l] = 0.5 * b.log_det - 0.5 * pairwise_mahalanobis_sq(points, z[None, :], b)[:, 0]
@@ -144,14 +144,14 @@ def per_anchor_mixture_direction(anchors, points, grads):
 
 def strategies_for(rng, d):
     """One instance of each kernel kind over dimension d."""
-    from msvgd.kernels import ConstPrecond, MixturePrecond, ScalarRBF
+    from msvgd.kernels import ConstPrecond, ScalarRBF
     from msvgd.psdlin import make_bundle
 
     const = ConstPrecond(make_bundle(random_spd(rng, d)), bandwidth=1.3)
     # a spare draw (it once gave a per-coordinate kernel its bandwidths), kept
     # so that the seeded inputs of the mixture case do not shift
     rng.random(d)
-    return [ScalarRBF(bandwidth=0.8), const, MixturePrecond(random_anchor_set(rng, 3, d))]
+    return [ScalarRBF(bandwidth=0.8), const, random_anchor_set(rng, 3, d)]
 
 
 def change_of_variables_directions(bundle, positions, bandwidth: float):

@@ -18,7 +18,7 @@ from msvgd.harness import METHOD_DEFAULT_RATES
 from msvgd.kernels import ScalarRBF, median_bandwidth
 from msvgd.metrics import mmd_sq
 from msvgd.psdlin import identity_bundle, make_bundle, psd_repair
-from msvgd.targets import DoubleBanana, Gaussian, Sine, StarMixture
+from msvgd.targets import DoubleBanana, Gaussian, Sine, StarMixture, TargetModel
 
 
 def gaussian_target(cov=((1.0, 0.0), (0.0, 1.0))):
@@ -129,7 +129,8 @@ def test_refresh_anchors_is_deterministic_for_duplicated_particles():
 def test_refresh_anchors_repairs_indefinite_star_curvature():
     model = StarMixture()
     rng = np.random.default_rng(4)
-    anchors = refresh_anchors(rng.uniform(-2.0, 2.0, size=(5, 2)), model, floor_ratio=1e-6)
+    anchors = refresh_anchors(rng.uniform(-2.0, 2.0, size=(5, 2)), model,
+                              PrecondPolicy(floor_ratio=1e-6))
     for q_l in anchors.bundle.q:
         eig = np.linalg.eigvalsh(q_l)
         assert eig[0] >= 1e-6 * max(1.0, eig[-1]) * (1.0 - 1e-9)
@@ -290,6 +291,21 @@ def test_run_aborts_with_iteration_index_on_blowup():
             iterations=5, stepper=StepperState(method="fixed", base_rate=1e300))
     assert str(exc.value) == "iteration 0: particles left the finite domain"
     assert (exc.value.iteration, exc.value.phase, exc.value.particle) == (0, "step", 0)
+
+
+def test_run_aborts_in_the_direction_phase_with_the_iteration():
+    # every score is finite, but three of them summed in the Stein direction overflow
+    class HugeScore(TargetModel):
+        kind = "huge_score"
+        dim = 2
+
+        def grad_log_density_batch(self, points):
+            return np.full(np.shape(points), 1e308)
+
+    with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore", invalid="ignore"):
+        run(HugeScore(), "vanilla_svgd", n_particles=3, iterations=2, init_scale=1e-3)
+    assert str(exc.value) == "iteration 0: update direction has non-finite entries"
+    assert (exc.value.iteration, exc.value.phase, exc.value.particle) == (0, "direction", 0)
 
 
 def test_refresh_overflow_from_finite_curvature_aborts_with_the_iteration():

@@ -46,12 +46,12 @@ def test_parse_minimal_config_fills_documented_defaults():
     cfg = parse_config(minimal_config())
     assert cfg.target_kind == "star_mixture"
     assert cfg.checkpoints == (0, 5, 10, 30)  # schedule clipped to the budget
-    assert cfg.stepper_method == "adagrad"
-    assert cfg.base_rate == METHOD_DEFAULT_RATES["vanilla_svgd"]
-    assert cfg.damping == 1e-6
-    assert cfg.source == "exact_hessian"
-    assert cfg.refresh_period == 1
-    assert cfg.floor_ratio == 1e-6
+    assert cfg.stepper.method == "adagrad"
+    assert cfg.stepper.base_rate == METHOD_DEFAULT_RATES["vanilla_svgd"]
+    assert cfg.stepper.damping == 1e-6
+    assert cfg.precond.source == "exact_hessian"
+    assert cfg.precond.refresh_period == 1
+    assert cfg.precond.floor_ratio == 1e-6
     assert cfg.init_mean == 0.0 and cfg.init_scale == 1.0
     assert cfg.mmd_reference_n == 2000
     assert cfg.out_dir == "runs"
@@ -62,13 +62,13 @@ def test_parse_minimal_config_fills_documented_defaults():
 
 def test_parse_default_rate_depends_on_method():
     for method, rate in METHOD_DEFAULT_RATES.items():
-        assert parse_config(minimal_config(method=method)).base_rate == rate
+        assert parse_config(minimal_config(method=method)).stepper.base_rate == rate
 
 
 def test_parse_logistic_defaults_to_fisher_curvature(tmp_path):
     raw = minimal_config(target={"kind": "logistic_posterior",
                                  "data_path": write_dataset(tmp_path)})
-    assert parse_config(raw).source == "fisher"
+    assert parse_config(raw).precond.source == "fisher"
 
 
 @pytest.mark.parametrize("mutate, path_fragment", [
@@ -301,6 +301,8 @@ def test_compare_single_config_matches_its_own_metrics(tmp_path):
 
 def test_compare_rejects_mismatched_or_duplicated_configs(tmp_path):
     a, b = comparison_configs(tmp_path, ["vanilla_svgd", "svn"])
+    with pytest.raises(ConfigError, match="needs at least one config"):
+        compare([])
     with pytest.raises(ConfigError, match="duplicate"):
         compare([a, a])
     mismatched = parse_config(minimal_config(method="svn", n=11, iters=10,
@@ -350,7 +352,7 @@ def test_cli_quiet_suppresses_output(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_cli_compare_writes_comparison_table(tmp_path):
+def test_cli_compare_writes_comparison_table(tmp_path, capsys):
     paths = []
     for method in ("vanilla_svgd", "svn"):
         p = tmp_path / f"{method}.json"
@@ -361,6 +363,28 @@ def test_cli_compare_writes_comparison_table(tmp_path):
     assert main(["compare", *paths, "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
     header = (tmp_path / "cmp" / "comparison.csv").read_text().split("\n")[0]
     assert header == "iter,vanilla_svgd,svn"
+
+    # the logistic posterior tabulates the predictive log-likelihood
+    data_path = write_dataset(tmp_path)
+    methods = ("vanilla_svgd", "svn")
+    paths = []
+    for method in methods:
+        p = tmp_path / f"logistic_{method}.json"
+        p.write_text(json.dumps(minimal_config(
+            target={"kind": "logistic_posterior", "data_path": data_path},
+            method=method, n=8, iters=5, checkpoints=[0, 5])))
+        paths.append(str(p))
+    out = tmp_path / "logistic_cmp"
+    assert main(["compare", *paths, "--out", str(out)]) == 0
+    lines = (out / "comparison.csv").read_text().strip().split("\n")
+    assert lines[0] == "iter," + ",".join(methods)
+    for col, method in enumerate(methods, start=1):
+        rows = json.loads((out / method / "metrics.json").read_text())["metrics"]
+        assert [float(line.split(",")[col]) for line in lines[1:]] == [
+            row["predictive"]["mean_log_likelihood"] for row in rows]
+    stdout = capsys.readouterr().out.strip().split("\n")
+    assert [line.split(" on ")[0] for line in stdout if "accuracy=" in line] == list(methods)
+    assert stdout[-1] == f"comparison table: {out / 'comparison.csv'}"
 
 
 def test_cli_sample_is_deterministic(tmp_path):
@@ -391,6 +415,21 @@ def test_cli_exit_codes_by_error_category(tmp_path, capsys):
     bad_method.write_text(json.dumps(minimal_config(method="pSGLD")))
     assert main(["run", str(bad_method), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config:")
+
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1]")
+    assert main(["run", str(not_an_object), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config: {not_an_object}: config must be a JSON object\n"
+    for raw, message in ((minimal_config(init={"scale": float("inf")}), "init.scale: must be finite"),
+                         (minimal_config(stepper=3), "stepper: must be an object"),
+                         (minimal_config(stepper={"method": 3}), "stepper.method: must be a string"),
+                         (minimal_config(target=3), "target: must be a kind name")):
+        bad_section = tmp_path / "bad_section.json"
+        bad_section.write_text(json.dumps(raw))
+        assert main(["run", str(bad_section), "--quiet"]) == 2, raw
+        assert capsys.readouterr().err.startswith(f"config: {message}"), raw
+    assert main(["sample", "star_mixture", "0", "1", "--out", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err == "input: sample size: must be >= 1, got 0\n"
 
     assert main(["run", str(tmp_path / "absent.json"), "--quiet"]) == 3
     assert capsys.readouterr().err.startswith("io:")
@@ -464,3 +503,13 @@ def test_cli_non_finite_curvature_aborts_with_the_iteration(tmp_path, capsys, ra
     flag = json.loads((tmp_path / "out" / "aborted.json").read_text())
     assert flag == {"aborted": True, "error": err.strip()[len("numeric: "):],
                     "iteration": iteration, "phase": "refresh", "particle": particle}
+
+
+# ----------------------------------------------------------------- package
+
+def test_every_export_resolves_on_the_package():
+    import msvgd
+
+    assert len(set(msvgd.__all__)) == len(msvgd.__all__)
+    missing = [name for name in msvgd.__all__ if not hasattr(msvgd, name)]
+    assert not missing, f"msvgd.__all__ names what the package does not define: {missing}"

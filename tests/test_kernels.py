@@ -13,10 +13,9 @@ from helpers import (
     strategies_for,
 )
 from msvgd import kernels
-from msvgd.dynamics import refresh_anchors
+from msvgd.dynamics import PrecondPolicy, refresh_anchors
 from msvgd.errors import ConfigError, InvalidInputError
 from msvgd.kernels import (
-    AnchorSet,
     ConstPrecond,
     MixturePrecond,
     ScalarRBF,
@@ -149,6 +148,10 @@ def test_dimension_mismatch_rejected():
         k.eval(np.zeros(2), np.zeros(2))
     with pytest.raises(InvalidInputError):
         k.direction(np.zeros((4, 2)), np.zeros((4, 2)))
+    with pytest.raises(InvalidInputError, match="grads shape"):
+        k.direction(np.zeros((4, 3)), np.zeros((4, 2)))
+    with pytest.raises(InvalidInputError, match="dimension 2"):
+        mixture_weights(np.zeros(3), random_anchor_set(rng, 2, 2))
 
 
 def test_bandwidth_validation():
@@ -165,12 +168,12 @@ def test_anchor_set_validation():
     pts = rng.standard_normal((3, 2))
     bundle = make_bundle(np.stack([random_spd(rng, 2) for _ in range(3)]))
     with pytest.raises(InvalidInputError):
-        AnchorSet(points=pts, bundle=make_bundle(bundle.q[:2]), bandwidths=np.ones(3))
+        MixturePrecond(points=pts, bundle=make_bundle(bundle.q[:2]), bandwidths=np.ones(3))
     with pytest.raises(InvalidInputError):
-        AnchorSet(points=pts, bundle=bundle, bandwidths=np.array([1.0, -1.0, 1.0]))
+        MixturePrecond(points=pts, bundle=bundle, bandwidths=np.array([1.0, -1.0, 1.0]))
     with pytest.raises(InvalidInputError):
-        AnchorSet(points=pts, bundle=make_bundle(np.stack([random_spd(rng, 3) for _ in range(3)])),
-                  bandwidths=np.ones(3))
+        MixturePrecond(points=pts, bundle=make_bundle(np.stack([random_spd(rng, 3) for _ in range(3)])),
+                       bandwidths=np.ones(3))
 
 
 # ---------------------------------------------------------------- weights
@@ -185,14 +188,14 @@ def test_mixture_weights_identical_anchors_split_evenly():
     rng = np.random.default_rng(8)
     m = random_spd(rng, 2)
     z = rng.standard_normal(2)
-    anchors = AnchorSet(points=np.stack([z, z]), bundle=make_bundle(np.stack([m, m])),
-                        bandwidths=np.ones(2))
+    anchors = MixturePrecond(points=np.stack([z, z]), bundle=make_bundle(np.stack([m, m])),
+                             bandwidths=np.ones(2))
     assert np.allclose(mixture_weights(rng.standard_normal(2), anchors), [0.5, 0.5], atol=1e-15)
 
 
 def test_mixture_weights_equidistant_anchors_split_evenly():
-    anchors = AnchorSet(points=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                        bundle=make_bundle(np.stack([np.eye(2), np.eye(2)])), bandwidths=np.ones(2))
+    anchors = MixturePrecond(points=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                             bundle=make_bundle(np.stack([np.eye(2), np.eye(2)])), bandwidths=np.ones(2))
     assert np.allclose(mixture_weights(np.zeros(2), anchors), [0.5, 0.5], atol=1e-15)
 
 
@@ -208,12 +211,11 @@ def test_mixture_weights_form_a_simplex_even_far_from_anchors():
 
 def test_mixture_weight_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
-    anchors = random_anchor_set(rng, 3, 2)
-    kernel = MixturePrecond(anchors)
+    kernel = random_anchor_set(rng, 3, 2)
     pts = rng.standard_normal((50, 2))
     analytic = kernel.weight_gradients(pts)
     for i, x in enumerate(pts):
-        fd = fd_jacobian(lambda v: mixture_weights(v, anchors), x)
+        fd = fd_jacobian(lambda v: mixture_weights(v, kernel), x)
         assert_fd_close(analytic[i], fd, rel=1e-5, abs_=1e-8, label="weight gradients")
 
 
@@ -280,9 +282,8 @@ def test_single_anchor_mixture_equals_const_precond():
     rng = np.random.default_rng(13)
     m = random_spd(rng, 2)
     b = make_bundle(m)
-    anchors = AnchorSet(points=rng.standard_normal((1, 2)), bundle=make_bundle(m[None]),
-                        bandwidths=np.array([0.8]))
-    mix = MixturePrecond(anchors)
+    mix = MixturePrecond(points=rng.standard_normal((1, 2)), bundle=make_bundle(m[None]),
+                         bandwidths=np.array([0.8]))
     const = ConstPrecond(b, bandwidth=0.8)
     pts = rng.standard_normal((6, 2))
     grads = rng.standard_normal((6, 2))
@@ -295,9 +296,8 @@ def test_multi_anchor_mixture_differs_from_const_even_with_shared_metric():
     rng = np.random.default_rng(14)
     m = random_spd(rng, 2)
     b = make_bundle(m)
-    anchors = AnchorSet(points=rng.standard_normal((3, 2)), bundle=make_bundle(np.stack([m, m, m])),
-                        bandwidths=np.full(3, 0.9))
-    mix = MixturePrecond(anchors)
+    mix = MixturePrecond(points=rng.standard_normal((3, 2)), bundle=make_bundle(np.stack([m, m, m])),
+                         bandwidths=np.full(3, 0.9))
     const = ConstPrecond(b, bandwidth=0.9)
     pts = rng.standard_normal((6, 2))
     grads = rng.standard_normal((6, 2))
@@ -311,11 +311,12 @@ def _fisher_logistic_anchors(rng, n):
     labels = (rng.random(300) < 1.0 / (1.0 + np.exp(-feats @ np.linspace(-1.0, 1.0, 20)))).astype(float)
     model = LogisticPosterior(LogisticDataset(features=feats, labels=labels))
     pts = rng.standard_normal((n, 20))
-    return refresh_anchors(pts, model, source="fisher"), pts, model.grad_log_density_batch(pts)
+    anchors = refresh_anchors(pts, model, PrecondPolicy(source="fisher"))
+    return anchors, pts, model.grad_log_density_batch(pts)
 
 
 def _active_counts(anchors, pts):
-    w = MixturePrecond(anchors)._weights_and_gradients(pts)[0]
+    w = anchors._weights_and_gradients(pts)[0]
     return np.count_nonzero(~(w <= kernels.WEIGHT_FLOOR), axis=0)
 
 
@@ -326,7 +327,7 @@ def test_mixture_direction_matches_the_per_anchor_loop(monkeypatch, per_chunk):
 
     def check(anchors, pts, grads):
         oracle = per_anchor_mixture_direction(anchors, pts, grads)
-        phi = MixturePrecond(anchors).direction(pts, grads)
+        phi = anchors.direction(pts, grads)
         assert np.max(np.abs(phi - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     # one anchor per particle, as the sampler builds them: 200 anchors span
@@ -334,9 +335,9 @@ def test_mixture_direction_matches_the_per_anchor_loop(monkeypatch, per_chunk):
     model = StarMixture()
     rng = np.random.default_rng(16)
     pts = rng.uniform(-3.0, 3.0, size=(200, 2))
-    anchors = refresh_anchors(pts, model, floor_ratio=0.05)
+    anchors = refresh_anchors(pts, model, PrecondPolicy(floor_ratio=0.05))
     counts = _active_counts(anchors, pts)
-    assert len(kernels._chunks(anchors.size, 200)) > 1
+    assert len(kernels._chunks(len(anchors.points), 200)) > 1
     chunks = kernels._active_chunks(counts)
     assert len(chunks) > 1
     assert any(len(np.unique(counts[chunk])) > 1 for chunk, _ in chunks)
@@ -353,15 +354,15 @@ def test_mixture_direction_matches_the_per_anchor_loop(monkeypatch, per_chunk):
     anchors = random_anchor_set(rng, 8, 3)
     far = anchors.points.copy()
     far[5] = 50.0
-    anchors = AnchorSet(points=far, bundle=anchors.bundle, bandwidths=anchors.bandwidths)
+    anchors = MixturePrecond(points=far, bundle=anchors.bundle, bandwidths=anchors.bandwidths)
     pts, grads = rng.standard_normal((12, 3)), rng.standard_normal((12, 3))
     counts = _active_counts(anchors, pts)
     assert counts[5] == 0 and np.all(np.delete(counts, 5) > 0)
     check(anchors, pts, grads)
     # identical anchors: every weight is 1/m and every pair is active
     m = random_spd(rng, 3)
-    anchors = AnchorSet(points=np.tile(rng.standard_normal(3), (6, 1)),
-                        bundle=make_bundle(np.stack([m] * 6)), bandwidths=np.full(6, 0.8))
+    anchors = MixturePrecond(points=np.tile(rng.standard_normal(3), (6, 1)),
+                             bundle=make_bundle(np.stack([m] * 6)), bandwidths=np.full(6, 0.8))
     assert np.all(_active_counts(anchors, pts) == 12)
     check(anchors, pts, grads)
 
@@ -374,7 +375,7 @@ def test_mixture_direction_stays_non_finite_for_a_non_finite_weight():
     pts = rng.standard_normal((5, 2))
     pts[3] = [1e200, -1e200]
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = MixturePrecond(anchors).direction(pts, rng.standard_normal((5, 2)))
+        phi = anchors.direction(pts, rng.standard_normal((5, 2)))
     assert not np.all(np.isfinite(phi))
 
 

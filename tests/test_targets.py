@@ -55,6 +55,8 @@ def test_gaussian_requires_exactly_one_parameterization():
         Gaussian(mean=[0.0, 0.0], cov=np.eye(2), precision=np.eye(2))
     with pytest.raises(InvalidInputError):
         Gaussian(mean=[0.0, 0.0, 0.0], cov=np.eye(2))
+    with pytest.raises(InvalidInputError, match="^mean"):
+        Gaussian(mean=[0.0, np.nan], cov=np.eye(2))
 
 
 def test_gaussian_sampler_moments_and_determinism():
@@ -238,6 +240,10 @@ def test_logistic_dataset_validation():
         LogisticDataset(features=np.zeros((3, 2)), labels=np.array([0.0, 1.0, 2.0]))
     with pytest.raises(InvalidInputError):
         LogisticDataset(features=np.full((2, 2), np.nan), labels=np.array([0.0, 1.0]))
+    with pytest.raises(InvalidInputError, match="shape"):
+        LogisticDataset(features=np.zeros(2), labels=np.array([0.0, 1.0]))
+    with pytest.raises(InvalidInputError, match="one per data row"):
+        LogisticDataset(features=np.zeros((3, 2)), labels=np.array([0.0, 1.0]))
     for bad in (3, -1, 1.5, "1"):
         with pytest.raises(InvalidInputError, match="minibatch_size"):
             LogisticDataset(features=np.zeros((2, 2)), labels=np.array([0.0, 1.0]),
@@ -256,6 +262,14 @@ def test_logistic_dataset_file_round_trip(tmp_path):
     assert np.allclose(loaded.features, data.features)
     assert np.array_equal(loaded.labels, data.labels)
     assert loaded.minibatch_size == 4
+    unparsable = tmp_path / "words.csv"
+    unparsable.write_text("a,b,c\n")
+    with pytest.raises(InvalidInputError, match="could not parse"):
+        LogisticDataset.from_file(unparsable)
+    one_column = tmp_path / "labels.csv"
+    one_column.write_text("0\n1\n")
+    with pytest.raises(InvalidInputError, match="label column"):
+        LogisticDataset.from_file(one_column)
 
 
 def test_logistic_gradient_at_zero_matches_closed_form():
@@ -367,6 +381,8 @@ def test_grid_moments_validation():
     g3 = Gaussian(mean=np.zeros(3), cov=np.eye(3))
     with pytest.raises(InvalidInputError):
         grid_moments(g3, bounds=(-3.0, 3.0), resolution=64)
+    with pytest.raises(InvalidInputError, match="lo < hi"):
+        grid_moments(g, bounds=(3.0, -3.0), resolution=64)
 
 
 def test_map_estimate_finds_gaussian_mean_in_one_newton_step():
