@@ -32,7 +32,10 @@ anchor's kernel only over the particles whose weight is above
 
 Bandwidths are plain (unsquared) denominators: k = exp(-dist^2 / (2h)).
 ``median_bandwidth`` picks them by the median trick; given a stacked bundle
-(one metric per mixture anchor) it returns one bandwidth per metric.
+(one metric per mixture anchor) it returns one bandwidth per metric.  The
+one exception to ``_metric_sq_dists`` is a stack with d <= 3: its metrics
+share one table of pair-difference products (``_pair_table_medians``), which
+costs no more per pair there and needs no (n, n) matrix.
 """
 
 from __future__ import annotations
@@ -112,23 +115,59 @@ def median_bandwidth(points, metric: PreconditionerBundle | None = None):
 
     Distances are Mahalanobis under ``metric``, the identity (Euclidean) by
     default.  A stacked bundle (metric q of shape (m, d, d)) gives one
-    bandwidth per metric, shape (m,); its distances are formed a chunk of
-    metrics at a time.  Needs at least two points; if all points coincide
-    the median is zero and the fallback bandwidth 1.0 is returned.
+    bandwidth per metric, shape (m,).  Needs at least two points; if all
+    points coincide the median is zero and the fallback bandwidth 1.0 is
+    returned.
+
+    A stack with d <= 3 shares one table of pair-difference products across
+    its metrics (``_pair_table_medians``): there d(d+1)/2 <= 2d, so a pair
+    costs no more multiply-adds than in the expanded form, and no (n, n)
+    matrix or triangle gather is needed.  A single metric, which has no
+    metrics to share the table with (and whose route MMD's pooled bandwidth
+    must match bit for bit), and a stack with d > 3 take the expanded form of
+    ``_metric_sq_dists``, a chunk of metrics at a time.
     """
     points = _check_points(points)
-    n = points.shape[0]
+    n, d = points.shape
     if n < 2:
         raise InvalidInputError("median bandwidth needs at least two points")
-    q = (metric or identity_bundle(points.shape[1])).q
-    stack = q.reshape(-1, *q.shape[-2:])
-    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
-    medians = np.empty(stack.shape[0])
-    for chunk in _chunks(stack.shape[0], n):
-        d2 = _metric_sq_dists(points, stack[chunk])
-        medians[chunk] = _row_medians(np.take(d2.reshape(len(d2), -1), upper, axis=1))
+    q = (metric or identity_bundle(d)).q
+    stack = q.reshape(-1, d, d)
+    if q.ndim > 2 and d <= 3:
+        medians = _pair_table_medians(points, stack)
+    else:
+        upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
+        medians = np.empty(stack.shape[0])
+        for chunk in _chunks(stack.shape[0], n):
+            d2 = _metric_sq_dists(points, stack[chunk])
+            medians[chunk] = _row_medians(np.take(d2.reshape(len(d2), -1), upper, axis=1))
     h = _median_trick(medians.reshape(q.shape[:-2]), n)
     return float(h) if h.ndim == 0 else h
+
+
+def _pair_table_medians(points, q) -> np.ndarray:
+    """Median squared pair distance of ``points`` under each metric of the
+    (m, d, d) stack ``q``, shape (m,).
+
+    With u = x_i - x_j over the pairs i < j, u'Q u = sum_{a <= b} c_ab t_ab
+    where t_ab = u_a u_b (doubled for a < b) and c_ab = Q_ab.  The
+    (d(d+1)/2, n(n-1)/2) table t is built once; each metric's distances are
+    one row of ``coef @ t``, formed a chunk of metrics of about
+    ``CHUNK_BYTES`` at a time.
+    """
+    n, d = points.shape
+    i, j = np.triu_indices(n, k=1)
+    u = (points[i] - points[j]).T  # (d, pairs)
+    a, b = np.triu_indices(d)
+    table = u[a] * u[b]
+    table[a != b] *= 2.0
+    coef = q[:, a, b]
+    medians = np.empty(len(q))
+    step = max(1, CHUNK_BYTES // (8 * len(i)))
+    for lo in range(0, len(q), step):
+        d2 = coef[lo:lo + step] @ table
+        medians[lo:lo + step] = _row_medians(np.maximum(d2, 0.0, out=d2))
+    return medians
 
 
 def _median_trick(medians, n: int) -> np.ndarray:

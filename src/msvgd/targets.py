@@ -449,8 +449,18 @@ class LogisticDataset:
         return self.features.shape[1]
 
     @classmethod
-    def from_file(cls, data_path, delimiter: str = ",", minibatch_size: int = 0) -> "LogisticDataset":
-        """Load headerless delimited text: d feature columns then a label column."""
+    def from_file(cls, data_path, delimiter: str | bytes | None = ",",
+                  minibatch_size: int = 0) -> "LogisticDataset":
+        """Load headerless delimited text: d feature columns then a label column.
+
+        ``delimiter`` is what ``np.loadtxt`` takes: one character (str, or
+        latin-1 bytes) other than a newline or the comment mark '#', or None
+        for runs of whitespace.
+        """
+        text = delimiter.decode("latin1") if isinstance(delimiter, bytes) else delimiter
+        if text is not None and (not isinstance(text, str) or len(text) != 1 or text in "\r\n#"):
+            raise InvalidInputError("delimiter: must be one character other than a newline "
+                                    f"or '#', or null for whitespace, got {delimiter!r}")
         try:
             raw = np.loadtxt(data_path, delimiter=delimiter, ndmin=2)
         except ValueError as exc:

@@ -457,7 +457,7 @@ def test_cli_exit_codes_by_error_category(tmp_path, capsys):
                            ({"kind": "star_mixture", "components": 2.7}, "target.components: "),
                            ({"kind": "sine", "alpha": "fast"}, "target.alpha: "),
                            ({"kind": "logistic_posterior", "data_path": data_path, "delimiter": 5},
-                            "target"),
+                            "target.delimiter: "),
                            ({"kind": "logistic_posterior", "data_path": data_path,
                              "minibatch_size": "x"}, "target.minibatch_size: "),
                            ({"kind": "logistic_posterior", "data_path": data_path,

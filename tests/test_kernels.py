@@ -68,16 +68,22 @@ def test_row_medians_equal_numpy_median():
 
 
 @pytest.mark.parametrize("per_chunk", [None, 3])
-@pytest.mark.parametrize("n, d", [(200, 2), (100, 20)])
+@pytest.mark.parametrize("n, d", [(200, 2), (150, 3), (120, 4), (100, 20)])
 def test_stacked_median_bandwidth_matches_per_metric_calls(monkeypatch, per_chunk, n, d):
-    if per_chunk is not None:  # 40 metrics in chunks of 3, the last one partial
+    if per_chunk is not None:  # 40 metrics in chunks of 3 (or 6 pair rows), the last one partial
         monkeypatch.setattr(kernels, "CHUNK_BYTES", per_chunk * 8 * n * n)
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((n, d))
     m = 40
     assert len(kernels._chunks(m, n)) > 1
     bundle = make_bundle(np.stack([random_spd(rng, d) for _ in range(m)]))
+    # a stack with d <= 3 takes the pair table, the others the expanded form
+    routes = []
+    pair_table_medians = kernels._pair_table_medians
+    monkeypatch.setattr(kernels, "_pair_table_medians",
+                        lambda *args: routes.append("pair") or pair_table_medians(*args))
     stacked = median_bandwidth(pts, metric=bundle)
+    assert routes == (["pair"] if d <= 3 else [])
     assert stacked.shape == (m,)
     upper = np.triu_indices(n, k=1)
     for l in range(m):
@@ -85,6 +91,22 @@ def test_stacked_median_bandwidth_matches_per_metric_calls(monkeypatch, per_chun
         assert stacked[l] == pytest.approx(median_bandwidth(pts, metric=single), rel=1e-13)
         manual = np.median(pairwise_mahalanobis_sq(pts, None, single)[upper]) / np.log(n + 1.0)
         assert stacked[l] == pytest.approx(manual, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_median_bandwidth_edge_cases(d):
+    rng = np.random.default_rng(5)
+    bundle = make_bundle(np.stack([random_spd(rng, d) for _ in range(5)]))
+    # all points coincident: every median is zero, so every bandwidth falls back
+    assert np.array_equal(median_bandwidth(np.zeros((6, d)), metric=bundle), np.ones(5))
+    if d <= 3:  # the pair differences are exact zeros wherever the points sit
+        coincident = np.tile(3.0 * rng.standard_normal(d), (6, 1))
+        assert np.array_equal(median_bandwidth(coincident, metric=bundle), np.ones(5))
+    # two points: one pair, whose distance is each metric's median
+    pts = rng.standard_normal((2, d))
+    u = pts[0] - pts[1]
+    expected = np.einsum("a,lab,b->l", u, bundle.q, u) / np.log(3.0)
+    assert median_bandwidth(pts, metric=bundle) == pytest.approx(expected, rel=1e-13)
 
 
 def test_metric_sq_dists_match_the_q_sqrt_route():

@@ -270,6 +270,14 @@ def test_logistic_dataset_file_round_trip(tmp_path):
     one_column.write_text("0\n1\n")
     with pytest.raises(InvalidInputError, match="label column"):
         LogisticDataset.from_file(one_column)
+    # the delimiters np.loadtxt takes load; the others name the key
+    spaced = tmp_path / "data.txt"
+    np.savetxt(spaced, rows)
+    for delimiter, source in ((None, spaced), (b",", path), (np.str_(","), path)):
+        assert np.array_equal(LogisticDataset.from_file(source, delimiter).labels, data.labels)
+    for bad in (5, ",,", "", "\n", "#", b";;", [","]):
+        with pytest.raises(InvalidInputError, match="^delimiter: "):
+            LogisticDataset.from_file(path, bad)
 
 
 def test_logistic_gradient_at_zero_matches_closed_form():
