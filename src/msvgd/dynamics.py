@@ -155,13 +155,13 @@ def svn_metrics(positions, model: TargetModel, bandwidth: float,
     g_ji = grad_{x_i} k(x_j, x_i) = k(x_j, x_i) (x_j - x_i) / h.
     """
     positions = np.asarray(positions, dtype=float)
-    n = positions.shape[0]
+    n, d = positions.shape
     diff = positions[:, None, :] - positions[None, :, :]  # (j, i, d) as x_j - x_i
     k = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * bandwidth))
     hs = _curvature_stack(positions, model, policy.source)
-    term1 = np.einsum("ji,jab->iab", k * k, hs) / n
-    g = k[:, :, None] * diff / bandwidth
-    term2 = np.einsum("jia,jib->iab", g, g) / n
+    term1 = ((k * k).T @ hs.reshape(n, d * d)).reshape(n, d, d) / n
+    g = (k[:, :, None] * diff / bandwidth).transpose(1, 0, 2)  # (i, j, d)
+    term2 = (g.transpose(0, 2, 1) @ g) / n
     return psd_repair(_finite_or_abort(term1 + term2, "SVN metric", "particle"),
                       floor_ratio=policy.floor_ratio)
 

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InvalidInputError
-from .kernels import CHUNK_BYTES, _check_points, _median_trick, _metric_sq_dists, _row_medians
+from .kernels import CHUNK_BYTES, _check_points, _median_trick, _metric_sq_dists
 from .targets import LogisticDataset
 
 
@@ -27,23 +27,32 @@ class MmdReference:
     """Reference draws prepared for median-trick MMD scoring.
 
     ``pair_sq_dists`` holds the squared distances of the pairs i < j of
-    ``points`` in row-major order, n(n-1)/2 floats, and ``self_sq_dists``
-    each point's distance to itself (the expanded distance form can leave
-    round-off there).  All three arrays are read-only.
+    ``points`` in row-major order, n(n-1)/2 floats, which the kernel sum
+    reads; ``sorted_pair_sq_dists`` the same floats in ascending order, which
+    the pooled median merges against; and ``self_sq_dists`` each point's
+    distance to itself (the expanded distance form can leave round-off
+    there).  The triangle is thus held twice, 32 MB at n = 2000.  All four
+    arrays are read-only.
     """
 
     points: np.ndarray
     pair_sq_dists: np.ndarray
+    sorted_pair_sq_dists: np.ndarray
     self_sq_dists: np.ndarray
 
 
 def prepare_reference(ys) -> MmdReference:
     """The draws ``ys`` with their pair distances, formed a block of rows
-    (about ``CHUNK_BYTES``) at a time, so no (n, n) matrix is held."""
+    (about ``CHUNK_BYTES``) at a time, so no (n, n) matrix is held, and
+    sorted once (O(n^2 log n)) for the pooled median of every later score."""
     ys = _check_points(ys).copy()
     n = ys.shape[0]
     eye = np.eye(ys.shape[1])[None]
-    pairs, diag = np.empty(n * (n - 1) // 2), np.empty(n)
+    # both triangles in one block, which the next reference prepared reuses
+    # whole; two separate blocks fragment the heap and raise peak memory
+    block = np.empty((2, n * (n - 1) // 2))
+    pairs, ordered = block
+    diag = np.empty(n)
     rows = max(1, CHUNK_BYTES // (8 * n))
     pos = 0
     for lo in range(0, n, rows):
@@ -51,9 +60,12 @@ def prepare_reference(ys) -> MmdReference:
             diag[i] = row[i]
             pairs[pos:pos + n - 1 - i] = row[i + 1:]
             pos += n - 1 - i
-    for a in (ys, pairs, diag):
+    ordered[:] = pairs
+    ordered.sort()
+    for a in (ys, block, pairs, ordered, diag):
         a.flags.writeable = False
-    return MmdReference(points=ys, pair_sq_dists=pairs, self_sq_dists=diag)
+    return MmdReference(points=ys, pair_sq_dists=pairs, sorted_pair_sq_dists=ordered,
+                        self_sq_dists=diag)
 
 
 def _kernel_sum(d2: np.ndarray, bandwidth: float, out: np.ndarray | None = None) -> float:
@@ -73,17 +85,56 @@ def _mean_kernel(xs: np.ndarray, ys: np.ndarray, bandwidth: float) -> float:
     return total / (xs.shape[0] * ys.shape[0])
 
 
+def _rank_value(arrays, r: int):
+    """The value of 0-based rank ``r`` in the union of ascending, NaN-free
+    arrays.  Per array, a binary search finds the first value that more than
+    ``r`` values of the union do not exceed; the least such value is the
+    answer.  Each probe counts with one ``searchsorted`` per array, so the
+    union is never formed."""
+    def count_le(v):
+        return sum(int(a.searchsorted(v, side="right")) for a in arrays)
+    best = np.inf
+    for a in arrays:
+        lo, hi = 0, len(a)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if count_le(a[mid]) > r:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo < len(a):
+            best = min(best, a[lo])
+    return best
+
+
+def _union_median(arrays):
+    """Median of the union of ascending arrays, with the float operations of
+    ``kernels._row_medians``: the upper middle value for an odd count, the
+    mean of the two middle values for an even one, and NaN when any array
+    holds a NaN (NaNs sort last)."""
+    if any(len(a) and np.isnan(a[-1]) for a in arrays):
+        return np.nan
+    total = sum(len(a) for a in arrays)
+    upper = _rank_value(arrays, total // 2)
+    if total % 2:
+        return upper
+    return (_rank_value(arrays, total // 2 - 1) + upper) / 2.0
+
+
 def _score(xs: np.ndarray, ref: MmdReference, bandwidth: float) -> tuple[float, float]:
     """(MMD^2, bandwidth) of ``xs`` against a prepared reference; bandwidth 0
-    takes the median trick over the pairs of the pooled sample, which are the
-    cached reference pairs plus the fresh self and cross pairs."""
+    takes the median trick over the pairs of the pooled sample: the sorted
+    reference pairs and the fresh self and cross pairs, sorted here."""
     n, m = xs.shape[0], ref.points.shape[0]
     eye = np.eye(xs.shape[1])[None]
     own = _metric_sq_dists(xs, eye)[0]
     cross = _metric_sq_dists(xs, eye, ref.points)[0]
     if bandwidth == 0.0:
-        pooled = np.concatenate([ref.pair_sq_dists, own[np.triu_indices(n, 1)], cross.ravel()])
-        bandwidth = float(_median_trick(_row_medians(pooled), n + m))
+        # own and cross pairs are sorted apart, one n x m copy and no
+        # concatenation, and the copies are freed before the kernel sums
+        median = _union_median((ref.sorted_pair_sq_dists, np.sort(own[np.triu_indices(n, 1)]),
+                                np.sort(cross, axis=None)))
+        bandwidth = float(_median_trick(median, n + m))
     # the reference triangle is summed through one CHUNK_BYTES buffer
     pairs = ref.pair_sq_dists
     buf = np.empty(max(1, min(len(pairs), CHUNK_BYTES // 8)))
@@ -105,9 +156,12 @@ def mmd_sq(xs, ys, bandwidth: float = 0.0) -> MmdReport:
     from one.  ``bandwidth`` 0 requests the median trick over the pooled
     sample: it goes through ``prepare_reference`` (which a caller scoring
     many samples against the same draws does once, as the harness does per
-    target, seed and reference size) and holds one n_y(n_y-1)/2 float
-    triangle, 16 MB at n_y = 2000.  An explicit bandwidth needs no pair
-    distances, so an array ``ys`` is scored in row chunks of bounded memory.
+    target, seed and reference size), whose n_y(n_y-1)/2 float triangle is
+    held twice, row-major and sorted, 32 MB at n_y = 2000.  Each score then
+    sorts only its own n_x(n_x-1)/2 + n_x n_y fresh distances and merges
+    them against the sorted triangle, copying nothing of size n_y^2.  An
+    explicit bandwidth needs no pair distances, so an array ``ys`` is scored
+    in row chunks of bounded memory.
     """
     xs = _check_points(xs)
     ref = ys if isinstance(ys, MmdReference) else None

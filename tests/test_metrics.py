@@ -111,6 +111,63 @@ def test_mmd_median_route_matches_pooled_and_double_loop_oracles(d):
         assert abs(report.value - double_loop_mmd_sq(xs, ys, report.bandwidth)) <= 1e-12
 
 
+def _pair_sq(a, b=None):
+    b = a if b is None else b
+    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+
+
+def test_merged_median_bandwidth_edge_cases():
+    rng = np.random.default_rng(8)
+    grid = np.array([[i, j] for i in range(-2, 3) for j in range(-2, 3)], dtype=float)
+    far = np.array([[-10.0, 0.0], [10.0, 0.0]])
+    tight = 1e-3 * rng.standard_normal((5, 2))
+    cases = {
+        "odd pooled count": (rng.standard_normal((3, 2)), rng.standard_normal((4, 2))),
+        "even pooled count": (rng.standard_normal((3, 2)), rng.standard_normal((5, 2))),
+        "xs drawn from ys": (grid[[0, 7, 7, 12]], grid[:13]),
+        "integer grid": (grid[::3], grid[1::2]),
+        "fresh below the reference": (0.1 * rng.standard_normal((6, 2)), far),
+        "fresh above the reference": (100.0 * rng.standard_normal((6, 2)), tight),
+        "one particle": (rng.standard_normal((1, 2)), rng.standard_normal((9, 2))),
+        "one reference draw": (rng.standard_normal((7, 2)), rng.standard_normal((1, 2))),
+        "one of each": (rng.standard_normal((1, 2)), rng.standard_normal((1, 2))),
+        "two reference draws": (rng.standard_normal((4, 2)), rng.standard_normal((2, 2))),
+        "all coincident": (np.tile([[1.0, 2.0]], (3, 1)), np.tile([[1.0, 2.0]], (4, 1))),
+    }
+    parities = set()
+    for name, (xs, ys) in cases.items():
+        reference = prepare_reference(ys)
+        report = mmd_sq(xs, reference)
+        assert report.bandwidth == pooled_median_bandwidth(xs, ys), name
+        p = len(xs) + len(ys)
+        parities.add(p * (p - 1) // 2 % 2)
+    assert parities == {0, 1}
+    # the cases hold what their names say
+    fresh = lambda xs, ys: np.concatenate([_pair_sq(xs)[np.triu_indices(len(xs), 1)],
+                                           _pair_sq(xs, ys).ravel()])
+    assert fresh(*cases["fresh below the reference"]).max() < _pair_sq(far)[0, 1]
+    assert fresh(*cases["fresh above the reference"]).min() > _pair_sq(tight).max()
+    assert prepare_reference(cases["one reference draw"][1]).sorted_pair_sq_dists.size == 0
+    assert mmd_sq(*cases["all coincident"]).bandwidth == 1.0
+
+
+def test_mmd_overflowed_distance_gives_nan_bandwidth_and_value():
+    # |x|^2 overflows, so the expanded distance of the coincident pair is inf - inf
+    xs = np.array([[1e200, 0.0], [1e200, 0.0], [0.0, 1.0]])
+    ys = np.random.default_rng(9).standard_normal((5, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for report in (mmd_sq(xs, ys), mmd_sq(xs, prepare_reference(ys))):
+            assert np.isnan(report.bandwidth)
+            assert np.isnan(report.value)
+
+
+def test_prepared_reference_holds_the_sorted_pair_triangle():
+    ys = np.random.default_rng(10).integers(-3, 4, (40, 2)).astype(float)  # many ties
+    reference = prepare_reference(ys)
+    assert np.array_equal(reference.sorted_pair_sq_dists, np.sort(reference.pair_sq_dists))
+    assert not reference.sorted_pair_sq_dists.flags.writeable
+
+
 @pytest.mark.parametrize("rows", [1, 5, 37])
 def test_prepared_reference_holds_the_pair_triangle_and_is_read_only(monkeypatch, rows):
     rng = np.random.default_rng(7)
