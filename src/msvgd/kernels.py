@@ -279,7 +279,7 @@ def _check_bandwidth(h) -> float:
 
 
 class KernelStrategy:
-    """Common surface: pointwise evaluation, Stein direction, block Gram."""
+    """Common surface: pointwise evaluation and Stein direction."""
 
     kind: str = "abstract"
     dim: int = 0
@@ -289,18 +289,6 @@ class KernelStrategy:
 
     def direction(self, points: np.ndarray, grads: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def gram(self, points: np.ndarray) -> np.ndarray:
-        points = self._check_pair_inputs(points)
-        n, d = points.shape
-        out = np.empty((n * d, n * d))
-        for i in range(n):
-            for j in range(i, n):
-                block = self.eval(points[i], points[j])
-                out[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
-                if j > i:
-                    out[j * d:(j + 1) * d, i * d:(i + 1) * d] = block.T
-        return out
 
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -26,46 +26,35 @@ class MmdReport:
 class MmdReference:
     """Reference draws prepared for median-trick MMD scoring.
 
-    ``pair_sq_dists`` holds the squared distances of the pairs i < j of
-    ``points`` in row-major order, n(n-1)/2 floats, which the kernel sum
-    reads; ``sorted_pair_sq_dists`` the same floats in ascending order, which
-    the pooled median merges against; and ``self_sq_dists`` each point's
-    distance to itself (the expanded distance form can leave round-off
-    there).  The triangle is thus held twice, 32 MB at n = 2000.  All four
-    arrays are read-only.
+    ``sorted_pair_sq_dists`` holds the squared distances of the pairs i < j
+    of ``points`` in ascending order, n(n-1)/2 floats (16 MB at n = 2000):
+    the pooled median merges against it, and the kernel sum, whose value
+    does not depend on the order of its terms, reads it too.  Both arrays
+    are read-only.
     """
 
     points: np.ndarray
-    pair_sq_dists: np.ndarray
     sorted_pair_sq_dists: np.ndarray
-    self_sq_dists: np.ndarray
 
 
 def prepare_reference(ys) -> MmdReference:
     """The draws ``ys`` with their pair distances, formed a block of rows
     (about ``CHUNK_BYTES``) at a time, so no (n, n) matrix is held, and
-    sorted once (O(n^2 log n)) for the pooled median of every later score."""
+    sorted in place once (O(n^2 log n)) for the pooled median of every
+    later score."""
     ys = _check_points(ys).copy()
     n = ys.shape[0]
     eye = np.eye(ys.shape[1])[None]
-    # both triangles in one block, which the next reference prepared reuses
-    # whole; two separate blocks fragment the heap and raise peak memory
-    block = np.empty((2, n * (n - 1) // 2))
-    pairs, ordered = block
-    diag = np.empty(n)
+    pairs = np.empty(n * (n - 1) // 2)
     rows = max(1, CHUNK_BYTES // (8 * n))
     pos = 0
     for lo in range(0, n, rows):
         for i, row in enumerate(_metric_sq_dists(ys[lo:lo + rows], eye, ys)[0], start=lo):
-            diag[i] = row[i]
             pairs[pos:pos + n - 1 - i] = row[i + 1:]
             pos += n - 1 - i
-    ordered[:] = pairs
-    ordered.sort()
-    for a in (ys, block, pairs, ordered, diag):
-        a.flags.writeable = False
-    return MmdReference(points=ys, pair_sq_dists=pairs, sorted_pair_sq_dists=ordered,
-                        self_sq_dists=diag)
+    pairs.sort()
+    ys.flags.writeable = pairs.flags.writeable = False
+    return MmdReference(points=ys, sorted_pair_sq_dists=pairs)
 
 
 def _kernel_sum(d2: np.ndarray, bandwidth: float, out: np.ndarray | None = None) -> float:
@@ -135,14 +124,15 @@ def _score(xs: np.ndarray, ref: MmdReference, bandwidth: float) -> tuple[float, 
         median = _union_median((ref.sorted_pair_sq_dists, np.sort(own[np.triu_indices(n, 1)]),
                                 np.sort(cross, axis=None)))
         bandwidth = float(_median_trick(median, n + m))
-    # the reference triangle is summed through one CHUNK_BYTES buffer
-    pairs = ref.pair_sq_dists
+    # the reference triangle is summed through one CHUNK_BYTES buffer; each
+    # draw's self term is exp(0) = 1
+    pairs = ref.sorted_pair_sq_dists
     buf = np.empty(max(1, min(len(pairs), CHUNK_BYTES // 8)))
     pair_sum = 0.0
     for lo in range(0, len(pairs), len(buf)):
         part = pairs[lo:lo + len(buf)]
         pair_sum += _kernel_sum(part, bandwidth, buf[:len(part)])
-    ref_sum = _kernel_sum(ref.self_sq_dists.copy(), bandwidth) + 2.0 * pair_sum
+    ref_sum = m + 2.0 * pair_sum
     value = (_kernel_sum(own, bandwidth) / (n * n) + ref_sum / (m * m)
              - 2.0 * _kernel_sum(cross, bandwidth) / (n * m))
     return value, bandwidth
@@ -156,10 +146,10 @@ def mmd_sq(xs, ys, bandwidth: float = 0.0) -> MmdReport:
     from one.  ``bandwidth`` 0 requests the median trick over the pooled
     sample: it goes through ``prepare_reference`` (which a caller scoring
     many samples against the same draws does once, as the harness does per
-    target, seed and reference size), whose n_y(n_y-1)/2 float triangle is
-    held twice, row-major and sorted, 32 MB at n_y = 2000.  Each score then
-    sorts only its own n_x(n_x-1)/2 + n_x n_y fresh distances and merges
-    them against the sorted triangle, copying nothing of size n_y^2.  An
+    target, seed and reference size), which holds one sorted n_y(n_y-1)/2
+    float triangle, 16 MB at n_y = 2000.  Each score then sorts only its own
+    n_x(n_x-1)/2 + n_x n_y fresh distances and merges them against that
+    triangle, copying nothing of size n_y^2, and sums the kernel over it.  An
     explicit bandwidth needs no pair distances, so an array ``ys`` is scored
     in row chunks of bounded memory.
     """

@@ -3,7 +3,8 @@
 These helpers trust as little of the library as possible: the brute-force
 Stein direction only calls ``strategy.eval`` and differentiates it
 numerically, so it checks the closed-form divergence code paths against an
-independent construction.
+independent construction, and the block Gram matrix is ``strategy.eval``
+evaluated pair by pair.
 """
 
 import numpy as np
@@ -56,6 +57,21 @@ def brute_force_direction(strategy, points, grads, step=1e-6):
                 div += (plus[:, m] - minus[:, m]) / (2.0 * step)
             phi[i] += kij @ grads[j] + div
     return phi / n
+
+
+def gram(strategy, points) -> np.ndarray:
+    """Block Gram matrix [K(x_i, x_j)]_{ij}, (n d, n d), from ``strategy.eval``
+    alone; the lower blocks are the transposes of the upper ones."""
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    out = np.empty((n * d, n * d))
+    for i in range(n):
+        for j in range(i, n):
+            block = strategy.eval(points[i], points[j])
+            out[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
+            if j > i:
+                out[j * d:(j + 1) * d, i * d:(i + 1) * d] = block.T
+    return out
 
 
 def mahalanobis_sq(x, y, bundle) -> float:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import msvgd.metrics as metrics_module
 from helpers import double_loop_mmd_sq, pooled_median_bandwidth
 from msvgd.errors import InvalidInputError
 from msvgd.kernels import median_bandwidth
-from msvgd.metrics import mmd_sq, predictive_metrics, prepare_reference
+from msvgd.metrics import MmdReference, mmd_sq, predictive_metrics, prepare_reference
 from msvgd.targets import LogisticDataset, StarMixture
 
 
@@ -164,8 +166,11 @@ def test_mmd_overflowed_distance_gives_nan_bandwidth_and_value():
 def test_prepared_reference_holds_the_sorted_pair_triangle():
     ys = np.random.default_rng(10).integers(-3, 4, (40, 2)).astype(float)  # many ties
     reference = prepare_reference(ys)
-    assert np.array_equal(reference.sorted_pair_sq_dists, np.sort(reference.pair_sq_dists))
+    brute = np.sort(_pair_sq(ys)[np.triu_indices(40, 1)])
+    assert np.array_equal(reference.sorted_pair_sq_dists, brute)
+    assert np.all(np.diff(reference.sorted_pair_sq_dists) >= 0.0)
     assert not reference.sorted_pair_sq_dists.flags.writeable
+    assert [f.name for f in dataclasses.fields(MmdReference)] == ["points", "sorted_pair_sq_dists"]
 
 
 @pytest.mark.parametrize("rows", [1, 5, 37])
@@ -175,9 +180,10 @@ def test_prepared_reference_holds_the_pair_triangle_and_is_read_only(monkeypatch
     monkeypatch.setattr(metrics_module, "CHUNK_BYTES", 8 * 37 * rows)
     reference = prepare_reference(ys)
     full = np.sum((ys[:, None, :] - ys[None, :, :]) ** 2, axis=2)
-    assert np.allclose(reference.pair_sq_dists, full[np.triu_indices(37, 1)], rtol=1e-12, atol=1e-12)
-    assert np.all(np.abs(reference.self_sq_dists) <= 1e-12)
-    for a in (reference.points, reference.pair_sq_dists, reference.self_sq_dists):
+    assert np.allclose(reference.sorted_pair_sq_dists, np.sort(full[np.triu_indices(37, 1)]),
+                       rtol=1e-12, atol=1e-12)
+    assert np.all(np.diff(reference.sorted_pair_sq_dists) >= 0.0)
+    for a in (reference.points, reference.sorted_pair_sq_dists):
         assert not a.flags.writeable
     assert ys.flags.writeable
 
@@ -185,9 +191,17 @@ def test_prepared_reference_holds_the_pair_triangle_and_is_read_only(monkeypatch
 def test_mmd_value_independent_of_chunk_size(monkeypatch):
     rng = np.random.default_rng(5)
     xs, ys = rng.standard_normal((17, 2)), rng.standard_normal((23, 2))
-    base = mmd_sq(xs, ys, bandwidth=0.7).value
+    scores = {
+        "array": lambda: mmd_sq(xs, ys, bandwidth=0.7),
+        "prepared": lambda: mmd_sq(xs, prepare_reference(ys), bandwidth=0.7),
+        "median": lambda: mmd_sq(xs, prepare_reference(ys)),
+    }
+    base = {name: score().value for name, score in scores.items()}
     monkeypatch.setattr(metrics_module, "CHUNK_BYTES", 8 * 3 * 23)
-    assert abs(mmd_sq(xs, ys, bandwidth=0.7).value - base) <= 1e-12
+    # the prepared routes sum their 253-pair triangle in 4 chunks
+    assert len(range(0, 23 * 22 // 2, metrics_module.CHUNK_BYTES // 8)) == 4
+    for name, score in scores.items():
+        assert abs(score().value - base[name]) <= 1e-12, name
 
 
 def separable_dataset():
