@@ -9,7 +9,6 @@ from .targets import (
     LogisticPosterior,
     Sine,
     StarMixture,
-    grid_moments,
     make_target,
 )
 from .kernels import (
@@ -42,8 +41,8 @@ __all__ = [
     "MixturePrecond", "MmdReport", "NumericalAbort", "PrecondPolicy",
     "PreconditionerBundle", "RunConfig", "RunRecord", "RunResult",
     "ScalarRBF", "Sine", "StarMixture", "StepperState", "adagrad_step",
-    "averaged_preconditioner", "compare", "grid_moments", "make_bundle",
-    "make_target", "median_bandwidth", "mixture_weights", "mmd_sq",
-    "parse_config", "predictive_metrics", "psd_repair", "refresh_anchors",
-    "run", "run_experiment", "svn_direction", "svn_metrics",
+    "averaged_preconditioner", "compare", "make_bundle", "make_target",
+    "median_bandwidth", "mixture_weights", "mmd_sq", "parse_config",
+    "predictive_metrics", "psd_repair", "refresh_anchors", "run",
+    "run_experiment", "svn_direction", "svn_metrics",
 ]

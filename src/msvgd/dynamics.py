@@ -26,7 +26,7 @@ from .kernels import (
     median_bandwidth,
 )
 from .psdlin import DEFAULT_FLOOR_RATIO, PreconditionerBundle, make_bundle, psd_repair
-from .targets import TargetModel
+from .targets import TargetModel, _as_count
 
 CONVERGENCE_TOL = 1e-8
 
@@ -45,8 +45,7 @@ class PrecondPolicy:
     def __post_init__(self):
         if self.source not in ("exact_hessian", "fisher"):
             raise ConfigError(f"source: must be one of ['exact_hessian', 'fisher'], got {self.source!r}")
-        if int(self.refresh_period) < 1:
-            raise ConfigError(f"refresh_period: must be >= 1, got {self.refresh_period}")
+        _as_count(self.refresh_period, "refresh_period", 1, ConfigError)
         if not 0.0 < self.floor_ratio < 1.0:
             raise ConfigError(f"floor_ratio: must lie in (0, 1), got {self.floor_ratio}")
 
@@ -210,14 +209,13 @@ class RunResult:
 def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
         checkpoints=(), stepper: StepperState | None = None,
         policy: PrecondPolicy | None = None, seed: int = 0,
-        init_mean=0.0, init_scale: float = 1.0,
-        convergence_tol: float = CONVERGENCE_TOL) -> RunResult:
+        init_mean=0.0, init_scale: float = 1.0) -> RunResult:
     """Evolve a particle set and snapshot it at the requested iterations.
 
     Particles start from init_mean + init_scale * N(0, I) draws.  A snapshot
     at checkpoint c is the particle set after exactly c updates (c = 0 is the
     initial draw).  If the maximum per-particle direction norm drops below
-    ``convergence_tol`` the run stops early and later checkpoints repeat the
+    ``CONVERGENCE_TOL`` the run stops early and later checkpoints repeat the
     converged set; ``converged_at`` records the stopping iteration.
 
     All configuration problems are raised before iteration 0; non-finite
@@ -225,15 +223,11 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method '{method}' (expected one of {METHODS})")
-    n_particles = int(n_particles)
-    if n_particles < 1:
-        raise ConfigError(f"n_particles must be >= 1, got {n_particles}")
-    iterations = int(iterations)
-    if iterations < 0:
-        raise ConfigError(f"iterations must be >= 0, got {iterations}")
-    checkpoints = sorted({int(c) for c in checkpoints})
-    if checkpoints and (checkpoints[0] < 0 or checkpoints[-1] > iterations):
-        raise ConfigError(f"checkpoints must lie within [0, {iterations}], got {checkpoints}")
+    n_particles = _as_count(n_particles, "n_particles", 1, ConfigError)
+    iterations = _as_count(iterations, "iterations", 0, ConfigError)
+    checkpoints = sorted({_as_count(c, "checkpoints", 0, ConfigError) for c in checkpoints})
+    if checkpoints and checkpoints[-1] > iterations:
+        raise ConfigError(f"checkpoints: must lie within [0, {iterations}], got {checkpoints}")
     stepper = StepperState() if stepper is None else stepper
     policy = PrecondPolicy() if policy is None else policy
     if method != "vanilla_svgd" and policy.source not in model.supported_curvature:
@@ -241,7 +235,10 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
             f"method '{method}' needs curvature source '{policy.source}', "
             f"but target '{model.kind}' supports {model.supported_curvature}")
 
-    init_mean = np.broadcast_to(np.asarray(init_mean, dtype=float), (model.dim,))
+    init_mean = np.asarray(init_mean, dtype=float)
+    if init_mean.ndim > 1 or init_mean.size not in (1, model.dim):
+        raise ConfigError(f"init_mean: must be one number or {model.dim} numbers (the target "
+                          f"dimension), got length {init_mean.size}")
     init_rng = np.random.default_rng([seed, 0])
     batch_rng = np.random.default_rng([seed, 1])
     positions = init_mean + init_scale * init_rng.standard_normal((n_particles, model.dim))
@@ -268,7 +265,7 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
             if bad is not None:
                 raise NumericalAbort("score has non-finite entries", phase="score", particle=bad)
             directions = direction(positions, grads)
-            if float(np.max(np.linalg.norm(directions, axis=1))) < convergence_tol:
+            if float(np.max(np.linalg.norm(directions, axis=1))) < CONVERGENCE_TOL:
                 converged_at = it
                 step_seconds.append(time.perf_counter() - t0)
                 break

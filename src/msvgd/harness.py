@@ -314,14 +314,6 @@ def write_particles(path, iteration: int, positions: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_particles(path) -> tuple[int, np.ndarray]:
-    """Read back one particle CSV; returns (iteration, positions)."""
-    lines = Path(path).read_text().strip().split("\n")
-    rows = [line.split(",") for line in lines[1:]]
-    iteration = int(rows[0][0])
-    return iteration, np.array([[float(v) for v in row[2:]] for row in rows])
-
-
 def persist_record(record: RunRecord, out_dir) -> dict:
     """Write particle CSVs, metrics.json and the timing sidecar; returns paths."""
     out = Path(out_dir)

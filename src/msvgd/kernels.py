@@ -414,11 +414,6 @@ class MixturePrecond(KernelStrategy):
         t *= w.T[:, :, None]
         return w, t
 
-    def weight_gradients(self, points) -> np.ndarray:
-        """grad of w_l at each point, shape (n, m, d)."""
-        points = self._check_pair_inputs(points)
-        return self._weights_and_gradients(points)[1].transpose(1, 0, 2)
-
     def eval(self, x, y):
         x, y = self._check_point(x), self._check_point(y)
         wx = mixture_weights(x, self)

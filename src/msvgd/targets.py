@@ -1,9 +1,6 @@
 """Target distributions: log densities, scores, curvature, reference samplers.
 
-Every model exposes the same surface.  The batch methods over points X of
-shape (n, d) are mandatory for every target; ``log_density(x)``,
-``grad_log_density(x)`` and ``curvature(x, mode)`` are single-point views on
-top of them.
+Every model exposes the same batch surface over points X of shape (n, d):
 
 - ``log_density_batch(X)``: possibly-unnormalized log p.
 - ``grad_log_density_batch(X)``: the score.
@@ -16,8 +13,9 @@ top of them.
   exact ancestral sampling for Gaussian / mixture targets, a deterministic
   inverse-CDF grid sampler on [-3, 3]^2 for the two irregular 2-D targets.
 
-``make_target`` builds a target from its kind name and config parameters;
-it is where a bad parameter becomes a ``ConfigError``.
+``curvature(x, mode)`` is ``curvature_batch`` at one point.  ``make_target``
+builds a target from its kind name and config parameters; it is where a bad
+parameter becomes a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -36,13 +34,13 @@ GRID_RESOLUTION = 512
 _GRID_CHUNK = 16384
 
 
-def _as_count(value, name: str, minimum: int) -> int:
+def _as_count(value, name: str, minimum: int, error=InvalidInputError) -> int:
     """``value`` as an int >= ``minimum``; a non-integral number is rejected,
     not truncated."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
-        raise InvalidInputError(f"{name}: must be an integer, got {value!r}")
+        raise error(f"{name}: must be an integer, got {value!r}")
     if value < minimum:
-        raise InvalidInputError(f"{name}: must be >= {minimum}, got {value}")
+        raise error(f"{name}: must be >= {minimum}, got {value}")
     return int(value)
 
 
@@ -62,7 +60,8 @@ def _as_floats(value, name: str) -> np.ndarray:
 
 
 class TargetModel:
-    """Base class wiring batch implementations to single-point views."""
+    """Base class: the batch surface, its input checks and the curvature
+    mode check shared by every target."""
 
     kind: str = "abstract"
     dim: int = 0
@@ -79,14 +78,6 @@ class TargetModel:
         raise NotImplementedError
 
     # --- shared plumbing ---------------------------------------------------------
-    def _check_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.dim:
-            raise InvalidInputError(f"expected a point of dimension {self.dim}, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError("point has non-finite coordinates")
-        return x
-
     def _check_points(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
@@ -95,22 +86,14 @@ class TargetModel:
             raise InvalidInputError("points have non-finite coordinates")
         return points
 
-    def log_density(self, x) -> float:
-        x = self._check_point(x)
-        return float(self.log_density_batch(x[None, :])[0])
-
-    def grad_log_density(self, x) -> np.ndarray:
-        x = self._check_point(x)
-        return self.grad_log_density_batch(x[None, :])[0]
-
     def curvature_batch(self, points, mode: str = "exact_hessian") -> np.ndarray:
         if mode not in self.supported_curvature:
             raise ConfigError(f"curvature mode '{mode}' is not supported by target '{self.kind}'")
         return self._curvature_batch(self._check_points(points), mode)
 
     def curvature(self, x, mode: str = "exact_hessian") -> np.ndarray:
-        x = self._check_point(x)
-        return self.curvature_batch(x[None, :], mode)[0]
+        """``curvature_batch`` at the one point ``x``, shape (d, d)."""
+        return self.curvature_batch(np.asarray(x, dtype=float)[None], mode)[0]
 
     def reference_sample(self, n: int, seed: int) -> np.ndarray:
         raise ConfigError(f"target '{self.kind}' has no reference sampler")
@@ -246,59 +229,35 @@ def _symmetric_2x2(a, b, c) -> np.ndarray:
     return np.stack([np.column_stack([a, b]), np.column_stack([b, c])], axis=1)
 
 
-class _Grid2D:
-    """Midpoint grid over a 2-D box with a cached inverse-CDF table."""
-
-    def __init__(self, model, bounds, resolution):
-        (x_lo, x_hi), (y_lo, y_hi) = bounds
-        res = int(resolution)
-        ex = np.linspace(x_lo, x_hi, res + 1)
-        ey = np.linspace(y_lo, y_hi, res + 1)
-        cx = 0.5 * (ex[:-1] + ex[1:])
-        cy = 0.5 * (ey[:-1] + ey[1:])
-        gx, gy = np.meshgrid(cx, cy, indexing="ij")
-        self.centers = np.column_stack([gx.ravel(), gy.ravel()])
-        self.cell = np.array([ex[1] - ex[0], ey[1] - ey[0]])
-        logp = np.empty(self.centers.shape[0])
-        for start in range(0, self.centers.shape[0], _GRID_CHUNK):
-            block = self.centers[start:start + _GRID_CHUNK]
-            logp[start:start + _GRID_CHUNK] = model.log_density_batch(block)
-        self.weights = np.exp(logp - logp.max())
-        self.total = float(self.weights.sum())
-        cdf = np.cumsum(self.weights) / self.total
-        cdf[-1] = 1.0
-        self.cdf = cdf
-
-    def sample(self, n, seed):
-        rng = np.random.default_rng(seed)
-        u = (np.arange(n) + rng.random(n)) / n  # stratified uniforms
-        idx = np.minimum(np.searchsorted(self.cdf, u, side="left"), len(self.cdf) - 1)
-        jitter = rng.random((n, 2)) - 0.5
-        return self.centers[idx] + jitter * self.cell
-
-    def moments(self):
-        w = self.weights / self.total
-        mean = w @ self.centers
-        dc = self.centers - mean
-        cov = (dc * w[:, None]).T @ dc
-        return mean, 0.5 * (cov + cov.T)
-
-
 class _GridSampledTarget(TargetModel):
-    """Shared grid-sampler plumbing for the irregular 2-D targets."""
+    """Inverse-CDF sampling for the irregular 2-D targets: the midpoint grid
+    of GRID_RESOLUTION^2 cells on [-GRID_BOUND, GRID_BOUND]^2, with its CDF
+    tabulated from the log density on first use."""
 
     def __init__(self):
-        self._grid_cache = None
-
-    def _grid(self):
-        if self._grid_cache is None:
-            bounds = ((-GRID_BOUND, GRID_BOUND), (-GRID_BOUND, GRID_BOUND))
-            self._grid_cache = _Grid2D(self, bounds, GRID_RESOLUTION)
-        return self._grid_cache
+        self._grid = None
 
     def reference_sample(self, n, seed):
         n = _as_count(n, "sample size", 1)
-        return self._grid().sample(n, seed)
+        if self._grid is None:
+            edges = np.linspace(-GRID_BOUND, GRID_BOUND, GRID_RESOLUTION + 1)
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            gx, gy = np.meshgrid(mids, mids, indexing="ij")
+            centers = np.column_stack([gx.ravel(), gy.ravel()])
+            logp = np.empty(centers.shape[0])
+            for start in range(0, centers.shape[0], _GRID_CHUNK):
+                block = centers[start:start + _GRID_CHUNK]
+                logp[start:start + _GRID_CHUNK] = self.log_density_batch(block)
+            weights = np.exp(logp - logp.max())
+            cdf = np.cumsum(weights) / weights.sum()
+            cdf[-1] = 1.0
+            self._grid = (centers, cdf)
+        centers, cdf = self._grid
+        rng = np.random.default_rng(seed)
+        u = (np.arange(n) + rng.random(n)) / n  # stratified uniforms
+        idx = np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
+        jitter = rng.random((n, 2)) - 0.5
+        return centers[idx] + jitter * (2.0 * GRID_BOUND / GRID_RESOLUTION)
 
 
 class Sine(_GridSampledTarget):
@@ -527,27 +486,6 @@ class LogisticPosterior(TargetModel):
         # one (N, d) weighted copy of the features at a time: vectorising over
         # particles would hold an (n, N, d) array and raise the peak memory
         return np.stack([scale * (feats.T * wi) @ feats + eye for wi in w])
-
-
-def grid_moments(model: TargetModel, bounds, resolution: int):
-    """Mean and covariance of a 2-D target by midpoint quadrature on a box.
-
-    ``bounds`` is either a single (lo, hi) pair applied to both axes or a pair
-    of per-axis (lo, hi) pairs.  Normalization happens implicitly, so the
-    model may be unnormalized.
-    """
-    if model.dim != 2:
-        raise InvalidInputError("grid moments require a 2-D target")
-    resolution = int(resolution)
-    if resolution < 16:
-        raise InvalidInputError(f"resolution must be >= 16, got {resolution}")
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.shape == (2,):
-        bounds = np.stack([bounds, bounds])
-    if bounds.shape != (2, 2) or np.any(bounds[:, 0] >= bounds[:, 1]):
-        raise InvalidInputError("bounds must be (lo, hi) or ((lo0, hi0), (lo1, hi1)) with lo < hi")
-    grid = _Grid2D(model, ((bounds[0, 0], bounds[0, 1]), (bounds[1, 0], bounds[1, 1])), resolution)
-    return grid.moments()
 
 
 _TARGET_KINDS = {

@@ -4,10 +4,75 @@ These helpers trust as little of the library as possible: the brute-force
 Stein direction only calls ``strategy.eval`` and differentiates it
 numerically, so it checks the closed-form divergence code paths against an
 independent construction, and the block Gram matrix is ``strategy.eval``
-evaluated pair by pair.
+evaluated pair by pair.  The sampler only ever reads whole particle sets, so
+the single-point target views, the grid quadrature, the mixture weight
+gradients and the particle CSV reader live here, read from the library's
+batch surfaces.
 """
 
+from pathlib import Path
+
 import numpy as np
+
+GRID_CHUNK = 16384  # grid cells per log_density_batch call in grid_moments
+
+
+def log_density(model, x) -> float:
+    """log p at the one point ``x``, from ``log_density_batch``."""
+    return float(model.log_density_batch(np.asarray(x, dtype=float)[None])[0])
+
+
+def grad_log_density(model, x) -> np.ndarray:
+    """The score at the one point ``x``, from ``grad_log_density_batch``."""
+    return model.grad_log_density_batch(np.asarray(x, dtype=float)[None])[0]
+
+
+def grid_moments(model, bounds, resolution: int):
+    """Mean and covariance of a 2-D target by midpoint quadrature on a box.
+
+    ``bounds`` is either a single (lo, hi) pair applied to both axes or a pair
+    of per-axis (lo, hi) pairs.  Normalization happens implicitly, so the
+    model may be unnormalized.
+    """
+    from msvgd.errors import InvalidInputError
+
+    if model.dim != 2:
+        raise InvalidInputError("grid moments require a 2-D target")
+    resolution = int(resolution)
+    if resolution < 16:
+        raise InvalidInputError(f"resolution must be >= 16, got {resolution}")
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.shape == (2,):
+        bounds = np.stack([bounds, bounds])
+    if bounds.shape != (2, 2) or np.any(bounds[:, 0] >= bounds[:, 1]):
+        raise InvalidInputError("bounds must be (lo, hi) or ((lo0, hi0), (lo1, hi1)) with lo < hi")
+    mids = []
+    for lo, hi in bounds:
+        edges = np.linspace(lo, hi, resolution + 1)
+        mids.append(0.5 * (edges[:-1] + edges[1:]))
+    gx, gy = np.meshgrid(*mids, indexing="ij")
+    centers = np.column_stack([gx.ravel(), gy.ravel()])
+    logp = np.concatenate([model.log_density_batch(centers[start:start + GRID_CHUNK])
+                           for start in range(0, len(centers), GRID_CHUNK)])
+    w = np.exp(logp - logp.max())
+    w /= w.sum()
+    mean = w @ centers
+    dc = centers - mean
+    cov = (dc * w[:, None]).T @ dc
+    return mean, 0.5 * (cov + cov.T)
+
+
+def weight_gradients(kernel, points) -> np.ndarray:
+    """grad w_l at each point, shape (n, m, d): the weight gradients that
+    ``MixturePrecond.direction`` forms, with the points axis first."""
+    return kernel._weights_and_gradients(np.asarray(points, dtype=float))[1].transpose(1, 0, 2)
+
+
+def load_particles(path) -> tuple[int, np.ndarray]:
+    """Read back one particle CSV; returns (iteration, positions)."""
+    lines = Path(path).read_text().strip().split("\n")
+    rows = [line.split(",") for line in lines[1:]]
+    return int(rows[0][0]), np.array([[float(v) for v in row[2:]] for row in rows])
 
 
 def fd_gradient(f, x, step=1e-5):
@@ -199,7 +264,7 @@ def map_estimate(model, x0, iterations: int = 100, tol: float = 1e-12) -> np.nda
     x = np.asarray(x0, dtype=float).copy()
     mode = model.supported_curvature[0]
     for _ in range(iterations):
-        step = np.linalg.solve(model.curvature(x, mode), model.grad_log_density(x))
+        step = np.linalg.solve(model.curvature(x, mode), grad_log_density(model, x))
         x = x + step
         if float(np.linalg.norm(step)) < tol:
             break

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import change_of_variables_directions, fd_jacobian, random_spd
+from helpers import change_of_variables_directions, fd_jacobian, grad_log_density, random_spd
 from msvgd.dynamics import (
     METHODS,
     PrecondPolicy,
@@ -81,6 +81,10 @@ def test_stepper_and_policy_validation():
         PrecondPolicy(source="kfac")
     with pytest.raises(ConfigError):
         PrecondPolicy(refresh_period=0)
+    # a non-integral period is rejected, not truncated
+    for refresh_period in (2.5, True, "2"):
+        with pytest.raises(ConfigError, match="^refresh_period: must be an integer"):
+            PrecondPolicy(refresh_period=refresh_period)
     for floor_ratio in (0.0, 1.5):
         with pytest.raises(ConfigError, match="^floor_ratio"):
             PrecondPolicy(floor_ratio=floor_ratio)
@@ -101,7 +105,7 @@ def test_averaged_preconditioner_matches_finite_difference_hessians():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1.5, 1.5, size=(10, 2))
     bundle = averaged_preconditioner(pts, model)
-    fd_mean = -np.mean([fd_jacobian(model.grad_log_density, x) for x in pts], axis=0)
+    fd_mean = -np.mean([fd_jacobian(lambda v: grad_log_density(model, v), x) for x in pts], axis=0)
     repaired = psd_repair(0.5 * (fd_mean + fd_mean.T))
     assert np.allclose(bundle.q, repaired, rtol=1e-4, atol=1e-4)
 
@@ -224,6 +228,14 @@ def test_run_validates_configuration_before_iterating():
         # gaussian curvature cannot come from a fisher matrix
         run(model, "matrix_svgd_average", n_particles=4, iterations=1,
             policy=PrecondPolicy(source="fisher"))
+    # non-integral counts are rejected, not truncated
+    for kwargs, name in ((dict(n_particles=3.9, iterations=5), "n_particles"),
+                         (dict(n_particles=4, iterations=2.5), "iterations"),
+                         (dict(n_particles=4, iterations=5, checkpoints=[2.7]), "checkpoints")):
+        with pytest.raises(ConfigError, match=f"^{name}: must be an integer"):
+            run(model, "vanilla_svgd", **kwargs)
+    with pytest.raises(ConfigError, match=r"^init_mean: .* 2 numbers .* length 3$"):
+        run(model, "vanilla_svgd", n_particles=4, iterations=1, init_mean=[0.0, 0.0, 0.0])
 
 
 def test_run_zero_iterations_returns_the_seeded_initial_draw():

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import msvgd.harness as harness_module
+from helpers import load_particles
 from msvgd.cli import main
 from msvgd.errors import ConfigError, NumericalAbort
 from msvgd.harness import (
     METHOD_DEFAULT_RATES,
     build_target,
     compare,
-    load_particles,
     parse_config,
     run_experiment,
     write_particles,
@@ -405,6 +405,20 @@ def test_cli_sample_gaussian_draws_the_standard_normal_of_a_bare_config(tmp_path
     assert np.array_equal(model.mean, np.zeros(2)) and np.array_equal(model.cov, np.eye(2))
 
 
+def test_package_exports_resolve_and_test_only_surfaces_are_gone():
+    import msvgd
+    from msvgd import harness, kernels, targets
+
+    assert [name for name in msvgd.__all__ if not hasattr(msvgd, name)] == []
+    gone = [(msvgd, "grid_moments"), (targets, "grid_moments"), (harness, "load_particles"),
+            (kernels.MixturePrecond, "weight_gradients")]
+    gone += [(cls, view) for cls in (targets.TargetModel, targets.Gaussian, targets.StarMixture,
+                                     targets.Sine, targets.DoubleBanana, targets.LogisticPosterior)
+             for view in ("log_density", "grad_log_density")]
+    assert [f"{getattr(owner, '__name__', owner)}.{name}" for owner, name in gone
+            if hasattr(owner, name)] == []
+
+
 def test_cli_exit_codes_by_error_category(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -423,7 +437,12 @@ def test_cli_exit_codes_by_error_category(tmp_path, capsys):
     for raw, message in ((minimal_config(init={"scale": float("inf")}), "init.scale: must be finite"),
                          (minimal_config(stepper=3), "stepper: must be an object"),
                          (minimal_config(stepper={"method": 3}), "stepper.method: must be a string"),
-                         (minimal_config(target=3), "target: must be a kind name")):
+                         (minimal_config(target=3), "target: must be a kind name"),
+                         # the target's dimension is known once it is built; dynamics.run
+                         # checks the mean against it before iteration 0
+                         (minimal_config(init={"mean": [0, 0, 0]}),
+                          "init_mean: must be one number or 2 numbers (the target dimension), "
+                          "got length 3\n")):
         bad_section = tmp_path / "bad_section.json"
         bad_section.write_text(json.dumps(raw))
         assert main(["run", str(bad_section), "--quiet"]) == 2, raw
