@@ -118,9 +118,12 @@ def _curvature_stack(positions, model: TargetModel, source: str) -> np.ndarray:
 
 def averaged_preconditioner(positions, model: TargetModel,
                             policy: PrecondPolicy = PrecondPolicy()) -> PreconditionerBundle:
-    """Particle-averaged curvature, repaired into a PD bundle."""
+    """``model.mean_curvature`` repaired into a PD bundle; a non-finite mean
+    forms the stack, so the abort names a particle whose curvature is."""
     positions = np.asarray(positions, dtype=float)
-    avg = _curvature_stack(positions, model, policy.source).mean(axis=0)
+    avg = model.mean_curvature(positions, mode=policy.source)
+    if not np.all(np.isfinite(avg)):
+        _curvature_stack(positions, model, policy.source)
     return make_bundle(_finite_or_abort(avg, "averaged curvature"), floor_ratio=policy.floor_ratio)
 
 
@@ -235,10 +238,15 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
             f"method '{method}' needs curvature source '{policy.source}', "
             f"but target '{model.kind}' supports {model.supported_curvature}")
 
+    seed = _as_count(seed, "seed", 0, ConfigError)
+    if not 0.0 < init_scale < np.inf:
+        raise ConfigError(f"init_scale: must be positive and finite, got {init_scale}")
     init_mean = np.asarray(init_mean, dtype=float)
     if init_mean.ndim > 1 or init_mean.size not in (1, model.dim):
         raise ConfigError(f"init_mean: must be one number or {model.dim} numbers (the target "
                           f"dimension), got length {init_mean.size}")
+    if not np.all(np.isfinite(init_mean)):
+        raise ConfigError(f"init_mean: must be finite, got {init_mean.tolist()}")
     init_rng = np.random.default_rng([seed, 0])
     batch_rng = np.random.default_rng([seed, 1])
     positions = init_mean + init_scale * init_rng.standard_normal((n_particles, model.dim))

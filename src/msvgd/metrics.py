@@ -63,15 +63,26 @@ def _kernel_sum(d2: np.ndarray, bandwidth: float, out: np.ndarray | None = None)
     return float(np.exp(np.divide(d2, -2.0 * bandwidth, out=out), out=out).sum())
 
 
-def _mean_kernel(xs: np.ndarray, ys: np.ndarray, bandwidth: float) -> float:
-    """Mean RBF kernel value over all cross pairs, computed a block of rows
-    (about ``CHUNK_BYTES``) at a time."""
+def _mean_kernel(xs: np.ndarray, ys: np.ndarray | None, bandwidth: float) -> float:
+    """Mean RBF kernel value over all pairs of ``xs`` with ``ys``, computed a
+    block of rows (about ``CHUNK_BYTES``) at a time.  ``ys`` None pairs
+    ``xs`` with itself: a row block meets only the columns after each of its
+    rows, so every unordered pair is formed once, and each self term is
+    exp(0) = 1."""
     eye = np.eye(xs.shape[1])[None]
-    rows = max(1, CHUNK_BYTES // (8 * ys.shape[0]))
-    total = 0.0
-    for start in range(0, xs.shape[0], rows):
-        total += _kernel_sum(_metric_sq_dists(xs[start:start + rows], eye, ys)[0], bandwidth)
-    return total / (xs.shape[0] * ys.shape[0])
+    own = ys is None
+    ys = xs if own else ys
+    rows = max(1, CHUNK_BYTES // (8 * len(ys)))
+    total = float(len(xs)) if own else 0.0
+    for lo in range(0, len(xs), rows):
+        block = xs[lo:lo + rows]
+        if own:
+            d2 = _metric_sq_dists(block, eye, xs[lo:])[0]
+            d2[:, :len(block)][np.tril_indices(len(block))] = np.inf  # kernel value 0
+            total += 2.0 * _kernel_sum(d2, bandwidth)
+        else:
+            total += _kernel_sum(_metric_sq_dists(block, eye, ys)[0], bandwidth)
+    return total / (len(xs) * len(ys))
 
 
 def _rank_value(arrays, r: int):
@@ -161,7 +172,7 @@ def mmd_sq(xs, ys, bandwidth: float = 0.0) -> MmdReport:
     if bandwidth < 0.0 or not np.isfinite(bandwidth):
         raise InvalidInputError(f"bandwidth must be >= 0 and finite, got {bandwidth}")
     if ref is None and bandwidth > 0.0:
-        value = (_mean_kernel(xs, xs, bandwidth) + _mean_kernel(ys, ys, bandwidth)
+        value = (_mean_kernel(xs, None, bandwidth) + _mean_kernel(ys, None, bandwidth)
                  - 2.0 * _mean_kernel(xs, ys, bandwidth))
     else:
         value, bandwidth = _score(xs, ref or prepare_reference(ys), bandwidth)

@@ -9,6 +9,10 @@ Every model exposes the same batch surface over points X of shape (n, d):
   for ``mode="fisher"`` (logistic posterior only).  Raw output;
   positive-definiteness is the caller's problem (see ``psdlin.psd_repair``,
   which repairs a whole stack at once).
+- ``mean_curvature(X, mode)``: the (d, d) particle mean of
+  ``curvature_batch``, with the same checks.  The logistic posterior
+  overrides it: its Fisher matrix is linear in the per-row weights, so it
+  averages those and forms one matrix instead of n.
 - ``reference_sample(n, seed)``: ground-truth-ish draws where available:
   exact ancestral sampling for Gaussian / mixture targets, a deterministic
   inverse-CDF grid sampler on [-3, 3]^2 for the two irregular 2-D targets.
@@ -86,10 +90,20 @@ class TargetModel:
             raise InvalidInputError("points have non-finite coordinates")
         return points
 
-    def curvature_batch(self, points, mode: str = "exact_hessian") -> np.ndarray:
+    def _check_curvature_input(self, points, mode: str) -> np.ndarray:
         if mode not in self.supported_curvature:
             raise ConfigError(f"curvature mode '{mode}' is not supported by target '{self.kind}'")
-        return self._curvature_batch(self._check_points(points), mode)
+        return self._check_points(points)
+
+    def curvature_batch(self, points, mode: str = "exact_hessian") -> np.ndarray:
+        return self._curvature_batch(self._check_curvature_input(points, mode), mode)
+
+    def mean_curvature(self, points, mode: str = "exact_hessian") -> np.ndarray:
+        """The particle mean of ``curvature_batch``, shape (d, d)."""
+        return self._mean_curvature(self._check_curvature_input(points, mode), mode)
+
+    def _mean_curvature(self, points: np.ndarray, mode: str) -> np.ndarray:
+        return self._curvature_batch(points, mode).mean(axis=0)
 
     def curvature(self, x, mode: str = "exact_hessian") -> np.ndarray:
         """``curvature_batch`` at the one point ``x``, shape (d, d)."""
@@ -478,14 +492,21 @@ class LogisticPosterior(TargetModel):
         probs = expit(points @ feats.T)
         return scale * (labs[None, :] - probs) @ feats - points
 
-    def _curvature_batch(self, points, mode):
+    def _fisher_weights(self, points):
         feats, _, scale = self._active()
         probs = expit(feats @ points[:, :, None])[..., 0]
-        w = probs * (1.0 - probs)
+        return feats, scale, probs * (1.0 - probs)
+
+    def _curvature_batch(self, points, mode):
+        feats, scale, w = self._fisher_weights(points)
         eye = np.eye(self.dim)
         # one (N, d) weighted copy of the features at a time: vectorising over
         # particles would hold an (n, N, d) array and raise the peak memory
         return np.stack([scale * (feats.T * wi) @ feats + eye for wi in w])
+
+    def _mean_curvature(self, points, mode):
+        feats, scale, w = self._fisher_weights(points)
+        return scale * (feats.T * w.mean(axis=0)) @ feats + np.eye(self.dim)
 
 
 _TARGET_KINDS = {

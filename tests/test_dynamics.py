@@ -236,6 +236,13 @@ def test_run_validates_configuration_before_iterating():
             run(model, "vanilla_svgd", **kwargs)
     with pytest.raises(ConfigError, match=r"^init_mean: .* 2 numbers .* length 3$"):
         run(model, "vanilla_svgd", n_particles=4, iterations=1, init_mean=[0.0, 0.0, 0.0])
+    # the init and seed rules of harness.parse_config
+    for kwargs, name in ((dict(init_scale=np.nan), "init_scale"), (dict(init_scale=-1.0), "init_scale"),
+                         (dict(init_scale=np.inf), "init_scale"), (dict(init_mean=np.inf), "init_mean"),
+                         (dict(init_mean=[0.0, np.nan]), "init_mean"), (dict(seed=-1), "seed"),
+                         (dict(seed=1.5), "seed")):
+        with pytest.raises(ConfigError, match=f"^{name}: "):
+            run(model, "vanilla_svgd", n_particles=4, iterations=1, **kwargs)
 
 
 def test_run_zero_iterations_returns_the_seeded_initial_draw():

@@ -391,6 +391,24 @@ def test_mixture_direction_matches_the_per_anchor_loop(monkeypatch, per_chunk):
     check(anchors, pts, grads)
 
 
+def test_sparse_weight_mixture_direction_matches_brute_force_above_d3():
+    # anchors far apart in tight metrics at d = 4 and 6: most (anchor,
+    # particle) weights fall below WEIGHT_FLOOR, so the direction runs the
+    # active-pair path, checked here against finite differences of eval()
+    rng = np.random.default_rng(110)
+    for d in (4, 6):
+        centers = 3.0 * rng.standard_normal((4, d))
+        anchors = MixturePrecond(points=centers,
+                                 bundle=make_bundle(np.stack([4.0 * random_spd(rng, d) for _ in range(4)])),
+                                 bandwidths=0.5 + rng.random(4))
+        pts = centers[np.arange(10) % 4] + 0.3 * rng.standard_normal((10, d))
+        grads = rng.standard_normal((10, d))
+        counts = _active_counts(anchors, pts)
+        assert np.all(counts > 0) and counts.sum() < 0.5 * counts.size * len(pts)
+        assert_fd_close(anchors.direction(pts, grads), brute_force_direction(anchors, pts, grads),
+                        rel=1e-5, abs_=1e-8, label=f"sparse mixture direction at d={d}")
+
+
 def test_mixture_direction_stays_non_finite_for_a_non_finite_weight():
     # a particle so far out that every anchor weight is NaN there: the
     # direction must stay non-finite, for the sampler to abort on

@@ -222,12 +222,15 @@ def test_models_reject_nonfinite_points_and_fisher_mode(model):
             model.curvature_batch(bad)
 
 
-@pytest.mark.parametrize("model", [
+over_curvature_models = pytest.mark.parametrize("model", [
     Gaussian(mean=np.zeros(3), cov=np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])),
     StarMixture(), Sine(), DoubleBanana(),
     LogisticPosterior(synthetic_dataset(np.random.default_rng(12))),
     LogisticPosterior(synthetic_dataset(np.random.default_rng(13), minibatch_size=7)),
 ], ids=["gaussian", "star_mixture", "sine", "double_banana", "logistic", "logistic_minibatch"])
+
+
+@over_curvature_models
 def test_curvature_batch_stacks_single_point_curvatures(model):
     rng = np.random.default_rng(14)
     if hasattr(model, "resample_minibatch"):
@@ -238,6 +241,30 @@ def test_curvature_batch_stacks_single_point_curvatures(model):
         batch = model.curvature_batch(pts, mode=mode)
         assert batch.shape == (9, model.dim, model.dim)
         assert np.array_equal(batch, np.stack([model.curvature(x, mode=mode) for x in pts]))
+
+
+@over_curvature_models
+def test_mean_curvature_is_the_particle_mean_of_curvature_batch(model):
+    rng = np.random.default_rng(15)
+    if hasattr(model, "resample_minibatch"):
+        model.resample_minibatch(rng)
+    mode = model.supported_curvature[0]
+    for scale in (0.3, 1.0, 3.0):
+        pts = scale * rng.standard_normal((9, model.dim))
+        mean = model.mean_curvature(pts, mode=mode)
+        expected = model.curvature_batch(pts, mode=mode).mean(axis=0)
+        assert mean.shape == (model.dim, model.dim)
+        if isinstance(model, LogisticPosterior):
+            # the weights are averaged before the one matrix product: round-off
+            assert np.max(np.abs(mean - expected)) <= 1e-12 * np.max(np.abs(expected))
+        else:
+            assert np.array_equal(mean, expected)
+    with pytest.raises(ConfigError):
+        model.mean_curvature(pts, mode="unsupported")
+    for bad in (np.zeros(model.dim), np.zeros((3, model.dim + 1)),
+                np.full((2, model.dim), np.nan)):
+        with pytest.raises(InvalidInputError):
+            model.mean_curvature(bad, mode=mode)
 
 
 # --------------------------------------------------------------- logistic
