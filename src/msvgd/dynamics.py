@@ -9,6 +9,10 @@ anchors or SVN metrics), on the ``refresh_period`` schedule (default: every
 iteration).  The refresh helpers ``averaged_preconditioner``,
 ``refresh_anchors`` (which returns the mixture kernel) and ``svn_metrics``
 read the curvature source and eigenvalue floor from a ``PrecondPolicy``.
+A non-finite value in any phase of an iteration (a refresh quantity, the
+scores, the directions, the Adagrad accumulators or the new positions)
+raises ``NumericalAbort`` naming the phase and, where the value is indexed
+by one, the first bad particle or anchor.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ def adagrad_step(state: StepperState, positions: np.ndarray, directions: np.ndar
     """Advance particles one step; returns (new_positions, new_state).
 
     Adagrad: accumulate squared directions, then scale each coordinate by
-    base_rate / (sqrt(accumulator) + damping).  Fixed mode just adds
+    base_rate / (sqrt(accumulator) + damping); an accumulator that overflows
+    would freeze its coordinate, so it aborts the run.  Fixed mode just adds
     base_rate * direction.  Inputs are not mutated.
     """
     positions = np.asarray(positions, dtype=float)
@@ -85,6 +90,9 @@ def adagrad_step(state: StepperState, positions: np.ndarray, directions: np.ndar
         return positions + state.base_rate * directions, state
     acc = np.zeros_like(positions) if state.accumulators is None else state.accumulators
     acc = acc + directions * directions
+    bad = _first_bad_row(acc)
+    if bad is not None:
+        raise NumericalAbort("Adagrad accumulator has non-finite entries", phase="step", particle=bad)
     new_positions = positions + state.base_rate * directions / (np.sqrt(acc) + state.damping)
     return new_positions, replace(state, accumulators=acc)
 
@@ -100,15 +108,13 @@ def _first_bad_row(values) -> int | None:
 def _finite_or_abort(values, what: str, item: str | None = None):
     """Return ``values``, or raise NumericalAbort for a refresh quantity with
     non-finite entries; ``item`` names what the leading axis indexes, a
-    particle or the anchor placed at one."""
-    if item is None:
-        if not np.all(np.isfinite(values)):
-            raise NumericalAbort(f"refresh: {what} has non-finite entries", phase="refresh")
-        return values
-    bad = _first_bad_row(values)
+    particle or the anchor placed at one, and None names no row (a scalar
+    bandwidth, the averaged curvature)."""
+    bad = _first_bad_row(np.atleast_1d(values))
     if bad is not None:
-        raise NumericalAbort(f"refresh: {what} of {item} {bad} has non-finite entries",
-                             phase="refresh", particle=bad)
+        where = "" if item is None else f" of {item} {bad}"
+        raise NumericalAbort(f"refresh: {what}{where} has non-finite entries",
+                             phase="refresh", particle=None if item is None else bad)
     return values
 
 
@@ -222,7 +228,8 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
     converged set; ``converged_at`` records the stopping iteration.
 
     All configuration problems are raised before iteration 0; non-finite
-    curvature, scores or directions abort the run with the iteration index.
+    curvature, scores, directions, Adagrad accumulators or positions abort
+    the run with the iteration index.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method '{method}' (expected one of {METHODS})")
@@ -260,7 +267,6 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
     step_seconds: list[float] = []
     resample = getattr(model, "resample_minibatch", None)
 
-    it = 0
     for it in range(iterations):
         t0 = time.perf_counter()
         if resample is not None:
@@ -290,11 +296,8 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
     for c in checkpoints:
         if c not in snapshots:
             snapshots[c] = positions.copy()
-    iterations_run = it + 1 if iterations > 0 else 0
-    if converged_at is not None:
-        iterations_run = converged_at
     return RunResult(snapshots={c: snapshots[c] for c in checkpoints},
                      converged_at=converged_at,
-                     iterations_run=iterations_run,
+                     iterations_run=iterations if converged_at is None else converged_at,
                      step_seconds=step_seconds)
 

@@ -314,24 +314,17 @@ def write_particles(path, iteration: int, positions: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def persist_record(record: RunRecord, out_dir) -> dict:
-    """Write particle CSVs, metrics.json and the timing sidecar; returns paths."""
+def persist_record(record: RunRecord, out_dir) -> None:
+    """Write particle CSVs, metrics.json and the timing sidecar."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {"particles": []}
     for c in sorted(record.snapshots):
-        p = out / f"particles_iter{c:06d}.csv"
-        write_particles(p, c, record.snapshots[c])
-        paths["particles"].append(p)
-    metrics_path = out / "metrics.json"
-    metrics_path.write_text(json.dumps(record.metrics_document(), sort_keys=True, indent=2) + "\n")
-    paths["metrics"] = metrics_path
-    timing_path = out / "timing.json"
+        write_particles(out / f"particles_iter{c:06d}.csv", c, record.snapshots[c])
+    (out / "metrics.json").write_text(
+        json.dumps(record.metrics_document(), sort_keys=True, indent=2) + "\n")
     timing = {"step_seconds": record.step_seconds,
               "total_seconds": float(sum(record.step_seconds))}
-    timing_path.write_text(json.dumps(timing, indent=2) + "\n")
-    paths["timing"] = timing_path
-    return paths
+    (out / "timing.json").write_text(json.dumps(timing, indent=2) + "\n")
 
 
 def _comparison_value(row: dict) -> float:

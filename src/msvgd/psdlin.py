@@ -1,7 +1,9 @@
 """Dense symmetric linear algebra: PSD repair and matrix roots.
 
 Everything here operates on small d x d symmetric matrices through a single
-eigendecomposition backend (``numpy.linalg.eigh``).  ``symmetrize``,
+eigendecomposition backend (``numpy.linalg.eigh``), and one former,
+vec diag(lam^p) vec^T over the clipped eigenpairs, builds every output
+matrix: the repaired matrix (p = 1) and each bundle factor.  ``symmetrize``,
 ``psd_repair`` and ``make_bundle`` also accept stacks of shape (..., d, d)
 and work matrix by matrix; a stacked ``make_bundle`` returns one bundle whose
 fields are stacks.  Inputs are symmetrized on entry (averaged with their
@@ -76,6 +78,13 @@ def _clipped_eigh(m, floor_ratio):
     return np.maximum(lam, floor), vec
 
 
+def _eig_form(lam, vec, power: float) -> np.ndarray:
+    """vec diag(lam^power) vec^T per matrix, symmetrized (averaged with its
+    transpose) so round-off leaves no asymmetry."""
+    out = (vec * lam[..., None, :]**power) @ np.swapaxes(vec, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
 def psd_repair(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> np.ndarray:
     """Return the eigenvalue-clipped positive definite version of ``m``.
 
@@ -86,8 +95,7 @@ def psd_repair(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> np.ndarray:
     """
     floor_ratio = _check_floor_ratio(floor_ratio)
     lam, vec = _clipped_eigh(m, floor_ratio)
-    out = (vec * lam[..., None, :]) @ np.swapaxes(vec, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    return _eig_form(lam, vec, 1.0)
 
 
 def make_bundle(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> PreconditionerBundle:
@@ -100,17 +108,11 @@ def make_bundle(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> PreconditionerBu
     """
     floor_ratio = _check_floor_ratio(floor_ratio)
     lam, vec = _clipped_eigh(m, floor_ratio)
-    vec_t = np.swapaxes(vec, -1, -2)
-
-    def form(power):
-        out = (vec * lam[..., None, :]**power) @ vec_t
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
-
     return PreconditionerBundle(
-        q=form(1.0),
-        q_sqrt=form(0.5),
-        q_inv_sqrt=form(-0.5),
-        q_inv=form(-1.0),
+        q=_eig_form(lam, vec, 1.0),
+        q_sqrt=_eig_form(lam, vec, 0.5),
+        q_inv_sqrt=_eig_form(lam, vec, -0.5),
+        q_inv=_eig_form(lam, vec, -1.0),
         log_det=np.sum(np.log(lam), axis=-1),
     )
 

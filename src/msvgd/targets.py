@@ -202,23 +202,22 @@ class StarMixture(TargetModel):
         lp = self._component_log_pdfs(points)
         return logsumexp(lp, axis=1) - np.log(self.n_components)
 
-    def _responsibilities(self, points):
+    def _responsibilities_and_scores(self, points):
+        """Component responsibilities (n, K) and component scores (n, K, 2),
+        shared by the score and the curvature."""
         lp = self._component_log_pdfs(points)
         lp = lp - lp.max(axis=1, keepdims=True)
         w = np.exp(lp)
-        return w / w.sum(axis=1, keepdims=True)
+        dc = points[:, None, :] - self.means[None, :, :]
+        return w / w.sum(axis=1, keepdims=True), -np.einsum("kij,nkj->nki", self.precisions, dc)
 
     def grad_log_density_batch(self, points):
         points = self._check_points(points)
-        resp = self._responsibilities(points)
-        dc = points[:, None, :] - self.means[None, :, :]
-        comp_grads = -np.einsum("kij,nkj->nki", self.precisions, dc)
+        resp, comp_grads = self._responsibilities_and_scores(points)
         return np.einsum("nk,nki->ni", resp, comp_grads)
 
     def _curvature_batch(self, points, mode):
-        resp = self._responsibilities(points)
-        dc = points[:, None, :] - self.means[None, :, :]
-        grads = -np.einsum("kij,nkj->nki", self.precisions, dc)
+        resp, grads = self._responsibilities_and_scores(points)
         gbar = (resp[:, None, :] @ grads)[:, 0]
         hess = -gbar[:, :, None] * gbar[:, None, :]
         for k, prec in enumerate(self.precisions):
@@ -248,8 +247,7 @@ class _GridSampledTarget(TargetModel):
     of GRID_RESOLUTION^2 cells on [-GRID_BOUND, GRID_BOUND]^2, with its CDF
     tabulated from the log density on first use."""
 
-    def __init__(self):
-        self._grid = None
+    _grid = None  # (centers, cdf), set per instance on first use
 
     def reference_sample(self, n, seed):
         n = _as_count(n, "sample size", 1)
@@ -284,31 +282,29 @@ class Sine(_GridSampledTarget):
     kind = "sine"
 
     def __init__(self, alpha: float = 1.0, sigma1: float = 0.003, sigma2: float = 1.0):
-        super().__init__()
         self.alpha = _as_real(alpha, "alpha")
         self.sigma1 = _as_real(sigma1, "sigma1", positive=True)
         self.sigma2 = _as_real(sigma2, "sigma2", positive=True)
         self.dim = 2
 
-    def log_density_batch(self, points):
-        points = self._check_points(points)
+    def _ridge_parts(self, points):
+        """x1, x2, the ridge residual u = x2 + sin(alpha x1) and du/dx1."""
         x1, x2 = points[:, 0], points[:, 1]
         u = x2 + np.sin(self.alpha * x1)
+        return x1, x2, u, self.alpha * np.cos(self.alpha * x1)
+
+    def log_density_batch(self, points):
+        x1, x2, u, _ = self._ridge_parts(self._check_points(points))
         return -u * u / (2.0 * self.sigma1) - (x1 * x1 + x2 * x2) / (2.0 * self.sigma2)
 
     def grad_log_density_batch(self, points):
-        points = self._check_points(points)
-        x1, x2 = points[:, 0], points[:, 1]
-        u = x2 + np.sin(self.alpha * x1)
-        du1 = self.alpha * np.cos(self.alpha * x1)
+        x1, x2, u, du1 = self._ridge_parts(self._check_points(points))
         g1 = -u * du1 / self.sigma1 - x1 / self.sigma2
         g2 = -u / self.sigma1 - x2 / self.sigma2
         return np.column_stack([g1, g2])
 
     def _curvature_batch(self, points, mode):
-        x1, x2 = points[:, 0], points[:, 1]
-        u = x2 + np.sin(self.alpha * x1)
-        du1 = self.alpha * np.cos(self.alpha * x1)
+        x1, x2, u, du1 = self._ridge_parts(points)
         d2u1 = -self.alpha**2 * np.sin(self.alpha * x1)
         h11 = -(du1 * du1 + u * d2u1) / self.sigma1 - 1.0 / self.sigma2
         h12 = -du1 / self.sigma1
@@ -329,7 +325,6 @@ class DoubleBanana(_GridSampledTarget):
     kind = "double_banana"
 
     def __init__(self, y_obs: float | None = None, sigma1: float = 1.0, sigma2: float = 0.09):
-        super().__init__()
         self.y_obs = float(np.log(30.0)) if y_obs is None else _as_real(y_obs, "y_obs")
         self.sigma1 = _as_real(sigma1, "sigma1", positive=True)
         self.sigma2 = _as_real(sigma2, "sigma2", positive=True)
@@ -525,14 +520,17 @@ def make_target(kind: str, **params) -> TargetModel:
     ConfigError, ``target.<key>: ...`` when one parameter is at fault and
     ``target: ...`` otherwise, while a data file that cannot be opened
     raises OSError.  A bare ``gaussian`` is the 2-D standard normal; a mean
-    alone gets identity covariance.  ``logistic_posterior`` loads its dataset
-    from ``data_path`` (see ``LogisticDataset.from_file``).
+    alone gets identity covariance, and a cov needs a mean.
+    ``logistic_posterior`` loads its dataset from ``data_path`` (see
+    ``LogisticDataset.from_file``).
     """
     if kind not in _TARGET_KINDS:
         raise ConfigError(f"unknown target kind '{kind}' (expected one of {sorted(_TARGET_KINDS)})")
     if kind == "gaussian" and set(params) <= {"mean"}:
         mean = params.get("mean", [0.0, 0.0])
         params = {"mean": mean, "cov": np.eye(np.size(mean))}
+    if kind == "gaussian" and "cov" in params and "mean" not in params:
+        raise ConfigError("target.mean: required when cov is given")
     if kind == "logistic_posterior" and "data_path" not in params:
         raise ConfigError("target.data_path: required for logistic_posterior")
     try:

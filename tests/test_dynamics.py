@@ -68,6 +68,10 @@ def test_step_rejects_bad_directions():
     assert (exc.value.phase, exc.value.particle) == ("direction", 1)
     with pytest.raises(InvalidInputError):
         adagrad_step(state, np.zeros((1, 2)), np.zeros((2, 2)))
+    # a finite direction whose square overflows would freeze its coordinate
+    with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore"):
+        adagrad_step(StepperState(base_rate=0.1), np.zeros((1, 2)), np.array([[1e200, 1.0]]))
+    assert (exc.value.phase, exc.value.particle) == ("step", 0)
 
 
 def test_stepper_and_policy_validation():
@@ -310,6 +314,11 @@ def test_run_aborts_with_iteration_index_on_blowup():
             iterations=5, stepper=StepperState(method="fixed", base_rate=1e300))
     assert str(exc.value) == "iteration 0: particles left the finite domain"
     assert (exc.value.iteration, exc.value.phase, exc.value.particle) == (0, "step", 0)
+    # a score near 1e160 overflows the Adagrad accumulator in the first step
+    with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore"):
+        run(Gaussian([1e160, 0.0], cov=np.eye(2)), "vanilla_svgd", n_particles=4, iterations=5)
+    assert str(exc.value) == "iteration 0: Adagrad accumulator has non-finite entries"
+    assert (exc.value.iteration, exc.value.phase, exc.value.particle) == (0, "step", 0)
 
 
 def test_run_aborts_in_the_direction_phase_with_the_iteration():
@@ -342,6 +351,11 @@ def test_refresh_overflow_from_finite_curvature_aborts_with_the_iteration():
     assert exc.value.iteration == 0
     assert "refresh: bandwidth of anchor 0 has non-finite entries" in str(exc.value)
     assert (exc.value.phase, exc.value.particle) == ("refresh", 0)
+    # the scalar median-trick bandwidth of a far-flung start overflows
+    with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore", invalid="ignore"):
+        run(StarMixture(), "vanilla_svgd", n_particles=5, iterations=2, init_scale=1e200)
+    assert str(exc.value) == "iteration 0: refresh: bandwidth has non-finite entries"
+    assert (exc.value.iteration, exc.value.phase, exc.value.particle) == (0, "refresh", None)
 
 
 @pytest.mark.parametrize("method", METHODS)

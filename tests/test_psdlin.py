@@ -72,6 +72,7 @@ def test_psd_repair_of_a_stack_equals_per_matrix_repair():
         repaired = psd_repair(stack, 1e-3)
         assert repaired.shape == (30, d, d)
         assert np.array_equal(repaired, np.stack([psd_repair(m, 1e-3) for m in stack]))
+        assert np.array_equal(repaired, make_bundle(stack, 1e-3).q)
     with pytest.raises(InvalidInputError):
         psd_repair(np.zeros((3, 2, 3)))
 

@@ -449,4 +449,6 @@ def test_make_target_factory():
             make_target(kind, **params)
     with pytest.raises(ConfigError, match="^target: "):
         make_target("star_mixture", mu1=[0.0, 1.0, 2.0])
+    with pytest.raises(ConfigError, match=r"^target\.mean: "):
+        make_target("gaussian", cov=[[1.0, 0.0], [0.0, 1.0]])
 
