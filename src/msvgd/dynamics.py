@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, NumericalAbort
+from .errors import ConfigError, InvalidInputError, NumericalAbort, as_count, as_floats, as_real
 from .kernels import (
     ConstPrecond,
     MixturePrecond,
@@ -30,7 +30,7 @@ from .kernels import (
     median_bandwidth,
 )
 from .psdlin import DEFAULT_FLOOR_RATIO, PreconditionerBundle, make_bundle, psd_repair
-from .targets import TargetModel, _as_count
+from .targets import TargetModel
 
 CONVERGENCE_TOL = 1e-8
 
@@ -49,7 +49,7 @@ class PrecondPolicy:
     def __post_init__(self):
         if self.source not in ("exact_hessian", "fisher"):
             raise ConfigError(f"source: must be one of ['exact_hessian', 'fisher'], got {self.source!r}")
-        _as_count(self.refresh_period, "refresh_period", 1, ConfigError)
+        as_count(self.refresh_period, "refresh_period", 1, ConfigError)
         if not 0.0 < self.floor_ratio < 1.0:
             raise ConfigError(f"floor_ratio: must lie in (0, 1), got {self.floor_ratio}")
 
@@ -67,8 +67,7 @@ class StepperState:
         if self.method not in ("adagrad", "fixed"):
             raise ConfigError(f"method: must be one of ['adagrad', 'fixed'], got {self.method!r}")
         for name in ("base_rate", "damping"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"{name}: must be positive and finite, got {getattr(self, name)}")
+            as_real(getattr(self, name), name, ConfigError, positive=True, finite=True)
 
 
 def adagrad_step(state: StepperState, positions: np.ndarray, directions: np.ndarray):
@@ -215,6 +214,28 @@ class RunResult:
     step_seconds: list[float] = field(default_factory=list)
 
 
+def run_arguments(n_particles, iterations, checkpoints=(), seed=0, init_mean=0.0,
+                  init_scale=1.0, dim: int | None = None) -> tuple:
+    """Check ``run``'s arguments (``harness.parse_config`` calls this too) and
+    return them, the checkpoints sorted and unique and init_mean a float
+    array; ``dim`` is the target dimension, when it is known."""
+    n_particles = as_count(n_particles, "n_particles", 1, ConfigError)
+    iterations = as_count(iterations, "iterations", 0, ConfigError)
+    checkpoints = [as_count(c, f"checkpoints[{i}]", 0, ConfigError) for i, c in enumerate(checkpoints)]
+    for i, c in enumerate(checkpoints):
+        if c > iterations:
+            raise ConfigError(f"checkpoints[{i}]: must be <= {iterations} (the iteration count), got {c}")
+    seed = as_count(seed, "seed", 0, ConfigError)
+    init_scale = as_real(init_scale, "init_scale", ConfigError, positive=True, finite=True)
+    init_mean = as_floats(init_mean, "init_mean", ConfigError)
+    if init_mean.ndim > 1 or (dim is not None and init_mean.size not in (1, dim)):
+        raise ConfigError(f"init_mean: must be one number or {dim or 'd'} numbers (the target "
+                          f"dimension), got length {init_mean.size}")
+    if not np.all(np.isfinite(init_mean)):
+        raise ConfigError(f"init_mean: must be finite, got {init_mean.tolist()}")
+    return n_particles, iterations, tuple(sorted(set(checkpoints))), seed, init_mean, init_scale
+
+
 def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
         checkpoints=(), stepper: StepperState | None = None,
         policy: PrecondPolicy | None = None, seed: int = 0,
@@ -233,11 +254,8 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method '{method}' (expected one of {METHODS})")
-    n_particles = _as_count(n_particles, "n_particles", 1, ConfigError)
-    iterations = _as_count(iterations, "iterations", 0, ConfigError)
-    checkpoints = sorted({_as_count(c, "checkpoints", 0, ConfigError) for c in checkpoints})
-    if checkpoints and checkpoints[-1] > iterations:
-        raise ConfigError(f"checkpoints: must lie within [0, {iterations}], got {checkpoints}")
+    n_particles, iterations, checkpoints, seed, init_mean, init_scale = run_arguments(
+        n_particles, iterations, checkpoints, seed, init_mean, init_scale, dim=model.dim)
     stepper = StepperState() if stepper is None else stepper
     policy = PrecondPolicy() if policy is None else policy
     if method != "vanilla_svgd" and policy.source not in model.supported_curvature:
@@ -245,15 +263,6 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
             f"method '{method}' needs curvature source '{policy.source}', "
             f"but target '{model.kind}' supports {model.supported_curvature}")
 
-    seed = _as_count(seed, "seed", 0, ConfigError)
-    if not 0.0 < init_scale < np.inf:
-        raise ConfigError(f"init_scale: must be positive and finite, got {init_scale}")
-    init_mean = np.asarray(init_mean, dtype=float)
-    if init_mean.ndim > 1 or init_mean.size not in (1, model.dim):
-        raise ConfigError(f"init_mean: must be one number or {model.dim} numbers (the target "
-                          f"dimension), got length {init_mean.size}")
-    if not np.all(np.isfinite(init_mean)):
-        raise ConfigError(f"init_mean: must be finite, got {init_mean.tolist()}")
     init_rng = np.random.default_rng([seed, 0])
     batch_rng = np.random.default_rng([seed, 1])
     positions = init_mean + init_scale * init_rng.standard_normal((n_particles, model.dim))
@@ -271,24 +280,27 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
         t0 = time.perf_counter()
         if resample is not None:
             resample(batch_rng)
-        try:
-            if it % policy.refresh_period == 0:
-                direction = refresh(positions, model, policy)
-            grads = model.grad_log_density_batch(positions)
-            bad = _first_bad_row(grads)
-            if bad is not None:
-                raise NumericalAbort("score has non-finite entries", phase="score", particle=bad)
-            directions = direction(positions, grads)
-            if float(np.max(np.linalg.norm(directions, axis=1))) < CONVERGENCE_TOL:
-                converged_at = it
-                step_seconds.append(time.perf_counter() - t0)
-                break
-            positions, stepper = adagrad_step(stepper, positions, directions)
-            bad = _first_bad_row(positions)
-            if bad is not None:
-                raise NumericalAbort("particles left the finite domain", phase="step", particle=bad)
-        except NumericalAbort as exc:
-            raise NumericalAbort(str(exc), it, exc.phase, exc.particle) from exc
+        # a blow-up is reported by the NumericalAbort that names its phase,
+        # not by numpy's warnings from the lines on the way there
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                if it % policy.refresh_period == 0:
+                    direction = refresh(positions, model, policy)
+                grads = model.grad_log_density_batch(positions)
+                bad = _first_bad_row(grads)
+                if bad is not None:
+                    raise NumericalAbort("score has non-finite entries", phase="score", particle=bad)
+                directions = direction(positions, grads)
+                if float(np.max(np.linalg.norm(directions, axis=1))) < CONVERGENCE_TOL:
+                    converged_at = it
+                    step_seconds.append(time.perf_counter() - t0)
+                    break
+                positions, stepper = adagrad_step(stepper, positions, directions)
+                bad = _first_bad_row(positions)
+                if bad is not None:
+                    raise NumericalAbort("particles left the finite domain", phase="step", particle=bad)
+            except NumericalAbort as exc:
+                raise NumericalAbort(str(exc), it, exc.phase, exc.particle) from exc
         step_seconds.append(time.perf_counter() - t0)
         if (it + 1) in checkpoint_set:
             snapshots[it + 1] = positions.copy()

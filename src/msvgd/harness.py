@@ -1,9 +1,15 @@
 """Experiment orchestration: configs, persistence, runs, comparisons.
 
 A run config is a JSON object (or the equivalent dict).  Unknown keys are
-rejected and every validation error names the offending key path.  All
-defaults are filled at parse time, so the echoed config in the output is the
-complete resolved configuration and parses back to an equal config.
+rejected and every validation error names the offending key path.  The
+harness checks the JSON structure and types and owns one range rule,
+``mmd_reference_n >= 0``.  Every other rule lives with the code that owns
+the value: ``dynamics.run_arguments`` (n, iters, seed, checkpoints, init),
+``StepperState`` and ``PrecondPolicy``, whose errors the harness re-raises
+at the key path, and each target, whose ``make_target`` names
+``target.<key>`` itself.  All defaults are filled at parse time, so the
+echoed config in the output is the complete resolved configuration and
+parses back to an equal config.
 
 Per run, the harness writes into the output directory:
 
@@ -27,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, metrics
-from .errors import ConfigError, NumericalAbort
+from .errors import ConfigError, NumericalAbort, as_count
 from .targets import LogisticPosterior, TargetModel, make_target
 
 DEFAULT_CHECKPOINTS = (0, 5, 10, 30, 100, 500)
@@ -102,23 +108,17 @@ def _check_unknown(obj: dict, allowed, path: str):
             _fail(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _as_int(value, path: str, minimum=None) -> int:
+def _as_int(value, path: str) -> int:
+    """A JSON integer: a JSON 3.0 is rejected here, where the owners accept it."""
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    return int(value)
+    return value
 
 
-def _as_number(value, path: str, positive=False) -> float:
+def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"must be a number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value):
-        _fail(path, "must be finite")
-    if positive and value <= 0.0:
-        _fail(path, f"must be positive, got {value}")
-    return value
+    return float(value)
 
 
 def _as_str(value, path: str) -> str:
@@ -140,15 +140,27 @@ def _as_section(value, path: str, keys) -> dict:
     return value
 
 
+_KEY_PATHS = {"n_particles": "n", "iterations": "iters", "init_mean": "init.mean",
+              "init_scale": "init.scale"}
+
+
+def _call_owner(prefix: str, owner, *args, **kwargs):
+    """``owner(*args, **kwargs)``, its ``ConfigError("name: ...")`` re-raised at
+    ``prefix`` + the config key path of ``name``."""
+    try:
+        return owner(*args, **kwargs)
+    except ConfigError as exc:
+        name, sep, rest = str(exc).partition(":")
+        base, bracket, index = name.partition("[")
+        raise ConfigError(f"{prefix}{_KEY_PATHS.get(base, base)}{bracket}{index}{sep}{rest}") from exc
+
+
 def _build(cls, path: str, section, types: dict, **defaults):
     """``cls`` built from a config section over ``defaults``: only the JSON
     types are checked here, and the range errors of ``cls`` get ``path``."""
     section = _as_section(section, path, types)
     kwargs = {key: types[key](value, f"{path}.{key}") for key, value in section.items()}
-    try:
-        return cls(**{**defaults, **kwargs})
-    except ConfigError as exc:
-        raise ConfigError(f"{path}.{exc}") from exc
+    return _call_owner(f"{path}.", cls, **{**defaults, **kwargs})
 
 
 def parse_config(source) -> RunConfig:
@@ -175,20 +187,17 @@ def parse_config(source) -> RunConfig:
     _check_unknown(params, _TARGET_PARAM_KEYS[kind], "target")
 
     method = _as_choice(source["method"], "method", dynamics.METHODS)
-    n = _as_int(source["n"], "n", minimum=1)
-    iters = _as_int(source["iters"], "iters", minimum=0)
-    seed = _as_int(source.get("seed", 0), "seed", minimum=0)
+    n = _as_int(source["n"], "n")
+    iters = _as_int(source["iters"], "iters")
+    seed = _as_int(source.get("seed", 0), "seed")
 
     raw_cp = source.get("checkpoints")
     if raw_cp is None:
-        checkpoints = tuple(c for c in DEFAULT_CHECKPOINTS if c <= iters)
+        checkpoints = [c for c in DEFAULT_CHECKPOINTS if c <= iters]
     else:
         if not isinstance(raw_cp, list) or not raw_cp:
             _fail("checkpoints", "must be a non-empty list of iterations")
-        checkpoints = tuple(sorted({_as_int(c, f"checkpoints[{i}]", minimum=0)
-                                    for i, c in enumerate(raw_cp)}))
-        if checkpoints[-1] > iters:
-            _fail("checkpoints", f"must not exceed iters={iters}, got {checkpoints[-1]}")
+        checkpoints = [_as_int(c, f"checkpoints[{i}]") for i, c in enumerate(raw_cp)]
 
     stepper = _build(dynamics.StepperState, "stepper", source.get("stepper", {}),
                      {"method": _as_str, "base_rate": _as_number, "damping": _as_number},
@@ -203,10 +212,13 @@ def parse_config(source) -> RunConfig:
         init_mean = [_as_number(v, f"init.mean[{i}]") for i, v in enumerate(raw_mean)]
     else:
         init_mean = _as_number(raw_mean, "init.mean")
-    init_scale = _as_number(init.get("scale", 1.0), "init.scale", positive=True)
+    init_scale = _as_number(init.get("scale", 1.0), "init.scale")
+    # the target dimension is not known here: run checks the init.mean length
+    n, iters, checkpoints, seed, _, init_scale = _call_owner(
+        "", dynamics.run_arguments, n, iters, checkpoints, seed, init_mean, init_scale)
 
-    mmd_reference_n = _as_int(source.get("mmd_reference_n", DEFAULT_MMD_REFERENCE_N),
-                              "mmd_reference_n", minimum=0)
+    mmd_reference_n = as_count(_as_int(source.get("mmd_reference_n", DEFAULT_MMD_REFERENCE_N),
+                                       "mmd_reference_n"), "mmd_reference_n", 0, ConfigError)
     out_dir = source.get("out_dir", "runs")
     if not isinstance(out_dir, str) or not out_dir:
         _fail("out_dir", "must be a non-empty string")
@@ -270,10 +282,10 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
     model = build_target(config)
     destination = Path(out_dir if out_dir is not None else config.out_dir)
     try:
-        result = dynamics.run(model, config.method, n_particles=config.n,
-                              iterations=config.iters, checkpoints=config.checkpoints,
-                              stepper=config.stepper, policy=config.precond, seed=config.seed,
-                              init_mean=config.init_mean, init_scale=config.init_scale)
+        result = _call_owner("", dynamics.run, model, config.method, n_particles=config.n,
+                             iterations=config.iters, checkpoints=config.checkpoints,
+                             stepper=config.stepper, policy=config.precond, seed=config.seed,
+                             init_mean=config.init_mean, init_scale=config.init_scale)
     except NumericalAbort as exc:
         if persist:
             destination.mkdir(parents=True, exist_ok=True)

@@ -43,17 +43,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, as_points, as_real
 from .psdlin import PreconditionerBundle, identity_bundle
-
-
-def _check_points(points) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise InvalidInputError(f"expected a (n, d) particle array, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise InvalidInputError("particles have non-finite coordinates")
-    return points
 
 
 # byte budget for the (chunk, n, n) float temporaries of the stacked-metric
@@ -127,13 +118,16 @@ def median_bandwidth(points, metric: PreconditionerBundle | None = None):
     must match bit for bit), and a stack with d > 3 take the expanded form of
     ``_metric_sq_dists``, a chunk of metrics at a time.
     """
-    points = _check_points(points)
+    points = as_points(points)
     n, d = points.shape
     if n < 2:
         raise InvalidInputError("median bandwidth needs at least two points")
     q = (metric or identity_bundle(d)).q
     stack = q.reshape(-1, d, d)
-    if q.ndim > 2 and d <= 3:
+    if np.all(points == points[0]):
+        # exact zeros: the expanded form leaves round-off where points coincide
+        medians = np.zeros(len(stack))
+    elif q.ndim > 2 and d <= 3:
         medians = _pair_table_medians(points, stack)
     else:
         upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
@@ -269,15 +263,6 @@ def _one_metric_direction(points, grads, bundle: PreconditionerBundle, h: float)
                       np.ones((n, 1)), np.zeros((1, n, d)))
 
 
-def _check_bandwidth(h) -> float:
-    if h is None:
-        raise ConfigError("kernel bandwidth is unresolved; resolve it (median trick) before use")
-    h = float(h)
-    if not np.isfinite(h) or h <= 0.0:
-        raise ConfigError(f"kernel bandwidth must be positive and finite, got {h}")
-    return h
-
-
 class KernelStrategy:
     """Common surface: pointwise evaluation and Stein direction."""
 
@@ -296,12 +281,8 @@ class KernelStrategy:
             raise InvalidInputError(f"expected a point of dimension {self.dim}, got shape {x.shape}")
         return x
 
-    def _check_pair_inputs(self, points, grads=None):
-        points = _check_points(points)
-        if self.dim and points.shape[1] != self.dim:
-            raise InvalidInputError(f"particles have dimension {points.shape[1]}, kernel expects {self.dim}")
-        if grads is None:
-            return points
+    def _check_pair_inputs(self, points, grads):
+        points = as_points(points, self.dim or None)
         grads = np.asarray(grads, dtype=float)
         if grads.shape != points.shape:
             raise InvalidInputError(f"grads shape {grads.shape} must match particles shape {points.shape}")
@@ -314,7 +295,7 @@ class ScalarRBF(KernelStrategy):
     kind = "scalar_rbf"
 
     def __init__(self, bandwidth: float):
-        self.bandwidth = _check_bandwidth(bandwidth)
+        self.bandwidth = as_real(bandwidth, "bandwidth", ConfigError, positive=True, finite=True)
 
     def eval(self, x, y):
         x, y = self._check_point(x), self._check_point(y)
@@ -338,7 +319,7 @@ class ConstPrecond(KernelStrategy):
 
     def __init__(self, bundle: PreconditionerBundle, bandwidth: float):
         self.bundle = bundle
-        self.bandwidth = _check_bandwidth(bandwidth)
+        self.bandwidth = as_real(bandwidth, "bandwidth", ConfigError, positive=True, finite=True)
         self.dim = bundle.dim
 
     def eval(self, x, y):
@@ -388,7 +369,7 @@ class MixturePrecond(KernelStrategy):
     kind = "mixture_precond"
 
     def __init__(self, points, bundle: PreconditionerBundle, bandwidths):
-        points = _check_points(points)
+        points = as_points(points)
         bandwidths = np.asarray(bandwidths, dtype=float)
         if bundle.q.shape[:-2] != points.shape[:1] or bandwidths.shape != points.shape[:1]:
             raise InvalidInputError("anchors need one metric and one bandwidth per point")

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import InvalidInputError
-from .kernels import CHUNK_BYTES, _check_points, _median_trick, _metric_sq_dists
+from .errors import InvalidInputError, as_points
+from .kernels import CHUNK_BYTES, _median_trick, _metric_sq_dists
 from .targets import LogisticDataset
 
 
@@ -42,7 +42,7 @@ def prepare_reference(ys) -> MmdReference:
     (about ``CHUNK_BYTES``) at a time, so no (n, n) matrix is held, and
     sorted in place once (O(n^2 log n)) for the pooled median of every
     later score."""
-    ys = _check_points(ys).copy()
+    ys = as_points(ys).copy()
     n = ys.shape[0]
     eye = np.eye(ys.shape[1])[None]
     pairs = np.empty(n * (n - 1) // 2)
@@ -164,9 +164,9 @@ def mmd_sq(xs, ys, bandwidth: float = 0.0) -> MmdReport:
     explicit bandwidth needs no pair distances, so an array ``ys`` is scored
     in row chunks of bounded memory.
     """
-    xs = _check_points(xs)
+    xs = as_points(xs)
     ref = ys if isinstance(ys, MmdReference) else None
-    ys = ref.points if ref is not None else _check_points(ys)
+    ys = ref.points if ref is not None else as_points(ys)
     if xs.shape[1] != ys.shape[1]:
         raise InvalidInputError(f"samples must have equal dimension, got {xs.shape} and {ys.shape}")
     if bandwidth < 0.0 or not np.isfinite(bandwidth):
@@ -187,10 +187,7 @@ def predictive_metrics(particles, dataset: LogisticDataset) -> tuple[float, floa
     logistic likelihood; a row is scored correct when 1[p > 1/2] matches its
     label.  Probabilities are clipped away from {0, 1} before the log.
     """
-    particles = np.asarray(particles, dtype=float)
-    if particles.ndim != 2 or particles.shape[1] != dataset.n_features:
-        raise InvalidInputError(
-            f"particles must have shape (n, {dataset.n_features}), got {particles.shape}")
+    particles = as_points(particles, dataset.n_features)
     probs = expit(particles @ dataset.features.T).mean(axis=0)
     labels = dataset.labels.astype(float)
     predicted = (probs > 0.5).astype(float)

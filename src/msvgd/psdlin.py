@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_real
 
 DEFAULT_FLOOR_RATIO = 1e-6
 
@@ -60,7 +60,7 @@ class PreconditionerBundle:
 
 
 def _check_floor_ratio(floor_ratio: float) -> float:
-    floor_ratio = float(floor_ratio)
+    floor_ratio = as_real(floor_ratio, "floor_ratio")
     if not 0.0 < floor_ratio < 1.0:
         raise InvalidInputError(f"floor_ratio must lie in (0, 1), got {floor_ratio}")
     return floor_ratio

@@ -24,13 +24,12 @@ parameter becomes a ``ConfigError``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, as_count, as_floats, as_points, as_real
 from .psdlin import make_bundle, symmetrize
 
 GRID_BOUND = 3.0
@@ -38,29 +37,10 @@ GRID_RESOLUTION = 512
 _GRID_CHUNK = 16384
 
 
-def _as_count(value, name: str, minimum: int, error=InvalidInputError) -> int:
-    """``value`` as an int >= ``minimum``; a non-integral number is rejected,
-    not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
-        raise error(f"{name}: must be an integer, got {value!r}")
-    if value < minimum:
-        raise error(f"{name}: must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _as_real(value, name: str, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidInputError(f"{name}: must be a number, got {value!r}")
-    if positive and not value > 0:
-        raise InvalidInputError(f"{name}: must be positive, got {value}")
-    return float(value)
-
-
-def _as_floats(value, name: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{name}: {exc}") from exc
+def _sampler_setup(n, seed) -> tuple[int, np.random.Generator]:
+    """A reference sampler's draw count, and its generator seeded by the run's seed rule."""
+    n = as_count(n, "sample size", 1)
+    return n, np.random.default_rng(as_count(seed, "seed", 0, ConfigError))
 
 
 class TargetModel:
@@ -82,18 +62,10 @@ class TargetModel:
         raise NotImplementedError
 
     # --- shared plumbing ---------------------------------------------------------
-    def _check_points(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.dim:
-            raise InvalidInputError(f"expected points of shape (n, {self.dim}), got {points.shape}")
-        if not np.all(np.isfinite(points)):
-            raise InvalidInputError("points have non-finite coordinates")
-        return points
-
     def _check_curvature_input(self, points, mode: str) -> np.ndarray:
         if mode not in self.supported_curvature:
             raise ConfigError(f"curvature mode '{mode}' is not supported by target '{self.kind}'")
-        return self._check_points(points)
+        return as_points(points, self.dim)
 
     def curvature_batch(self, points, mode: str = "exact_hessian") -> np.ndarray:
         return self._curvature_batch(self._check_curvature_input(points, mode), mode)
@@ -119,13 +91,13 @@ class Gaussian(TargetModel):
     kind = "gaussian"
 
     def __init__(self, mean, cov=None, precision=None):
-        mean = np.atleast_1d(_as_floats(mean, "mean"))
+        mean = np.atleast_1d(as_floats(mean, "mean"))
         if mean.ndim != 1 or not np.all(np.isfinite(mean)):
             raise InvalidInputError("mean: must be a finite vector")
         if (cov is None) == (precision is None):
             raise InvalidInputError("pass exactly one of cov or precision")
-        base = symmetrize(_as_floats(cov, "cov") if cov is not None
-                          else _as_floats(precision, "precision"))
+        base = symmetrize(as_floats(cov, "cov") if cov is not None
+                          else as_floats(precision, "precision"))
         if base.shape[0] != mean.shape[0]:
             raise InvalidInputError("mean and matrix dimensions disagree")
         bundle = make_bundle(base, floor_ratio=1e-12)
@@ -140,20 +112,19 @@ class Gaussian(TargetModel):
         self._log_norm = -0.5 * (self.dim * np.log(2.0 * np.pi) + self._log_det_cov)
 
     def log_density_batch(self, points):
-        points = self._check_points(points)
+        points = as_points(points, self.dim)
         dc = points - self.mean
         return self._log_norm - 0.5 * np.sum((dc @ self.precision) * dc, axis=1)
 
     def grad_log_density_batch(self, points):
-        points = self._check_points(points)
+        points = as_points(points, self.dim)
         return -(points - self.mean) @ self.precision
 
     def _curvature_batch(self, points, mode):
         return np.repeat(self.precision[None, :, :], points.shape[0], axis=0)
 
     def reference_sample(self, n, seed):
-        n = _as_count(n, "sample size", 1)
-        rng = np.random.default_rng(seed)
+        n, rng = _sampler_setup(n, seed)
         return self.mean + rng.standard_normal((n, self.dim)) @ self._cov_sqrt
 
 
@@ -169,9 +140,9 @@ class StarMixture(TargetModel):
     kind = "star_mixture"
 
     def __init__(self, components: int = 5, mu1=(0.0, 1.5), sigma1=((1.0, 0.0), (0.0, 0.01))):
-        components = _as_count(components, "components", 1)
-        mu1 = _as_floats(mu1, "mu1")
-        sigma1 = symmetrize(_as_floats(sigma1, "sigma1"))
+        components = as_count(components, "components", 1)
+        mu1 = as_floats(mu1, "mu1")
+        sigma1 = symmetrize(as_floats(sigma1, "sigma1"))
         if mu1.shape != (2,) or sigma1.shape != (2, 2):
             raise InvalidInputError("star mixture is 2-D: mu1 has shape (2,), sigma1 shape (2, 2)")
         theta = 2.0 * np.pi / components
@@ -198,7 +169,7 @@ class StarMixture(TargetModel):
         return self._log_norms[None, :] - 0.5 * quad
 
     def log_density_batch(self, points):
-        points = self._check_points(points)
+        points = as_points(points, self.dim)
         lp = self._component_log_pdfs(points)
         return logsumexp(lp, axis=1) - np.log(self.n_components)
 
@@ -212,7 +183,7 @@ class StarMixture(TargetModel):
         return w / w.sum(axis=1, keepdims=True), -np.einsum("kij,nkj->nki", self.precisions, dc)
 
     def grad_log_density_batch(self, points):
-        points = self._check_points(points)
+        points = as_points(points, self.dim)
         resp, comp_grads = self._responsibilities_and_scores(points)
         return np.einsum("nk,nki->ni", resp, comp_grads)
 
@@ -226,8 +197,7 @@ class StarMixture(TargetModel):
         return -hess
 
     def reference_sample(self, n, seed):
-        n = _as_count(n, "sample size", 1)
-        rng = np.random.default_rng(seed)
+        n, rng = _sampler_setup(n, seed)
         comp = rng.integers(self.n_components, size=n)
         z = rng.standard_normal((n, 2))
         out = np.empty((n, 2))
@@ -250,7 +220,7 @@ class _GridSampledTarget(TargetModel):
     _grid = None  # (centers, cdf), set per instance on first use
 
     def reference_sample(self, n, seed):
-        n = _as_count(n, "sample size", 1)
+        n, rng = _sampler_setup(n, seed)
         if self._grid is None:
             edges = np.linspace(-GRID_BOUND, GRID_BOUND, GRID_RESOLUTION + 1)
             mids = 0.5 * (edges[:-1] + edges[1:])
@@ -265,7 +235,6 @@ class _GridSampledTarget(TargetModel):
             cdf[-1] = 1.0
             self._grid = (centers, cdf)
         centers, cdf = self._grid
-        rng = np.random.default_rng(seed)
         u = (np.arange(n) + rng.random(n)) / n  # stratified uniforms
         idx = np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
         jitter = rng.random((n, 2)) - 0.5
@@ -282,9 +251,9 @@ class Sine(_GridSampledTarget):
     kind = "sine"
 
     def __init__(self, alpha: float = 1.0, sigma1: float = 0.003, sigma2: float = 1.0):
-        self.alpha = _as_real(alpha, "alpha")
-        self.sigma1 = _as_real(sigma1, "sigma1", positive=True)
-        self.sigma2 = _as_real(sigma2, "sigma2", positive=True)
+        self.alpha = as_real(alpha, "alpha")
+        self.sigma1 = as_real(sigma1, "sigma1", positive=True)
+        self.sigma2 = as_real(sigma2, "sigma2", positive=True)
         self.dim = 2
 
     def _ridge_parts(self, points):
@@ -294,11 +263,11 @@ class Sine(_GridSampledTarget):
         return x1, x2, u, self.alpha * np.cos(self.alpha * x1)
 
     def log_density_batch(self, points):
-        x1, x2, u, _ = self._ridge_parts(self._check_points(points))
+        x1, x2, u, _ = self._ridge_parts(as_points(points, self.dim))
         return -u * u / (2.0 * self.sigma1) - (x1 * x1 + x2 * x2) / (2.0 * self.sigma2)
 
     def grad_log_density_batch(self, points):
-        x1, x2, u, du1 = self._ridge_parts(self._check_points(points))
+        x1, x2, u, du1 = self._ridge_parts(as_points(points, self.dim))
         g1 = -u * du1 / self.sigma1 - x1 / self.sigma2
         g2 = -u / self.sigma1 - x2 / self.sigma2
         return np.column_stack([g1, g2])
@@ -325,9 +294,9 @@ class DoubleBanana(_GridSampledTarget):
     kind = "double_banana"
 
     def __init__(self, y_obs: float | None = None, sigma1: float = 1.0, sigma2: float = 0.09):
-        self.y_obs = float(np.log(30.0)) if y_obs is None else _as_real(y_obs, "y_obs")
-        self.sigma1 = _as_real(sigma1, "sigma1", positive=True)
-        self.sigma2 = _as_real(sigma2, "sigma2", positive=True)
+        self.y_obs = float(np.log(30.0)) if y_obs is None else as_real(y_obs, "y_obs")
+        self.sigma1 = as_real(sigma1, "sigma1", positive=True)
+        self.sigma2 = as_real(sigma2, "sigma2", positive=True)
         self.dim = 2
 
     @staticmethod
@@ -338,7 +307,7 @@ class DoubleBanana(_GridSampledTarget):
             return (1.0 - x1) ** 2 + 100.0 * (x2 - x1 * x1) ** 2
 
     def log_density_batch(self, points):
-        points = self._check_points(points)
+        points = as_points(points, self.dim)
         x1, x2 = points[:, 0], points[:, 1]
         with np.errstate(divide="ignore"):
             f = np.log(self._rosenbrock(x1, x2))
@@ -354,7 +323,7 @@ class DoubleBanana(_GridSampledTarget):
         return g, dg1, dg2
 
     def grad_log_density_batch(self, points):
-        points = self._check_points(points)
+        points = as_points(points, self.dim)
         x1, x2 = points[:, 0], points[:, 1]
         g, dg1, dg2 = self._rosenbrock_parts(x1, x2)
         # g = 0 (zero density) or overflow gives non-finite rows
@@ -390,18 +359,14 @@ class LogisticDataset:
     minibatch_size: int = 0  # 0 means full batch
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
+        features = as_points(self.features)
         labels = np.asarray(self.labels)
-        if features.ndim != 2 or features.shape[0] < 1:
-            raise InvalidInputError(f"features must have shape (N, d), got {features.shape}")
-        if not np.all(np.isfinite(features)):
-            raise InvalidInputError("features have non-finite entries")
         if labels.shape != (features.shape[0],):
             raise InvalidInputError("labels must be one per data row")
         lab = labels.astype(float)
         if not np.all(np.isin(lab, (0.0, 1.0))):
             raise InvalidInputError("labels must be 0 or 1")
-        mb = _as_count(self.minibatch_size, "minibatch_size", 0)
+        mb = as_count(self.minibatch_size, "minibatch_size", 0)
         if mb > features.shape[0]:
             raise InvalidInputError(f"minibatch_size: must lie in [0, {features.shape[0]}], got {mb}")
         object.__setattr__(self, "features", features)
@@ -473,7 +438,7 @@ class LogisticPosterior(TargetModel):
 
     # --- density surface ---------------------------------------------------------
     def log_density_batch(self, points):
-        points = self._check_points(points)
+        points = as_points(points, self.dim)
         feats, labs, scale = self._active()
         z = points @ feats.T  # (n, |B|)
         sign = 2.0 * labs - 1.0
@@ -482,7 +447,7 @@ class LogisticPosterior(TargetModel):
         return scale * loglik + prior
 
     def grad_log_density_batch(self, points):
-        points = self._check_points(points)
+        points = as_points(points, self.dim)
         feats, labs, scale = self._active()
         probs = expit(points @ feats.T)
         return scale * (labs[None, :] - probs) @ feats - points

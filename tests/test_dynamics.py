@@ -224,9 +224,10 @@ def test_run_validates_configuration_before_iterating():
         run(model, "vanilla_svgd", n_particles=0, iterations=1)
     with pytest.raises(ConfigError):
         run(model, "vanilla_svgd", n_particles=4, iterations=-1)
-    with pytest.raises(ConfigError):
-        run(model, "vanilla_svgd", n_particles=4, iterations=5, checkpoints=[6])
-    with pytest.raises(ConfigError):
+    # a checkpoint is named by its index
+    with pytest.raises(ConfigError, match=r"^checkpoints\[1\]: must be <= 5 \(the iteration count\), got 6$"):
+        run(model, "vanilla_svgd", n_particles=4, iterations=5, checkpoints=[0, 6])
+    with pytest.raises(ConfigError, match=r"^checkpoints\[0\]: must be >= 0, got -1$"):
         run(model, "vanilla_svgd", n_particles=4, iterations=5, checkpoints=[-1])
     with pytest.raises(ConfigError):
         # gaussian curvature cannot come from a fisher matrix
@@ -235,7 +236,7 @@ def test_run_validates_configuration_before_iterating():
     # non-integral counts are rejected, not truncated
     for kwargs, name in ((dict(n_particles=3.9, iterations=5), "n_particles"),
                          (dict(n_particles=4, iterations=2.5), "iterations"),
-                         (dict(n_particles=4, iterations=5, checkpoints=[2.7]), "checkpoints")):
+                         (dict(n_particles=4, iterations=5, checkpoints=[2.7]), r"checkpoints\[0\]")):
         with pytest.raises(ConfigError, match=f"^{name}: must be an integer"):
             run(model, "vanilla_svgd", **kwargs)
     with pytest.raises(ConfigError, match=r"^init_mean: .* 2 numbers .* length 3$"):

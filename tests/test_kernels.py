@@ -37,6 +37,17 @@ def test_median_bandwidth_two_points():
 
 def test_median_bandwidth_identical_points_falls_back_to_one():
     assert median_bandwidth(np.zeros((4, 2))) == 1.0
+    # away from the origin the expanded form x'Qx + x'Qx - 2x'Qx leaves a
+    # round-off median in about one of these cases in ten unless coincident
+    # points are caught first
+    rng = np.random.default_rng(12)
+    for d in (2, 4, 6, 10, 20):
+        for _ in range(20):
+            points = np.repeat(3.0 * rng.standard_normal((1, d)), 6, axis=0)
+            assert median_bandwidth(points) == 1.0
+            assert median_bandwidth(points, metric=make_bundle(random_spd(rng, d))) == 1.0
+            stacked = make_bundle(np.stack([random_spd(rng, d) for _ in range(3)]))
+            assert np.array_equal(median_bandwidth(points, metric=stacked), np.ones(3))
 
 
 def test_median_bandwidth_requires_two_points():

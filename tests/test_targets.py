@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -205,6 +207,17 @@ def test_banana_sampler_is_deterministic():
 
 
 # ------------------------------------------------------------- validation
+
+@pytest.mark.parametrize("kind", ["gaussian", "star_mixture", "sine"])
+def test_reference_samplers_reject_a_bad_seed_as_a_config_error(kind):
+    model = make_target(kind)
+    for seed, message in ((-1, "seed: must be >= 0, got -1"),
+                          (1.5, "seed: must be an integer, got 1.5"),
+                          (True, "seed: must be an integer, got True")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            model.reference_sample(3, seed)
+    assert np.array_equal(model.reference_sample(3, 2.0), model.reference_sample(3, 2))
+
 
 @pytest.mark.parametrize("model", [Gaussian(mean=np.zeros(2), cov=np.eye(2)),
                                    StarMixture(), Sine(), DoubleBanana()])
