@@ -22,14 +22,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, NumericalAbort, as_count, as_floats, as_real
+from .errors import ConfigError, InvalidInputError, NumericalAbort, as_choice, as_count, as_floats, as_real
 from .kernels import (
     ConstPrecond,
     MixturePrecond,
     ScalarRBF,
     median_bandwidth,
 )
-from .psdlin import DEFAULT_FLOOR_RATIO, PreconditionerBundle, make_bundle, psd_repair
+from .psdlin import DEFAULT_FLOOR_RATIO, PreconditionerBundle, check_floor_ratio, make_bundle, psd_repair
 from .targets import TargetModel
 
 CONVERGENCE_TOL = 1e-8
@@ -39,7 +39,8 @@ class PrecondPolicy:
     """How curvature information is sourced and how often it is refreshed.
 
     The defaults and range rules of these fields and of ``StepperState`` live
-    only in these two classes; each error message starts with the field name.
+    only in these two classes and ``psdlin.check_floor_ratio``; each error
+    message starts with the field name.
     """
 
     source: str = "exact_hessian"
@@ -47,11 +48,9 @@ class PrecondPolicy:
     floor_ratio: float = DEFAULT_FLOOR_RATIO
 
     def __post_init__(self):
-        if self.source not in ("exact_hessian", "fisher"):
-            raise ConfigError(f"source: must be one of ['exact_hessian', 'fisher'], got {self.source!r}")
+        as_choice(self.source, "source", ("exact_hessian", "fisher"), ConfigError)
         as_count(self.refresh_period, "refresh_period", 1, ConfigError)
-        if not 0.0 < self.floor_ratio < 1.0:
-            raise ConfigError(f"floor_ratio: must lie in (0, 1), got {self.floor_ratio}")
+        check_floor_ratio(self.floor_ratio, ConfigError)
 
 
 @dataclass
@@ -64,8 +63,7 @@ class StepperState:
     accumulators: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.method not in ("adagrad", "fixed"):
-            raise ConfigError(f"method: must be one of ['adagrad', 'fixed'], got {self.method!r}")
+        as_choice(self.method, "method", ("adagrad", "fixed"), ConfigError)
         for name in ("base_rate", "damping"):
             as_real(getattr(self, name), name, ConfigError, positive=True, finite=True)
 
@@ -248,24 +246,26 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
     ``CONVERGENCE_TOL`` the run stops early and later checkpoints repeat the
     converged set; ``converged_at`` records the stopping iteration.
 
-    All configuration problems are raised before iteration 0; non-finite
-    curvature, scores, directions, Adagrad accumulators or positions abort
-    the run with the iteration index.
+    All configuration problems, an initial draw that overflows among them,
+    are raised before iteration 0; non-finite curvature, scores, directions,
+    Adagrad accumulators or positions abort the run with the iteration index.
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method '{method}' (expected one of {METHODS})")
+    as_choice(method, "method", METHODS, ConfigError)
     n_particles, iterations, checkpoints, seed, init_mean, init_scale = run_arguments(
         n_particles, iterations, checkpoints, seed, init_mean, init_scale, dim=model.dim)
     stepper = StepperState() if stepper is None else stepper
     policy = PrecondPolicy() if policy is None else policy
-    if method != "vanilla_svgd" and policy.source not in model.supported_curvature:
-        raise ConfigError(
-            f"method '{method}' needs curvature source '{policy.source}', "
-            f"but target '{model.kind}' supports {model.supported_curvature}")
+    if method != "vanilla_svgd":
+        as_choice(policy.source, "source", model.supported_curvature, ConfigError)
 
     init_rng = np.random.default_rng([seed, 0])
     batch_rng = np.random.default_rng([seed, 1])
-    positions = init_mean + init_scale * init_rng.standard_normal((n_particles, model.dim))
+    with np.errstate(over="ignore"):
+        spread = init_scale * init_rng.standard_normal((n_particles, model.dim))
+        positions = init_mean + spread
+    if not np.all(np.isfinite(positions)):
+        name = "init_mean" if np.all(np.isfinite(spread)) else "init_scale"
+        raise ConfigError(f"{name}: too large, the initial draw overflows")
 
     checkpoint_set = set(checkpoints)
     snapshots: dict[int, np.ndarray] = {}

@@ -1,11 +1,12 @@
-"""Shared exception types and the one set of argument coercers.
+"""Shared exception types, the one set of argument coercers and the key-path rule.
 
 The code that owns an argument (``dynamics.run_arguments``, ``StepperState``,
 ``PrecondPolicy``, each target) states its rule once, through these
-coercers, in an error that starts with the argument's name; the harness
-checks only JSON types and maps that name to its config key path.
+coercers, in an error that starts with the argument's name, and
+``at_key_path`` turns that name into its config key path.
 """
 
+import contextlib
 import math
 import numbers
 
@@ -47,6 +48,13 @@ def as_count(value, name: str, minimum: int, error=InvalidInputError) -> int:
     return int(value)
 
 
+def as_choice(value, name: str, choices, error=InvalidInputError) -> str:
+    """``value`` as one of the strings ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise error(f"{name}: must be one of {sorted(choices)}, got {value!r}")
+    return value
+
+
 def as_real(value, name: str, error=InvalidInputError, positive: bool = False,
             finite: bool = False) -> float:
     """``value`` as a float, > 0 when ``positive`` and finite when ``finite``."""
@@ -74,3 +82,19 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(points)):
         raise InvalidInputError("points have non-finite coordinates")
     return points
+
+
+@contextlib.contextmanager
+def at_key_path(section: str, keys, catch=ConfigError):
+    """Re-raise a ``catch`` error ``"name: ..."`` of the block as a ConfigError
+    at ``section.name`` when ``keys`` holds the name (a dict maps it to its
+    key), an index as in ``name[1]`` kept, and otherwise whole at ``section``."""
+    try:
+        yield
+    except catch as exc:
+        name, sep, rest = str(exc).partition(":")
+        base, bracket, index = name.partition("[")
+        if not sep or base not in keys:
+            raise ConfigError(f"{section}: {exc}" if section else str(exc)) from exc
+        key = keys[base] if isinstance(keys, dict) else base
+        raise ConfigError(f"{section}{'.' if section else ''}{key}{bracket}{index}{sep}{rest}") from exc

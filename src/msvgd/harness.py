@@ -5,11 +5,11 @@ rejected and every validation error names the offending key path.  The
 harness checks the JSON structure and types and owns one range rule,
 ``mmd_reference_n >= 0``.  Every other rule lives with the code that owns
 the value: ``dynamics.run_arguments`` (n, iters, seed, checkpoints, init),
-``StepperState`` and ``PrecondPolicy``, whose errors the harness re-raises
-at the key path, and each target, whose ``make_target`` names
-``target.<key>`` itself.  All defaults are filled at parse time, so the
-echoed config in the output is the complete resolved configuration and
-parses back to an equal config.
+``StepperState`` and ``PrecondPolicy``, whose errors ``errors.at_key_path``
+re-raises at the key path, and each target class, which states its kind,
+keys and curvature sources and whose ``make_target`` names ``target.<key>``.
+All defaults are filled at parse time, so the echoed config in the output
+is the complete resolved configuration and parses back to an equal config.
 
 Per run, the harness writes into the output directory:
 
@@ -27,14 +27,14 @@ Per run, the harness writes into the output directory:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, metrics
-from .errors import ConfigError, NumericalAbort, as_count
-from .targets import LogisticPosterior, TargetModel, make_target
+from .errors import ConfigError, NumericalAbort, as_choice, as_count, as_real, at_key_path
+from .targets import LogisticPosterior, TargetModel, make_target, target_class
 
 DEFAULT_CHECKPOINTS = (0, 5, 10, 30, 100, 500)
 DEFAULT_MMD_REFERENCE_N = 2000
@@ -47,20 +47,16 @@ METHOD_DEFAULT_RATES = {
     "svn": 0.5,
 }
 
-_TARGET_PARAM_KEYS = {
-    "gaussian": ("mean", "cov"),
-    "star_mixture": ("components", "mu1", "sigma1"),
-    "sine": ("alpha", "sigma1", "sigma2"),
-    "double_banana": ("y_obs", "sigma1", "sigma2"),
-    "logistic_posterior": ("data_path", "delimiter", "minibatch_size"),
-}
-
 _TOP_KEYS = ("target", "method", "n", "iters", "seed", "checkpoints",
              "stepper", "precond", "init", "mmd_reference_n", "out_dir")
 
-# RunConfig fields that may differ within a comparison: the method, where its
+# config keys that may differ within a comparison: the method, where its
 # record goes, and the stepper, whose base rate defaults per method
-_PER_METHOD_FIELDS = ("method", "out_dir", "stepper")
+_PER_METHOD_KEYS = ("method", "out_dir", "stepper")
+
+# the config key path of each ``dynamics.run`` argument its errors name
+_RUN_KEYS = {"n_particles": "n", "iterations": "iters", "checkpoints": "checkpoints", "seed": "seed",
+             "init_mean": "init.mean", "init_scale": "init.scale", "source": "precond.source"}
 
 
 @dataclass(frozen=True)
@@ -108,28 +104,14 @@ def _check_unknown(obj: dict, allowed, path: str):
             _fail(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _as_int(value, path: str) -> int:
-    """A JSON integer: a JSON 3.0 is rejected here, where the owners accept it."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"must be an integer, got {value!r}")
-    return value
-
-
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        _fail(path, f"must be a string, got {value!r}")
-    return value
-
-
-def _as_choice(value, path: str, choices) -> str:
-    if value not in choices:
-        _fail(path, f"must be one of {sorted(choices)}, got {value!r}")
+def _as_json(value, path: str, kind: type):
+    """``value`` checked against its JSON type ``kind``: ``int`` (a JSON 3.0 is
+    rejected here, where the owners accept it), ``float`` (any number, returned
+    as a float) or ``str``."""
+    if kind is float:
+        return as_real(value, path, ConfigError)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        _fail(path, f"must be {'an integer' if kind is int else 'a string'}, got {value!r}")
     return value
 
 
@@ -140,27 +122,13 @@ def _as_section(value, path: str, keys) -> dict:
     return value
 
 
-_KEY_PATHS = {"n_particles": "n", "iterations": "iters", "init_mean": "init.mean",
-              "init_scale": "init.scale"}
-
-
-def _call_owner(prefix: str, owner, *args, **kwargs):
-    """``owner(*args, **kwargs)``, its ``ConfigError("name: ...")`` re-raised at
-    ``prefix`` + the config key path of ``name``."""
-    try:
-        return owner(*args, **kwargs)
-    except ConfigError as exc:
-        name, sep, rest = str(exc).partition(":")
-        base, bracket, index = name.partition("[")
-        raise ConfigError(f"{prefix}{_KEY_PATHS.get(base, base)}{bracket}{index}{sep}{rest}") from exc
-
-
 def _build(cls, path: str, section, types: dict, **defaults):
     """``cls`` built from a config section over ``defaults``: only the JSON
     types are checked here, and the range errors of ``cls`` get ``path``."""
     section = _as_section(section, path, types)
-    kwargs = {key: types[key](value, f"{path}.{key}") for key, value in section.items()}
-    return _call_owner(f"{path}.", cls, **{**defaults, **kwargs})
+    kwargs = {key: _as_json(value, f"{path}.{key}", types[key]) for key, value in section.items()}
+    with at_key_path(path, types.keys()):
+        return cls(**{**defaults, **kwargs})
 
 
 def parse_config(source) -> RunConfig:
@@ -182,14 +150,14 @@ def parse_config(source) -> RunConfig:
         target = {"kind": target}
     if not isinstance(target, dict) or "kind" not in target:
         _fail("target", "must be a kind name or an object with a 'kind' key")
-    kind = _as_choice(target["kind"], "target.kind", _TARGET_PARAM_KEYS)
+    target_cls = target_class(target["kind"])
     params = {k: v for k, v in target.items() if k != "kind"}
-    _check_unknown(params, _TARGET_PARAM_KEYS[kind], "target")
+    _check_unknown(params, target_cls.config_keys, "target")
 
-    method = _as_choice(source["method"], "method", dynamics.METHODS)
-    n = _as_int(source["n"], "n")
-    iters = _as_int(source["iters"], "iters")
-    seed = _as_int(source.get("seed", 0), "seed")
+    method = as_choice(source["method"], "method", dynamics.METHODS, ConfigError)
+    n = _as_json(source["n"], "n", int)
+    iters = _as_json(source["iters"], "iters", int)
+    seed = _as_json(source.get("seed", 0), "seed", int)
 
     raw_cp = source.get("checkpoints")
     if raw_cp is None:
@@ -197,40 +165,41 @@ def parse_config(source) -> RunConfig:
     else:
         if not isinstance(raw_cp, list) or not raw_cp:
             _fail("checkpoints", "must be a non-empty list of iterations")
-        checkpoints = [_as_int(c, f"checkpoints[{i}]") for i, c in enumerate(raw_cp)]
+        checkpoints = [_as_json(c, f"checkpoints[{i}]", int) for i, c in enumerate(raw_cp)]
 
     stepper = _build(dynamics.StepperState, "stepper", source.get("stepper", {}),
-                     {"method": _as_str, "base_rate": _as_number, "damping": _as_number},
+                     {"method": str, "base_rate": float, "damping": float},
                      base_rate=METHOD_DEFAULT_RATES[method])
     precond = _build(dynamics.PrecondPolicy, "precond", source.get("precond", {}),
-                     {"source": _as_str, "refresh_period": _as_int, "floor_ratio": _as_number},
-                     source="fisher" if kind == "logistic_posterior" else "exact_hessian")
+                     {"source": str, "refresh_period": int, "floor_ratio": float},
+                     source=target_cls.supported_curvature[0])
 
     init = _as_section(source.get("init", {}), "init", ("mean", "scale"))
     raw_mean = init.get("mean", 0.0)
     if isinstance(raw_mean, list):
-        init_mean = [_as_number(v, f"init.mean[{i}]") for i, v in enumerate(raw_mean)]
+        init_mean = [_as_json(v, f"init.mean[{i}]", float) for i, v in enumerate(raw_mean)]
     else:
-        init_mean = _as_number(raw_mean, "init.mean")
-    init_scale = _as_number(init.get("scale", 1.0), "init.scale")
+        init_mean = _as_json(raw_mean, "init.mean", float)
+    init_scale = _as_json(init.get("scale", 1.0), "init.scale", float)
     # the target dimension is not known here: run checks the init.mean length
-    n, iters, checkpoints, seed, _, init_scale = _call_owner(
-        "", dynamics.run_arguments, n, iters, checkpoints, seed, init_mean, init_scale)
+    with at_key_path("", _RUN_KEYS):
+        n, iters, checkpoints, seed, _, init_scale = dynamics.run_arguments(
+            n, iters, checkpoints, seed, init_mean, init_scale)
 
-    mmd_reference_n = as_count(_as_int(source.get("mmd_reference_n", DEFAULT_MMD_REFERENCE_N),
-                                       "mmd_reference_n"), "mmd_reference_n", 0, ConfigError)
+    mmd_reference_n = as_count(_as_json(source.get("mmd_reference_n", DEFAULT_MMD_REFERENCE_N),
+                                        "mmd_reference_n", int), "mmd_reference_n", 0, ConfigError)
     out_dir = source.get("out_dir", "runs")
     if not isinstance(out_dir, str) or not out_dir:
         _fail("out_dir", "must be a non-empty string")
 
-    return RunConfig(target_kind=kind, target_params=params, method=method, n=n,
+    return RunConfig(target_kind=target_cls.kind, target_params=params, method=method, n=n,
                      iters=iters, seed=seed, checkpoints=checkpoints,
                      stepper=stepper, precond=precond, init_mean=init_mean, init_scale=init_scale,
                      mmd_reference_n=mmd_reference_n, out_dir=out_dir)
 
 
 def build_target(config: RunConfig) -> TargetModel:
-    """Materialize the configured target (loads data files for the logistic kind)."""
+    """Materialize the configured target (loading its data file, if it has one)."""
     return make_target(config.target_kind, **config.target_params)
 
 
@@ -282,10 +251,11 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
     model = build_target(config)
     destination = Path(out_dir if out_dir is not None else config.out_dir)
     try:
-        result = _call_owner("", dynamics.run, model, config.method, n_particles=config.n,
-                             iterations=config.iters, checkpoints=config.checkpoints,
-                             stepper=config.stepper, policy=config.precond, seed=config.seed,
-                             init_mean=config.init_mean, init_scale=config.init_scale)
+        with at_key_path("", _RUN_KEYS):
+            result = dynamics.run(model, config.method, n_particles=config.n,
+                                  iterations=config.iters, checkpoints=config.checkpoints,
+                                  stepper=config.stepper, policy=config.precond, seed=config.seed,
+                                  init_mean=config.init_mean, init_scale=config.init_scale)
     except NumericalAbort as exc:
         if persist:
             destination.mkdir(parents=True, exist_ok=True)
@@ -360,15 +330,16 @@ def compare(configs, out_dir=None) -> dict:
     if not configs:
         raise ConfigError("compare: needs at least one config")
     first = configs[0]
+    shared = first.to_dict()
     methods = []
     for cfg in configs:
         if cfg.method in methods:
             raise ConfigError(f"method: duplicate method '{cfg.method}' in comparison")
         methods.append(cfg.method)
-        for key in (f.name for f in fields(RunConfig) if f.name not in _PER_METHOD_FIELDS):
-            if getattr(cfg, key) != getattr(first, key):
-                raise ConfigError(f"{key}: configs in a comparison must agree, "
-                                  f"got {getattr(cfg, key)!r} vs {getattr(first, key)!r}")
+        for key, value in cfg.to_dict().items():
+            if key not in _PER_METHOD_KEYS and value != shared[key]:
+                raise ConfigError(f"{key}: configs in a comparison must agree, got "
+                                  f"{json.dumps(value)} vs {json.dumps(shared[key])}")
 
     records = {}
     for cfg in configs:

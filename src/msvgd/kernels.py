@@ -47,8 +47,8 @@ from .errors import ConfigError, InvalidInputError, as_points, as_real
 from .psdlin import PreconditionerBundle, identity_bundle
 
 
-# byte budget for the (chunk, n, n) float temporaries of the stacked-metric
-# computations: anchors are processed this many bytes' worth at a time
+# byte budget for the temporaries of every chunked loop here and in
+# ``metrics`` (see ``_chunks``): each chunk holds about this many bytes
 CHUNK_BYTES = 1 << 19
 
 # a mixture weight at or below this is round-off: the Stein sum skips the
@@ -56,9 +56,9 @@ CHUNK_BYTES = 1 << 19
 WEIGHT_FLOOR = 1e-16
 
 
-def _chunks(count: int, n: int):
-    """Slices covering ``count`` metrics, each holding about CHUNK_BYTES of (n, n) floats."""
-    step = max(1, CHUNK_BYTES // (8 * n * n))
+def _chunks(count: int, floats: int) -> list[slice]:
+    """Slices covering ``count`` items of ``floats`` floats, about CHUNK_BYTES each."""
+    step = max(1, CHUNK_BYTES // (8 * floats))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
@@ -132,7 +132,7 @@ def median_bandwidth(points, metric: PreconditionerBundle | None = None):
     else:
         upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
         medians = np.empty(stack.shape[0])
-        for chunk in _chunks(stack.shape[0], n):
+        for chunk in _chunks(stack.shape[0], n * n):
             d2 = _metric_sq_dists(points, stack[chunk])
             medians[chunk] = _row_medians(np.take(d2.reshape(len(d2), -1), upper, axis=1))
     h = _median_trick(medians.reshape(q.shape[:-2]), n)
@@ -157,10 +157,9 @@ def _pair_table_medians(points, q) -> np.ndarray:
     table[a != b] *= 2.0
     coef = q[:, a, b]
     medians = np.empty(len(q))
-    step = max(1, CHUNK_BYTES // (8 * len(i)))
-    for lo in range(0, len(q), step):
-        d2 = coef[lo:lo + step] @ table
-        medians[lo:lo + step] = _row_medians(np.maximum(d2, 0.0, out=d2))
+    for chunk in _chunks(len(q), len(i)):
+        d2 = coef[chunk] @ table
+        medians[chunk] = _row_medians(np.maximum(d2, 0.0, out=d2))
     return medians
 
 
@@ -199,7 +198,7 @@ def _stein_sum(points, grads, q, q_inv, h, w, wg) -> np.ndarray:
     h = h[:, None, None]
     phi = np.zeros_like(points)
     if np.all(active):
-        for chunk in _chunks(len(h), n):
+        for chunk in _chunks(len(h), n * n):
             wc = w.T[chunk]
             phi += np.einsum("ln,lnd->nd", wc, _anchor_terms(
                 points, grads, wc, wg[chunk], q[chunk], q_inv[chunk], h[chunk]))

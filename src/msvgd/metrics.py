@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InvalidInputError, as_points
-from .kernels import CHUNK_BYTES, _median_trick, _metric_sq_dists
+from .kernels import _chunks, _median_trick, _metric_sq_dists
 from .targets import LogisticDataset
 
 
@@ -39,17 +39,16 @@ class MmdReference:
 
 def prepare_reference(ys) -> MmdReference:
     """The draws ``ys`` with their pair distances, formed a block of rows
-    (about ``CHUNK_BYTES``) at a time, so no (n, n) matrix is held, and
+    (``kernels._chunks``) at a time, so no (n, n) matrix is held, and
     sorted in place once (O(n^2 log n)) for the pooled median of every
     later score."""
     ys = as_points(ys).copy()
     n = ys.shape[0]
     eye = np.eye(ys.shape[1])[None]
     pairs = np.empty(n * (n - 1) // 2)
-    rows = max(1, CHUNK_BYTES // (8 * n))
     pos = 0
-    for lo in range(0, n, rows):
-        for i, row in enumerate(_metric_sq_dists(ys[lo:lo + rows], eye, ys)[0], start=lo):
+    for rows in _chunks(n, n):
+        for i, row in enumerate(_metric_sq_dists(ys[rows], eye, ys)[0], start=rows.start):
             pairs[pos:pos + n - 1 - i] = row[i + 1:]
             pos += n - 1 - i
     pairs.sort()
@@ -58,26 +57,25 @@ def prepare_reference(ys) -> MmdReference:
 
 
 def _kernel_sum(d2: np.ndarray, bandwidth: float, out: np.ndarray | None = None) -> float:
-    """Sum of exp(-d2 / (2 h)), computed in ``out`` (by default in place in ``d2``)."""
-    out = d2 if out is None else out
+    """Sum of exp(-d2 / (2 h)), computed in the head of ``out`` (default: in place in ``d2``)."""
+    out = d2 if out is None else out[:len(d2)]
     return float(np.exp(np.divide(d2, -2.0 * bandwidth, out=out), out=out).sum())
 
 
 def _mean_kernel(xs: np.ndarray, ys: np.ndarray | None, bandwidth: float) -> float:
     """Mean RBF kernel value over all pairs of ``xs`` with ``ys``, computed a
-    block of rows (about ``CHUNK_BYTES``) at a time.  ``ys`` None pairs
+    block of rows (``kernels._chunks``) at a time.  ``ys`` None pairs
     ``xs`` with itself: a row block meets only the columns after each of its
     rows, so every unordered pair is formed once, and each self term is
     exp(0) = 1."""
     eye = np.eye(xs.shape[1])[None]
     own = ys is None
     ys = xs if own else ys
-    rows = max(1, CHUNK_BYTES // (8 * len(ys)))
     total = float(len(xs)) if own else 0.0
-    for lo in range(0, len(xs), rows):
-        block = xs[lo:lo + rows]
+    for rows in _chunks(len(xs), len(ys)):
+        block = xs[rows]
         if own:
-            d2 = _metric_sq_dists(block, eye, xs[lo:])[0]
+            d2 = _metric_sq_dists(block, eye, xs[rows.start:])[0]
             d2[:, :len(block)][np.tril_indices(len(block))] = np.inf  # kernel value 0
             total += 2.0 * _kernel_sum(d2, bandwidth)
         else:
@@ -135,14 +133,14 @@ def _score(xs: np.ndarray, ref: MmdReference, bandwidth: float) -> tuple[float, 
         median = _union_median((ref.sorted_pair_sq_dists, np.sort(own[np.triu_indices(n, 1)]),
                                 np.sort(cross, axis=None)))
         bandwidth = float(_median_trick(median, n + m))
-    # the reference triangle is summed through one CHUNK_BYTES buffer; each
-    # draw's self term is exp(0) = 1
+    # the reference triangle is summed through one buffer of a chunk's size;
+    # each draw's self term is exp(0) = 1
     pairs = ref.sorted_pair_sq_dists
-    buf = np.empty(max(1, min(len(pairs), CHUNK_BYTES // 8)))
+    parts = _chunks(len(pairs), 1)
+    buf = np.empty(len(pairs[parts[0]]) if parts else 0)
     pair_sum = 0.0
-    for lo in range(0, len(pairs), len(buf)):
-        part = pairs[lo:lo + len(buf)]
-        pair_sum += _kernel_sum(part, bandwidth, buf[:len(part)])
+    for part in parts:
+        pair_sum += _kernel_sum(pairs[part], bandwidth, buf)
     ref_sum = m + 2.0 * pair_sum
     value = (_kernel_sum(own, bandwidth) / (n * n) + ref_sum / (m * m)
              - 2.0 * _kernel_sum(cross, bandwidth) / (n * m))

@@ -59,10 +59,10 @@ class PreconditionerBundle:
         return self.q.shape[-1]
 
 
-def _check_floor_ratio(floor_ratio: float) -> float:
-    floor_ratio = as_real(floor_ratio, "floor_ratio")
+def check_floor_ratio(floor_ratio: float, error=InvalidInputError) -> float:
+    floor_ratio = as_real(floor_ratio, "floor_ratio", error)
     if not 0.0 < floor_ratio < 1.0:
-        raise InvalidInputError(f"floor_ratio must lie in (0, 1), got {floor_ratio}")
+        raise error(f"floor_ratio: must lie in (0, 1), got {floor_ratio}")
     return floor_ratio
 
 
@@ -93,7 +93,7 @@ def psd_repair(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> np.ndarray:
     matrix passes through up to round-off.  A stack (..., d, d) is repaired
     matrix by matrix.
     """
-    floor_ratio = _check_floor_ratio(floor_ratio)
+    floor_ratio = check_floor_ratio(floor_ratio)
     lam, vec = _clipped_eigh(m, floor_ratio)
     return _eig_form(lam, vec, 1.0)
 
@@ -106,7 +106,7 @@ def make_bundle(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> PreconditionerBu
     (..., d, d) gives one bundle of stacks, equal matrix by matrix to the
     bundles of its members.
     """
-    floor_ratio = _check_floor_ratio(floor_ratio)
+    floor_ratio = check_floor_ratio(floor_ratio)
     lam, vec = _clipped_eigh(m, floor_ratio)
     return PreconditionerBundle(
         q=_eig_form(lam, vec, 1.0),

@@ -17,9 +17,11 @@ Every model exposes the same batch surface over points X of shape (n, d):
   exact ancestral sampling for Gaussian / mixture targets, a deterministic
   inverse-CDF grid sampler on [-3, 3]^2 for the two irregular 2-D targets.
 
-``curvature(x, mode)`` is ``curvature_batch`` at one point.  ``make_target``
-builds a target from its kind name and config parameters; it is where a bad
-parameter becomes a ``ConfigError``.
+``curvature(x, mode)`` is ``curvature_batch`` at one point.  Each class
+states its ``kind``, ``config_keys`` and ``supported_curvature`` (the first
+is the default source); ``target_class`` finds a class by its kind, and
+``make_target`` builds a target from its kind name and config parameters;
+it is where a bad parameter becomes a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .errors import ConfigError, InvalidInputError, as_count, as_floats, as_points, as_real
+from .errors import (ConfigError, InvalidInputError, as_choice, as_count, as_floats, as_points, as_real,
+                     at_key_path)
 from .psdlin import make_bundle, symmetrize
 
 GRID_BOUND = 3.0
@@ -43,11 +46,20 @@ def _sampler_setup(n, seed) -> tuple[int, np.random.Generator]:
     return n, np.random.default_rng(as_count(seed, "seed", 0, ConfigError))
 
 
+def _positive_definite(matrix, name: str) -> np.ndarray:
+    """``matrix`` symmetrized, rejected unless it is positive definite."""
+    matrix = symmetrize(as_floats(matrix, name))
+    if not np.all(np.linalg.eigvalsh(matrix) > 0.0):
+        raise InvalidInputError(f"{name}: must be positive definite, got {matrix.tolist()}")
+    return matrix
+
+
 class TargetModel:
     """Base class: the batch surface, its input checks and the curvature
     mode check shared by every target."""
 
     kind: str = "abstract"
+    config_keys: tuple[str, ...] = ()
     dim: int = 0
     supported_curvature: tuple[str, ...] = ("exact_hessian",)
 
@@ -63,8 +75,7 @@ class TargetModel:
 
     # --- shared plumbing ---------------------------------------------------------
     def _check_curvature_input(self, points, mode: str) -> np.ndarray:
-        if mode not in self.supported_curvature:
-            raise ConfigError(f"curvature mode '{mode}' is not supported by target '{self.kind}'")
+        as_choice(mode, "mode", self.supported_curvature, ConfigError)
         return as_points(points, self.dim)
 
     def curvature_batch(self, points, mode: str = "exact_hessian") -> np.ndarray:
@@ -89,6 +100,7 @@ class Gaussian(TargetModel):
     """Multivariate normal, parameterized by covariance or by precision."""
 
     kind = "gaussian"
+    config_keys = ("mean", "cov")
 
     def __init__(self, mean, cov=None, precision=None):
         mean = np.atleast_1d(as_floats(mean, "mean"))
@@ -96,8 +108,8 @@ class Gaussian(TargetModel):
             raise InvalidInputError("mean: must be a finite vector")
         if (cov is None) == (precision is None):
             raise InvalidInputError("pass exactly one of cov or precision")
-        base = symmetrize(as_floats(cov, "cov") if cov is not None
-                          else as_floats(precision, "precision"))
+        base = (_positive_definite(cov, "cov") if cov is not None
+                else _positive_definite(precision, "precision"))
         if base.shape[0] != mean.shape[0]:
             raise InvalidInputError("mean and matrix dimensions disagree")
         bundle = make_bundle(base, floor_ratio=1e-12)
@@ -138,11 +150,12 @@ class StarMixture(TargetModel):
     """
 
     kind = "star_mixture"
+    config_keys = ("components", "mu1", "sigma1")
 
     def __init__(self, components: int = 5, mu1=(0.0, 1.5), sigma1=((1.0, 0.0), (0.0, 0.01))):
         components = as_count(components, "components", 1)
         mu1 = as_floats(mu1, "mu1")
-        sigma1 = symmetrize(as_floats(sigma1, "sigma1"))
+        sigma1 = _positive_definite(sigma1, "sigma1")
         if mu1.shape != (2,) or sigma1.shape != (2, 2):
             raise InvalidInputError("star mixture is 2-D: mu1 has shape (2,), sigma1 shape (2, 2)")
         theta = 2.0 * np.pi / components
@@ -249,6 +262,7 @@ class Sine(_GridSampledTarget):
     """
 
     kind = "sine"
+    config_keys = ("alpha", "sigma1", "sigma2")
 
     def __init__(self, alpha: float = 1.0, sigma1: float = 0.003, sigma2: float = 1.0):
         self.alpha = as_real(alpha, "alpha")
@@ -256,14 +270,18 @@ class Sine(_GridSampledTarget):
         self.sigma2 = as_real(sigma2, "sigma2", positive=True)
         self.dim = 2
 
-    def _ridge_parts(self, points):
-        """x1, x2, the ridge residual u = x2 + sin(alpha x1) and du/dx1."""
+    def _ridge(self, points):
+        """x1, x2 and the ridge residual u = x2 + sin(alpha x1)."""
         x1, x2 = points[:, 0], points[:, 1]
-        u = x2 + np.sin(self.alpha * x1)
+        return x1, x2, x2 + np.sin(self.alpha * x1)
+
+    def _ridge_parts(self, points):
+        """``_ridge`` and du/dx1, for the score and the curvature."""
+        x1, x2, u = self._ridge(points)
         return x1, x2, u, self.alpha * np.cos(self.alpha * x1)
 
     def log_density_batch(self, points):
-        x1, x2, u, _ = self._ridge_parts(as_points(points, self.dim))
+        x1, x2, u = self._ridge(as_points(points, self.dim))
         return -u * u / (2.0 * self.sigma1) - (x1 * x1 + x2 * x2) / (2.0 * self.sigma2)
 
     def grad_log_density_batch(self, points):
@@ -292,6 +310,7 @@ class DoubleBanana(_GridSampledTarget):
     """
 
     kind = "double_banana"
+    config_keys = ("y_obs", "sigma1", "sigma2")
 
     def __init__(self, y_obs: float | None = None, sigma1: float = 1.0, sigma2: float = 0.09):
         self.y_obs = float(np.log(30.0)) if y_obs is None else as_real(y_obs, "y_obs")
@@ -397,7 +416,7 @@ class LogisticDataset:
         try:
             raw = np.loadtxt(data_path, delimiter=delimiter, ndmin=2)
         except ValueError as exc:
-            raise InvalidInputError(f"could not parse dataset file {data_path}: {exc}") from exc
+            raise InvalidInputError(f"data_path: could not parse dataset file {data_path}: {exc}") from exc
         if raw.shape[1] < 2:
             raise InvalidInputError("dataset needs at least one feature column and a label column")
         return cls(features=raw[:, :-1], labels=raw[:, -1], minibatch_size=minibatch_size)
@@ -412,6 +431,7 @@ class LogisticPosterior(TargetModel):
     """
 
     kind = "logistic_posterior"
+    config_keys = ("data_path", "delimiter", "minibatch_size")
     supported_curvature = ("fisher",)
 
     def __init__(self, dataset: LogisticDataset):
@@ -469,13 +489,10 @@ class LogisticPosterior(TargetModel):
         return scale * (feats.T * w.mean(axis=0)) @ feats + np.eye(self.dim)
 
 
-_TARGET_KINDS = {
-    "gaussian": Gaussian,
-    "star_mixture": StarMixture,
-    "sine": Sine,
-    "double_banana": DoubleBanana,
-    "logistic_posterior": LogisticPosterior,
-}
+def target_class(kind) -> type[TargetModel]:
+    """The target class named ``kind``; an unknown kind is a ConfigError."""
+    classes = {cls.kind: cls for cls in (Gaussian, StarMixture, Sine, DoubleBanana, LogisticPosterior)}
+    return classes[as_choice(kind, "target.kind", classes, ConfigError)]
 
 
 def make_target(kind: str, **params) -> TargetModel:
@@ -489,20 +506,16 @@ def make_target(kind: str, **params) -> TargetModel:
     ``logistic_posterior`` loads its dataset from ``data_path`` (see
     ``LogisticDataset.from_file``).
     """
-    if kind not in _TARGET_KINDS:
-        raise ConfigError(f"unknown target kind '{kind}' (expected one of {sorted(_TARGET_KINDS)})")
+    cls = target_class(kind)
     if kind == "gaussian" and set(params) <= {"mean"}:
         mean = params.get("mean", [0.0, 0.0])
         params = {"mean": mean, "cov": np.eye(np.size(mean))}
-    if kind == "gaussian" and "cov" in params and "mean" not in params:
-        raise ConfigError("target.mean: required when cov is given")
-    if kind == "logistic_posterior" and "data_path" not in params:
-        raise ConfigError("target.data_path: required for logistic_posterior")
-    try:
+    # a parameter's own error starts with its key, as in "alpha: ..."
+    with at_key_path("target", cls.config_keys, (TypeError, ValueError)):
+        if kind == "gaussian" and "cov" in params and "mean" not in params:
+            raise ConfigError("mean: required when cov is given")
+        if kind == "logistic_posterior" and "data_path" not in params:
+            raise ConfigError("data_path: required for logistic_posterior")
         if kind == "logistic_posterior":
             params = {"dataset": LogisticDataset.from_file(**params)}
-        return _TARGET_KINDS[kind](**params)
-    except (TypeError, ValueError) as exc:
-        # a parameter's own error starts with its key, as in "alpha: ..."
-        key = str(exc).partition(":")[0]
-        raise ConfigError(f"target.{exc}" if key in params else f"target: {exc}") from exc
+        return cls(**params)

@@ -308,16 +308,25 @@ def test_compare_rejects_mismatched_or_duplicated_configs(tmp_path):
         compare([a, a])
     mismatched = parse_config(minimal_config(method="svn", n=11, iters=10,
                                              checkpoints=[0, 5, 10]))
-    with pytest.raises(ConfigError, match="n"):
+    with pytest.raises(ConfigError, match="^n: configs in a comparison must agree, got 11 vs 10$"):
         compare([a, mismatched])
+    # a mismatch names the config key of the section that differs, not a RunConfig field
     shared = dict(method="svn", n=10, iters=10, checkpoints=[0, 5, 10], out_dir=str(tmp_path))
-    for key, override in [("init_mean", {"init": {"mean": 3.0}}),
-                          ("floor_ratio", {"precond": {"floor_ratio": 0.1}}),
-                          ("mmd_reference_n", {"mmd_reference_n": 299})]:
+    for override, values in [
+            ({"target": {"kind": "star_mixture", "components": 4}},
+             '{"kind": "star_mixture", "components": 4} vs {"kind": "star_mixture"}'),
+            ({"init": {"mean": 3.0}},
+             '{"mean": 3.0, "scale": 1.0} vs {"mean": 0.0, "scale": 1.0}'),
+            ({"precond": {"floor_ratio": 0.1}},
+             '{"source": "exact_hessian", "refresh_period": 1, "floor_ratio": 0.1} vs '
+             '{"source": "exact_hessian", "refresh_period": 1, "floor_ratio": 0.05}'),
+            ({"mmd_reference_n": 299}, "299 vs 300")]:
         raw = minimal_config(**shared, mmd_reference_n=300, precond={"floor_ratio": 0.05})
         raw.update(override)
-        with pytest.raises(ConfigError, match=key):
+        key = next(iter(override))
+        with pytest.raises(ConfigError) as caught:
             compare([a, parse_config(raw)])
+        assert str(caught.value) == f"{key}: configs in a comparison must agree, got {values}"
     # the stepper may differ: its base rate defaults per method
     b_fixed = parse_config(minimal_config(**shared, mmd_reference_n=300, precond={"floor_ratio": 0.05},
                                           stepper={"method": "fixed", "base_rate": 0.01}))
@@ -457,11 +466,27 @@ def test_cli_exit_codes_by_error_category(tmp_path, capsys):
             # checks the mean against it before iteration 0
             (minimal_config(init={"mean": [0, 0, 0]}),
              "init.mean: must be one number or 2 numbers (the target dimension), got length 3"),
-            (minimal_config(mmd_reference_n=-1), "mmd_reference_n: must be >= 0, got -1")):
+            (minimal_config(mmd_reference_n=-1), "mmd_reference_n: must be >= 0, got -1"),
+            # an initial draw that overflows names the init key at fault
+            (minimal_config(target="gaussian", n=5, iters=2, mmd_reference_n=0,
+                            init={"mean": 1e308, "scale": 1e308}),
+             "init.mean: too large, the initial draw overflows"),
+            (minimal_config(target="gaussian", iters=2, mmd_reference_n=0, init={"scale": 1e308}),
+             "init.scale: too large, the initial draw overflows"),
+            (minimal_config(target={"kind": "gaussian", "mean": [0, 0], "cov": [[1, 2], [2, 1]]}),
+             "target.cov: must be positive definite, got [[1.0, 2.0], [2.0, 1.0]]"),
+            (minimal_config(target={"kind": "star_mixture", "sigma1": [[1, 0], [0, -0.01]]}),
+             "target.sigma1: must be positive definite, got [[1.0, 0.0], [0.0, -0.01]]"),
+            (minimal_config(method="svn", precond={"source": "fisher"}),
+             "precond.source: must be one of ['exact_hessian'], got 'fisher'"),
+            (minimal_config(target="banana"),
+             "target.kind: must be one of ['double_banana', 'gaussian', 'logistic_posterior', "
+             "'sine', 'star_mixture'], got 'banana'")):
         bad_section = tmp_path / "bad_section.json"
         bad_section.write_text(json.dumps(raw))
-        assert main(["run", str(bad_section), "--quiet"]) == 2, raw
+        assert main(["run", str(bad_section), "--out", str(tmp_path / "bad_run"), "--quiet"]) == 2, raw
         assert capsys.readouterr().err == f"config: {message}\n", raw
+        assert not (tmp_path / "bad_run").exists(), raw
     assert main(["sample", "star_mixture", "0", "1", "--out", str(tmp_path), "--quiet"]) == 2
     assert capsys.readouterr().err == "input: sample size: must be >= 1, got 0\n"
 
@@ -495,7 +520,10 @@ def test_cli_exit_codes_by_error_category(tmp_path, capsys):
                            ({"kind": "logistic_posterior", "data_path": data_path,
                              "minibatch_size": "x"}, "target.minibatch_size: "),
                            ({"kind": "logistic_posterior", "data_path": data_path,
-                             "minibatch_size": 2.7}, "target.minibatch_size: ")):
+                             "minibatch_size": 2.7}, "target.minibatch_size: "),
+                           # the rest of this line is numpy's own text
+                           ({"kind": "logistic_posterior", "data_path": 5},
+                            "target.data_path: could not parse dataset file 5: ")):
         bad_target = tmp_path / "bad_target.json"
         bad_target.write_text(json.dumps(minimal_config(target=target, n=4, iters=1)))
         assert main(["run", str(bad_target), "--quiet"]) == 2, target

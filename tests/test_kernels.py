@@ -88,7 +88,7 @@ def test_stacked_median_bandwidth_matches_per_metric_calls(monkeypatch, per_chun
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((n, d))
     m = 40
-    assert len(kernels._chunks(m, n)) > 1
+    assert len(kernels._chunks(m, n * n)) > 1
     bundle = make_bundle(np.stack([random_spd(rng, d) for _ in range(m)]))
     # a stack with d <= 3 takes the pair table, the others the expanded form
     routes = []
@@ -372,7 +372,7 @@ def test_mixture_direction_matches_the_per_anchor_loop(monkeypatch, per_chunk):
     pts = rng.uniform(-3.0, 3.0, size=(200, 2))
     anchors = refresh_anchors(pts, model, PrecondPolicy(floor_ratio=0.05))
     counts = _active_counts(anchors, pts)
-    assert len(kernels._chunks(len(anchors.points), 200)) > 1
+    assert len(kernels._chunks(len(anchors.points), 200 * 200)) > 1
     chunks = kernels._active_chunks(counts)
     assert len(chunks) > 1
     assert any(len(np.unique(counts[chunk])) > 1 for chunk, _ in chunks)

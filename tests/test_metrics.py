@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import msvgd.metrics as metrics_module
+from msvgd import kernels
 from helpers import double_loop_mmd_sq, pooled_median_bandwidth
 from msvgd.errors import InvalidInputError
 from msvgd.kernels import median_bandwidth
@@ -177,7 +178,7 @@ def test_prepared_reference_holds_the_sorted_pair_triangle():
 def test_prepared_reference_holds_the_pair_triangle_and_is_read_only(monkeypatch, rows):
     rng = np.random.default_rng(7)
     ys = rng.standard_normal((37, 3))
-    monkeypatch.setattr(metrics_module, "CHUNK_BYTES", 8 * 37 * rows)
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 8 * 37 * rows)
     reference = prepare_reference(ys)
     full = np.sum((ys[:, None, :] - ys[None, :, :]) ** 2, axis=2)
     assert np.allclose(reference.sorted_pair_sq_dists, np.sort(full[np.triu_indices(37, 1)]),
@@ -197,11 +198,37 @@ def test_mmd_value_independent_of_chunk_size(monkeypatch):
         "median": lambda: mmd_sq(xs, prepare_reference(ys)),
     }
     base = {name: score().value for name, score in scores.items()}
-    monkeypatch.setattr(metrics_module, "CHUNK_BYTES", 8 * 3 * 23)
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 8 * 3 * 23)
     # the prepared routes sum their 253-pair triangle in 4 chunks
-    assert len(range(0, 23 * 22 // 2, metrics_module.CHUNK_BYTES // 8)) == 4
+    assert len(kernels._chunks(23 * 22 // 2, 1)) == 4
     for name, score in scores.items():
         assert abs(score().value - base[name]) <= 1e-12, name
+
+
+def test_kernels_chunk_bytes_alone_sizes_the_metrics_blocks(monkeypatch):
+    # metrics holds no memory budget of its own: kernels.CHUNK_BYTES sets how
+    # many row blocks prepare_reference forms and how many chunks of the
+    # reference triangle _score sums
+    rng = np.random.default_rng(9)
+    xs, ys = rng.standard_normal((5, 2)), rng.standard_normal((40, 2))
+    calls = []
+    for name in ("_metric_sq_dists", "_kernel_sum"):
+        original = getattr(metrics_module, name)
+        monkeypatch.setattr(metrics_module, name,
+                            lambda *args, name=name, original=original: calls.append(name) or original(*args))
+
+    def blocks():
+        calls.clear()
+        reference = prepare_reference(ys)
+        rows = calls.count("_metric_sq_dists")
+        calls.clear()
+        metrics_module._score(xs, reference, 0.0)
+        return rows, calls.count("_kernel_sum") - 2  # one sum each for the own and cross pairs
+
+    assert blocks() == (1, 1)
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 8 * 3 * 40)
+    # 40 rows of 40 distances, 3 rows a block; 780 pairs, 120 a chunk
+    assert blocks() == (14, 7)
 
 
 def separable_dataset():

@@ -130,6 +130,23 @@ def test_star_rejects_nonpositive_component_count():
     assert StarMixture(components=3.0).n_components == 3
 
 
+def test_targets_reject_a_covariance_that_is_not_positive_definite():
+    # the eigenvalue floor would repair these into another target in silence
+    for build, name in ((lambda m: Gaussian(mean=[0.0, 0.0], cov=m), "cov"),
+                        (lambda m: Gaussian(mean=[0.0, 0.0], precision=m), "precision"),
+                        (lambda m: StarMixture(sigma1=m), "sigma1")):
+        for bad in ([[1.0, 2.0], [2.0, 1.0]], np.diag([1.0, -0.01]), np.diag([1.0, 0.0])):
+            with pytest.raises(InvalidInputError, match=f"^{name}: must be positive definite"):
+                build(bad)
+    for kind, params, message in (
+            ("gaussian", {"mean": [0, 0], "cov": [[1, 2], [2, 1]]},
+             "target.cov: must be positive definite, got [[1.0, 2.0], [2.0, 1.0]]"),
+            ("star_mixture", {"sigma1": [[1.0, 0.0], [0.0, -0.01]]},
+             "target.sigma1: must be positive definite, got [[1.0, 0.0], [0.0, -0.01]]")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            make_target(kind, **params)
+
+
 def test_star_sampler_mean_near_zero_by_symmetry():
     star = StarMixture()
     xs = star.reference_sample(10_000, seed=0)

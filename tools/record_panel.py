@@ -87,7 +87,8 @@ def panel_configs() -> list[dict]:
 
 
 # (label, overrides of a valid 30-iteration star_mixture config): one bad key
-# each, plus a gaussian whose Adagrad accumulator overflows at iteration 0
+# each, plus a gaussian whose Adagrad accumulator overflows at iteration 0 and
+# one whose initial draw overflows
 BAD_CONFIGS = (
     ("n_float", {"n": 3.0}),
     ("n_zero", {"n": 0}),
@@ -113,6 +114,15 @@ BAD_CONFIGS = (
     ("target_sigma1_negative", {"target": {"kind": "sine", "sigma1": -1.0}}),
     ("accumulator_overflow", {"target": {"kind": "gaussian", "mean": [1e160, 1e160]},
                               "n": 5, "iters": 3, "checkpoints": [0]}),
+    ("init_draw_overflow", {"target": "gaussian", "n": 5, "iters": 2,
+                            "init": {"mean": 1e308, "scale": 1e308}}),
+    ("target_cov_indefinite", {"target": {"kind": "gaussian", "mean": [0, 0],
+                                          "cov": [[1, 2], [2, 1]]}}),
+    ("target_sigma1_indefinite", {"target": {"kind": "star_mixture",
+                                             "sigma1": [[1, 0], [0, -0.01]]}}),
+    ("precond_source_unsupported", {"method": "svn", "precond": {"source": "fisher"}}),
+    ("target_data_path_number", {"target": {"kind": "logistic_posterior", "data_path": 5}}),
+    ("target_kind_unknown", {"target": "banana"}),
 )
 
 
