@@ -10,12 +10,17 @@ Every model exposes the same batch surface over points X of shape (n, d):
   positive-definiteness is the caller's problem (see ``psdlin.psd_repair``,
   which repairs a whole stack at once).
 - ``mean_curvature(X, mode)``: the (d, d) particle mean of
-  ``curvature_batch``, with the same checks.  The logistic posterior
-  overrides it: its Fisher matrix is linear in the per-row weights, so it
-  averages those and forms one matrix instead of n.
+  ``curvature_batch``, with the same checks.
 - ``reference_sample(n, seed)``: ground-truth-ish draws where available:
   exact ancestral sampling for Gaussian / mixture targets, a deterministic
   inverse-CDF grid sampler on [-3, 3]^2 for the two irregular 2-D targets.
+
+The logistic posterior's Fisher matrix is linear in the per-row weights.
+Its ``curvature_batch`` is one blocked GEMM: the (n, |B|) weights times the
+products f_ra f_rb (a <= b) of the active rows, formed a block of rows at a
+time within ``kernels.CHUNK_BYTES``, give the packed upper triangles, which
+a (d, d) index map unpacks.  Its ``mean_curvature`` averages the weights
+and forms one matrix instead of n.
 
 ``curvature(x, mode)`` is ``curvature_batch`` at one point.  Each class
 states its ``kind``, ``config_keys`` and ``supported_curvature`` (the first
@@ -33,6 +38,7 @@ from scipy.special import expit, logsumexp
 
 from .errors import (ConfigError, InvalidInputError, as_choice, as_count, as_floats, as_points, as_real,
                      at_key_path)
+from .kernels import _chunks
 from .psdlin import make_bundle, symmetrize
 
 GRID_BOUND = 3.0
@@ -416,7 +422,8 @@ class LogisticDataset:
         try:
             raw = np.loadtxt(data_path, delimiter=delimiter, ndmin=2)
         except ValueError as exc:
-            raise InvalidInputError(f"data_path: could not parse dataset file {data_path}: {exc}") from exc
+            reason = " ".join(str(exc).split())  # numpy's text may span lines
+            raise InvalidInputError(f"data_path: could not parse dataset file {data_path}: {reason}") from exc
         if raw.shape[1] < 2:
             raise InvalidInputError("dataset needs at least one feature column and a label column")
         return cls(features=raw[:, :-1], labels=raw[:, -1], minibatch_size=minibatch_size)
@@ -466,23 +473,38 @@ class LogisticPosterior(TargetModel):
         prior = -0.5 * np.sum(points * points, axis=1) - 0.5 * self.dim * np.log(2.0 * np.pi)
         return scale * loglik + prior
 
+    @staticmethod
+    def _probabilities(points, feats):
+        """sigma(x_i . f_r) for each point and active row, shape (n, |B|): one GEMM."""
+        return expit(points @ feats.T)
+
     def grad_log_density_batch(self, points):
         points = as_points(points, self.dim)
         feats, labs, scale = self._active()
-        probs = expit(points @ feats.T)
-        return scale * (labs[None, :] - probs) @ feats - points
+        return scale * (labs[None, :] - self._probabilities(points, feats)) @ feats - points
 
     def _fisher_weights(self, points):
         feats, _, scale = self._active()
-        probs = expit(feats @ points[:, :, None])[..., 0]
+        probs = self._probabilities(points, feats)
         return feats, scale, probs * (1.0 - probs)
 
     def _curvature_batch(self, points, mode):
+        # row i of ``packed`` is particle i's upper triangle, w_i @ (f_ra f_rb);
+        # a block's temporaries are its products and the gathered f_rb
         feats, scale, w = self._fisher_weights(points)
-        eye = np.eye(self.dim)
-        # one (N, d) weighted copy of the features at a time: vectorising over
-        # particles would hold an (n, N, d) array and raise the peak memory
-        return np.stack([scale * (feats.T * wi) @ feats + eye for wi in w])
+        a, b = np.triu_indices(self.dim)
+        packed = np.zeros((len(points), len(a)))
+        for rows in _chunks(len(feats), 2 * len(a)):
+            block = feats[rows]
+            products = block[:, a]
+            products *= block[:, b]
+            packed += w[:, rows] @ products
+        index = np.empty((self.dim, self.dim), dtype=int)
+        index[a, b] = index[b, a] = np.arange(len(a))
+        stack = packed[:, index]
+        stack *= scale
+        stack += np.eye(self.dim)
+        return stack
 
     def _mean_curvature(self, points, mode):
         feats, scale, w = self._fisher_weights(points)

@@ -7,12 +7,14 @@ independent construction, and the block Gram matrix is ``strategy.eval``
 evaluated pair by pair.  The sampler only ever reads whole particle sets, so
 the single-point target views, the grid quadrature, the mixture weight
 gradients and the particle CSV reader live here, read from the library's
-batch surfaces.
+batch surfaces.  The logistic Fisher stack oracle forms one particle's matrix
+at a time, against the library's one blocked GEMM.
 """
 
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit
 
 GRID_CHUNK = 16384  # grid cells per log_density_batch call in grid_moments
 
@@ -66,6 +68,18 @@ def weight_gradients(kernel, points) -> np.ndarray:
     """grad w_l at each point, shape (n, m, d): the weight gradients that
     ``MixturePrecond.direction`` forms, with the points axis first."""
     return kernel._weights_and_gradients(np.asarray(points, dtype=float))[1].transpose(1, 0, 2)
+
+
+def fisher_stack(model, points) -> np.ndarray:
+    """The logistic posterior's Fisher stack, one particle at a time over the
+    active rows F_B: scale * (F_B' w_i) @ F_B + I, with w_ir = s (1 - s) at
+    s = sigma(f_r . x_i)."""
+    feats, _, scale = model._active()
+    stack = []
+    for x in np.asarray(points, dtype=float):
+        probs = expit(feats @ x)
+        stack.append(scale * (feats.T * (probs * (1.0 - probs))) @ feats + np.eye(len(x)))
+    return np.stack(stack)
 
 
 def load_particles(path) -> tuple[int, np.ndarray]:

@@ -2,18 +2,21 @@ import re
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 from scipy.stats import multivariate_normal
 
 from helpers import (
     assert_fd_close,
     fd_gradient,
     fd_jacobian,
+    fisher_stack,
     grad_log_density,
     grid_moments,
     log_density,
     map_estimate,
 )
+from msvgd import kernels
+from msvgd import targets as targets_module
 from msvgd.errors import ConfigError, InvalidInputError
 from msvgd.targets import (
     DoubleBanana,
@@ -270,7 +273,14 @@ def test_curvature_batch_stacks_single_point_curvatures(model):
         pts = scale * rng.standard_normal((9, model.dim))
         batch = model.curvature_batch(pts, mode=mode)
         assert batch.shape == (9, model.dim, model.dim)
-        assert np.array_equal(batch, np.stack([model.curvature(x, mode=mode) for x in pts]))
+        singles = np.stack([model.curvature(x, mode=mode) for x in pts])
+        if isinstance(model, LogisticPosterior):
+            # one row of a multi-row GEMM is not bitwise the one-row GEMM
+            expected = fisher_stack(model, pts)
+            for stack in (batch, singles):
+                assert np.max(np.abs(stack - expected)) <= 1e-12 * np.max(np.abs(expected))
+        else:
+            assert np.array_equal(batch, singles)
 
 
 @over_curvature_models
@@ -377,6 +387,35 @@ def test_logistic_fisher_equals_full_batch_observed_information():
         fisher = model.curvature(theta, mode="fisher")
         hess = fd_jacobian(lambda v: grad_log_density(model, v), theta)
         assert_fd_close(fisher, -hess, label="logistic fisher")
+
+
+@pytest.mark.parametrize("minibatch_size", [0, 300], ids=["full_batch", "minibatch"])
+def test_logistic_fisher_stack_matches_the_per_particle_oracle(monkeypatch, minibatch_size):
+    rng = np.random.default_rng(16)
+    d, n_rows = 20, 1000
+    feats = rng.standard_normal((n_rows, d))
+    labels = (rng.random(n_rows) < expit(feats @ rng.standard_normal(d))).astype(float)
+    model = LogisticPosterior(LogisticDataset(features=feats, labels=labels,
+                                              minibatch_size=minibatch_size))
+    model.resample_minibatch(rng)
+    pts = [scale * rng.standard_normal((40, d)) for scale in (0.03, 0.3, 3.0)]
+    blocks = []
+
+    def counted_chunks(count, floats):
+        chunks = kernels._chunks(count, floats)
+        blocks.append(len(chunks))
+        return chunks
+
+    monkeypatch.setattr(targets_module, "_chunks", counted_chunks)
+    for chunk_bytes in (kernels.CHUNK_BYTES, 8 * d * (d + 1) * 16):
+        # the small budget holds 16 rows of a block's temporaries: >= 8 blocks
+        monkeypatch.setattr(kernels, "CHUNK_BYTES", chunk_bytes)
+        for x in pts:
+            stack = model.curvature_batch(x, mode="fisher")
+            expected = fisher_stack(model, x)
+            assert np.array_equal(stack, stack.transpose(0, 2, 1))
+            assert np.max(np.abs(stack - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert min(blocks[len(pts):]) >= 8
 
 
 def test_logistic_rejects_exact_hessian_mode():
