@@ -1,26 +1,36 @@
 """Dense symmetric linear algebra: PSD repair and matrix roots.
 
-Everything here operates on small d x d symmetric matrices through a single
-eigendecomposition backend (``numpy.linalg.eigh``), and one former,
-vec diag(lam^p) vec^T over the clipped eigenpairs, builds every output
-matrix: the repaired matrix (p = 1) and each bundle factor.  ``symmetrize``,
+Everything here operates on small d x d symmetric matrices.  ``symmetrize``,
 ``psd_repair`` and ``make_bundle`` also accept stacks of shape (..., d, d)
 and work matrix by matrix; a stacked ``make_bundle`` returns one bundle whose
 fields are stacks.  Inputs are symmetrized on entry (averaged with their
 transpose) so downstream code never has to worry about asymmetry accumulated
 during Hessian assembly.  Pair distances, Euclidean or under a metric, are
 formed where they are used (``kernels._metric_sq_dists``).
+
+Repair raises eigenvalues below floor = floor_ratio * max(1, lam_max).  A
+matrix that ``_certified`` proves to be clear of the floor is kept as it is,
+with its inverse and log determinant from one Cholesky factor; the eigensolve
+is skipped because clipping would change nothing beyond round-off.  Every
+other matrix is eigendecomposed (``numpy.linalg.eigh``), and one former,
+vec diag(lam^p) vec^T over the clipped eigenpairs, builds its outputs and
+every bundle's roots q^(+-1/2), which are formed on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError, as_real
 
 DEFAULT_FLOOR_RATIO = 1e-6
+
+
+def _symmetric_part(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def symmetrize(m) -> np.ndarray:
@@ -31,7 +41,7 @@ def symmetrize(m) -> np.ndarray:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix has non-finite entries")
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return _symmetric_part(m)
 
 
 @dataclass(frozen=True)
@@ -42,21 +52,33 @@ class PreconditionerBundle:
     ----------
     q : ndarray, shape (..., d, d)
         The matrix itself.
-    q_sqrt, q_inv_sqrt, q_inv : ndarray, shape (..., d, d)
-        Symmetric square root, inverse square root, and inverse.
+    q_inv : ndarray, shape (..., d, d)
+        Its inverse.
     log_det : float or ndarray, shape (...)
         Log determinant of ``q``.
+    floor_ratio : float
+        The eigenvalue floor ``q`` was repaired to; the roots clip at it.
+    q_sqrt, q_inv_sqrt : ndarray, shape (..., d, d)
+        Symmetric square root and inverse square root, formed from ``q`` by
+        the eigen-former on first read (only set-up code and tests read them).
     """
 
     q: np.ndarray
-    q_sqrt: np.ndarray
-    q_inv_sqrt: np.ndarray
     q_inv: np.ndarray
     log_det: float | np.ndarray
+    floor_ratio: float = DEFAULT_FLOOR_RATIO
 
     @property
     def dim(self) -> int:
         return self.q.shape[-1]
+
+    @cached_property
+    def q_sqrt(self) -> np.ndarray:
+        return _eig_form(*_clipped_eigh(self.q, self.floor_ratio), 0.5)
+
+    @cached_property
+    def q_inv_sqrt(self) -> np.ndarray:
+        return _eig_form(*_clipped_eigh(self.q, self.floor_ratio), -0.5)
 
 
 def check_floor_ratio(floor_ratio: float, error=InvalidInputError) -> float:
@@ -73,7 +95,7 @@ def _clipped_eigh(m, floor_ratio):
     collapses below an absolute scale of ``floor_ratio``:
     floor = floor_ratio * max(1, lam_max).
     """
-    lam, vec = np.linalg.eigh(symmetrize(m))
+    lam, vec = np.linalg.eigh(m)
     floor = floor_ratio * np.maximum(1.0, lam[..., -1:])
     return np.maximum(lam, floor), vec
 
@@ -81,8 +103,37 @@ def _clipped_eigh(m, floor_ratio):
 def _eig_form(lam, vec, power: float) -> np.ndarray:
     """vec diag(lam^power) vec^T per matrix, symmetrized (averaged with its
     transpose) so round-off leaves no asymmetry."""
-    out = (vec * lam[..., None, :]**power) @ np.swapaxes(vec, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    return _symmetric_part((vec * lam[..., None, :]**power) @ np.swapaxes(vec, -1, -2))
+
+
+def _certified(stack: np.ndarray, floor_ratio: float) -> np.ndarray:
+    """Per matrix of a symmetric (k, d, d) stack: whether M - s I, with
+    s = 2 floor_ratio max(1, b) and b >= lam_max the largest absolute row sum
+    (Gershgorin), has only positive Cholesky pivots.  Then lam_min(M) >= s
+    less the sweep's round-off O(d eps b), so lam_min >= floor.
+
+    The d - 1 elimination steps run on the whole stack at once, yet each
+    verdict reads only its own matrix.  Step j leaves pivot j final on the
+    diagonal, and a failed matrix's later steps do not matter.
+    """
+    k, d, _ = stack.shape
+    bound = np.abs(stack).sum(axis=-1).max(axis=-1, initial=0.0)
+    a = stack.copy()
+    pivots = a.reshape(k, d * d)[:, ::d + 1]  # a view of each diagonal
+    pivots -= 2.0 * floor_ratio * np.maximum(1.0, bound)[:, None]
+    with np.errstate(all="ignore"):
+        for j in range(d - 1):
+            col = a[:, j + 1:, j] / a[:, j, j, None]
+            a[:, j + 1:, j + 1:] -= col[:, :, None] * a[:, None, j, j + 1:]
+    return np.all(pivots > 0.0, axis=-1)
+
+
+def _symmetrized_stack(m, floor_ratio: float):
+    """``m`` symmetrized, as a (k, d, d) stack, with its input shape and each
+    matrix's certificate."""
+    m = symmetrize(m)
+    stack = m.reshape(-1, *m.shape[-2:])
+    return m.shape, stack, _certified(stack, floor_ratio)
 
 
 def psd_repair(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> np.ndarray:
@@ -90,36 +141,45 @@ def psd_repair(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> np.ndarray:
 
     Eigenvalues below ``floor_ratio * max(1, lam_max)`` are raised to that
     floor; eigenvectors are untouched, so an already well-conditioned PD
-    matrix passes through up to round-off.  A stack (..., d, d) is repaired
-    matrix by matrix.
+    matrix passes through up to round-off, and a certified one (see the
+    module docstring) is returned symmetrized, bit for bit.  A stack
+    (..., d, d) is repaired matrix by matrix.
     """
     floor_ratio = check_floor_ratio(floor_ratio)
-    lam, vec = _clipped_eigh(m, floor_ratio)
-    return _eig_form(lam, vec, 1.0)
+    shape, q, ok = _symmetrized_stack(m, floor_ratio)
+    if not ok.all():
+        q[~ok] = _eig_form(*_clipped_eigh(q[~ok], floor_ratio), 1.0)
+    return q.reshape(shape)
 
 
 def make_bundle(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> PreconditionerBundle:
-    """Repair ``m`` and package it with its symmetric factor matrices.
+    """Repair ``m`` as ``psd_repair`` does and package it with its inverse
+    and log determinant.
 
-    A single eigendecomposition produces q, q^{1/2}, q^{-1/2}, q^{-1} and
-    log det q, guaranteeing they are mutually consistent.  A stack
-    (..., d, d) gives one bundle of stacks, equal matrix by matrix to the
-    bundles of its members.
+    A certified matrix takes both from one Cholesky factor of itself, any
+    other matrix from its clipped eigendecomposition, so q, q^{-1} and
+    log det q are mutually consistent.  A stack (..., d, d) gives one bundle
+    of stacks, equal matrix by matrix to the bundles of its members.
     """
     floor_ratio = check_floor_ratio(floor_ratio)
-    lam, vec = _clipped_eigh(m, floor_ratio)
-    return PreconditionerBundle(
-        q=_eig_form(lam, vec, 1.0),
-        q_sqrt=_eig_form(lam, vec, 0.5),
-        q_inv_sqrt=_eig_form(lam, vec, -0.5),
-        q_inv=_eig_form(lam, vec, -1.0),
-        log_det=np.sum(np.log(lam), axis=-1),
-    )
+    shape, q, ok = _symmetrized_stack(m, floor_ratio)
+    q_inv = np.empty_like(q)
+    log_det = np.empty(len(q))
+    if ok.any():
+        chol = np.linalg.cholesky(q[ok])
+        chol_inv = np.linalg.inv(chol)
+        q_inv[ok] = _symmetric_part(np.swapaxes(chol_inv, -1, -2) @ chol_inv)
+        log_det[ok] = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    if not ok.all():
+        lam, vec = _clipped_eigh(q[~ok], floor_ratio)
+        q[~ok] = _eig_form(lam, vec, 1.0)
+        q_inv[~ok] = _eig_form(lam, vec, -1.0)
+        log_det[~ok] = np.sum(np.log(lam), axis=-1)
+    return PreconditionerBundle(q=q.reshape(shape), q_inv=q_inv.reshape(shape),
+                                log_det=log_det.reshape(shape[:-2])[()], floor_ratio=floor_ratio)
 
 
 def identity_bundle(dim: int) -> PreconditionerBundle:
     """Bundle for the identity metric (all factors are the identity)."""
     eye = np.eye(int(dim))
-    return PreconditionerBundle(q=eye, q_sqrt=eye.copy(), q_inv_sqrt=eye.copy(),
-                                q_inv=eye.copy(), log_det=0.0)
-
+    return PreconditionerBundle(q=eye, q_inv=eye.copy(), log_det=0.0)

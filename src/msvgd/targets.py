@@ -445,6 +445,7 @@ class LogisticPosterior(TargetModel):
         self.dataset = dataset
         self.dim = dataset.n_features
         self._batch_idx = None  # None means full batch
+        self._last_probabilities = None  # (points, batch index, probabilities)
 
     # --- minibatch control -------------------------------------------------------
     @property
@@ -452,6 +453,7 @@ class LogisticPosterior(TargetModel):
         return 0 < self.dataset.minibatch_size < self.dataset.n_rows
 
     def resample_minibatch(self, rng: np.random.Generator) -> None:
+        self._last_probabilities = None
         if self.uses_minibatches:
             idx = rng.choice(self.dataset.n_rows, size=self.dataset.minibatch_size, replace=False)
             self._batch_idx = np.sort(idx)
@@ -473,10 +475,18 @@ class LogisticPosterior(TargetModel):
         prior = -0.5 * np.sum(points * points, axis=1) - 0.5 * self.dim * np.log(2.0 * np.pi)
         return scale * loglik + prior
 
-    @staticmethod
-    def _probabilities(points, feats):
-        """sigma(x_i . f_r) for each point and active row, shape (n, |B|): one GEMM."""
-        return expit(points @ feats.T)
+    def _probabilities(self, points, feats):
+        """sigma(x_i . f_r) for each point and active row, shape (n, |B|): one
+        GEMM.  The last result is kept read-only and returned again while the
+        points and the active batch are the same, as when a refresh's curvature
+        and the score read one iteration's particles."""
+        last = self._last_probabilities
+        if last is not None and last[1] is self._batch_idx and np.array_equal(last[0], points):
+            return last[2]
+        probs = expit(points @ feats.T)
+        probs.flags.writeable = False
+        self._last_probabilities = (points.copy(), self._batch_idx, probs)
+        return probs
 
     def grad_log_density_batch(self, points):
         points = as_points(points, self.dim)

@@ -214,9 +214,8 @@ def per_anchor_mixture_direction(anchors, points, grads):
     from msvgd.psdlin import PreconditionerBundle
 
     stack = anchors.bundle
-    bundles = [PreconditionerBundle(q=stack.q[l], q_sqrt=stack.q_sqrt[l],
-                                    q_inv_sqrt=stack.q_inv_sqrt[l], q_inv=stack.q_inv[l],
-                                    log_det=stack.log_det[l]) for l in range(len(anchors.points))]
+    bundles = [PreconditionerBundle(q=stack.q[l], q_inv=stack.q_inv[l], log_det=stack.log_det[l],
+                                    floor_ratio=stack.floor_ratio) for l in range(len(anchors.points))]
     n = points.shape[0]
     scores = np.empty((n, len(anchors.points)))
     t = np.empty((len(anchors.points), n, points.shape[1]))

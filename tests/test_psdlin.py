@@ -5,6 +5,7 @@ from scipy.spatial.distance import cdist
 from helpers import mahalanobis_sq, pairwise_mahalanobis_sq, pairwise_sq_dists, random_spd
 from msvgd.errors import InvalidInputError
 from msvgd.psdlin import (
+    _certified,
     identity_bundle,
     make_bundle,
     psd_repair,
@@ -65,14 +66,39 @@ def test_psd_repair_preserves_unclipped_eigenpairs():
                 assert np.linalg.norm(repaired @ v - lam_i * v) <= 1e-10 * max(1.0, abs(lam_i))
 
 
+def near_floor_spd(rng, d, floor_ratio, ratio):
+    """A random-basis SPD matrix with lam_max = 1 + 3 * rand and
+    lam_min = ratio * floor, floor = floor_ratio * max(1, lam_max)."""
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    top = 1.0 + 3.0 * rng.random()
+    lam = np.concatenate([[ratio * floor_ratio * top], rng.uniform(0.1, top, d - 2), [top]])[:d]
+    return symmetrize((basis * lam) @ basis.T)
+
+
+def mixed_stack(rng, d, floor_ratio):
+    """Random SPD (two of them scaled up a thousandfold), indefinite, and
+    just-unclipped matrices (lam_min between the repair floor and twice it,
+    under the certificate's shift), shuffled."""
+    stack = np.concatenate([
+        np.stack([random_spd(rng, d) * (1e3 if i < 2 else 1.0) for i in range(10)]),
+        symmetrize(rng.standard_normal((10, d, d))),
+        np.stack([near_floor_spd(rng, d, floor_ratio, rng.uniform(1.1, 1.9)) for _ in range(10)]),
+    ])
+    return stack[rng.permutation(len(stack))]
+
+
+def stacks_at(rng, d):
+    return symmetrize(rng.standard_normal((30, d, d))), mixed_stack(rng, d, 1e-3)
+
+
 def test_psd_repair_of_a_stack_equals_per_matrix_repair():
     rng = np.random.default_rng(8)
     for d in (2, 5, 20):
-        stack = symmetrize(rng.standard_normal((30, d, d)))
-        repaired = psd_repair(stack, 1e-3)
-        assert repaired.shape == (30, d, d)
-        assert np.array_equal(repaired, np.stack([psd_repair(m, 1e-3) for m in stack]))
-        assert np.array_equal(repaired, make_bundle(stack, 1e-3).q)
+        for stack in stacks_at(rng, d):
+            repaired = psd_repair(stack, 1e-3)
+            assert repaired.shape == (30, d, d)
+            assert np.array_equal(repaired, np.stack([psd_repair(m, 1e-3) for m in stack]))
+            assert np.array_equal(repaired, make_bundle(stack, 1e-3).q)
     with pytest.raises(InvalidInputError):
         psd_repair(np.zeros((3, 2, 3)))
 
@@ -80,17 +106,42 @@ def test_psd_repair_of_a_stack_equals_per_matrix_repair():
 def test_make_bundle_of_a_stack_equals_per_matrix_bundles():
     rng = np.random.default_rng(9)
     for d in (2, 5, 20):
-        stack = symmetrize(rng.standard_normal((30, d, d)))
-        bundle = make_bundle(stack, 1e-3)
-        singles = [make_bundle(m, 1e-3) for m in stack]
-        assert bundle.dim == d and bundle.log_det.shape == (30,)
-        for field in ("q", "q_sqrt", "q_inv_sqrt", "q_inv", "log_det"):
-            assert np.array_equal(getattr(bundle, field),
-                                  np.stack([getattr(b, field) for b in singles])), field
+        for stack in stacks_at(rng, d):
+            bundle = make_bundle(stack, 1e-3)
+            singles = [make_bundle(m, 1e-3) for m in stack]
+            assert bundle.dim == d and bundle.log_det.shape == (30,)
+            for field in ("q", "q_sqrt", "q_inv_sqrt", "q_inv", "log_det"):
+                assert np.array_equal(getattr(bundle, field),
+                                      np.stack([getattr(b, field) for b in singles])), field
     with pytest.raises(InvalidInputError):
         make_bundle(np.zeros((3, 2, 3)))
     with pytest.raises(InvalidInputError):
         make_bundle(np.zeros(3))
+
+
+def test_certified_matrices_clear_the_floor_and_skip_the_eigensolve():
+    rng = np.random.default_rng(10)
+    floor_ratio = 1e-3
+    for d in (2, 5, 20):
+        stack = np.concatenate([
+            mixed_stack(rng, d, floor_ratio),
+            # lam_min from a tenth of the floor to 80 times it, past the certificate's shift
+            np.stack([near_floor_spd(rng, d, floor_ratio, r) for r in np.geomspace(0.1, 80.0, 40)]),
+        ])
+        certified = _certified(stack, floor_ratio)
+        assert 10 <= certified.sum() < len(stack)
+        repaired, bundle = psd_repair(stack, floor_ratio), make_bundle(stack, floor_ratio)
+        for m, ok, q, q_inv, log_det in zip(stack, certified, repaired, bundle.q_inv, bundle.log_det):
+            if not ok:
+                continue
+            lam, vec = np.linalg.eigh(m)
+            floor = floor_ratio * max(1.0, lam[-1])
+            assert lam[0] >= floor
+            assert np.array_equal(q, symmetrize(m))
+            lam = np.maximum(lam, floor)
+            eig_inv = (vec / lam) @ vec.T
+            assert np.linalg.norm(q_inv - eig_inv) <= 1e-12 * np.linalg.norm(eig_inv)
+            assert abs(log_det - np.sum(np.log(lam))) <= 1e-12 * max(1.0, abs(log_det))
 
 
 def test_make_bundle_identity():

@@ -465,6 +465,46 @@ def test_logistic_minibatch_resampling_is_seed_deterministic():
     assert np.array_equal(grads[0], grads[1])
 
 
+def test_logistic_logits_are_reused_only_at_equal_points_and_batch(monkeypatch):
+    rng = np.random.default_rng(13)
+    data = synthetic_dataset(rng, minibatch_size=6)
+    calls = []
+
+    def counted_expit(z):
+        calls.append(z.shape)
+        return expit(z)
+
+    def fresh(points, batch_idx):
+        model = LogisticPosterior(data)
+        model._batch_idx = batch_idx
+        return model.grad_log_density_batch(points), model.curvature_batch(points, mode="fisher")
+
+    model = LogisticPosterior(data)
+    model.resample_minibatch(rng)
+    x = rng.standard_normal((5, 2))
+    expected = fresh(x, model._batch_idx)
+    monkeypatch.setattr(targets_module, "expit", counted_expit)
+    # a refresh's curvature and the score at the same particles: one logit pass
+    curvature = model.curvature_batch(x, mode="fisher")
+    grads = model.grad_log_density_batch(x.copy())
+    assert len(calls) == 1
+    assert np.array_equal(grads, expected[0]) and np.array_equal(curvature, expected[1])
+    # moved particles and a new minibatch each form the logits again
+    x[0, 0] += 1e-12
+    model.grad_log_density_batch(x)
+    assert len(calls) == 2
+    model._batch_idx = model._batch_idx.copy()
+    model.grad_log_density_batch(x)
+    assert len(calls) == 3
+    model.resample_minibatch(rng)
+    grads = model.grad_log_density_batch(x)
+    curvature = model.curvature_batch(x, mode="fisher")
+    assert len(calls) == 4
+    monkeypatch.setattr(targets_module, "expit", expit)
+    expected = fresh(x, model._batch_idx)
+    assert np.array_equal(grads, expected[0]) and np.array_equal(curvature, expected[1])
+
+
 # ------------------------------------------------- quadrature and factory
 
 def test_grid_moments_recover_gaussian_moments():
