@@ -228,21 +228,36 @@ def _reference_seed(seed: int) -> int:
 
 
 # the one prepared MMD reference kept in this process, keyed by
-# (canonical target, seed, mmd_reference_n); a miss replaces it
+# (canonical target, seed, mmd_reference_n), beside the reports of the
+# snapshots scored against it, at most _REPORTS_KEPT of them, keyed by the
+# snapshot's shape and bytes; a miss replaces both
 _reference_memo: dict = {}
+_REPORTS_KEPT = 32
 
 
-def _mmd_reference(config: RunConfig, model: TargetModel) -> metrics.MmdReference:
-    """The run's prepared MMD reference, shared by every run in this process
-    with the same target, seed and reference size (both checkpoints of a run,
-    all methods of a comparison)."""
+def _mmd_reference(config: RunConfig, model: TargetModel) -> tuple[metrics.MmdReference, dict]:
+    """The run's prepared MMD reference and its report memo, shared by every
+    run in this process with the same target, seed and reference size (both
+    checkpoints of a run, all methods of a comparison)."""
     key = (json.dumps(config.to_dict()["target"], sort_keys=True), config.seed,
            config.mmd_reference_n)
     if key not in _reference_memo:
         _reference_memo.clear()
         draws = model.reference_sample(config.mmd_reference_n, seed=_reference_seed(config.seed))
-        _reference_memo[key] = metrics.prepare_reference(draws)
+        _reference_memo[key] = (metrics.prepare_reference(draws), {})
     return _reference_memo[key]
+
+
+def _mmd_report(snapshot: np.ndarray, reference: metrics.MmdReference,
+                reports: dict) -> metrics.MmdReport:
+    """``metrics.mmd_sq(snapshot, reference)``, scored once per distinct
+    snapshot: every method of a comparison starts from the same seeded draw."""
+    key = (snapshot.shape, snapshot.tobytes())
+    if key not in reports:
+        if len(reports) == _REPORTS_KEPT:
+            del reports[next(iter(reports))]  # the oldest
+        reports[key] = metrics.mmd_sq(snapshot, reference)
+    return reports[key]
 
 
 def run_experiment(config: RunConfig, out_dir: str | None = None,
@@ -266,12 +281,12 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
 
     reference = None
     if config.mmd_reference_n > 0 and not isinstance(model, LogisticPosterior):
-        reference = _mmd_reference(config, model)
+        reference, reports = _mmd_reference(config, model)
     rows = []
     for c in sorted(result.snapshots):
         row: dict = {"iter": c}
         if reference is not None:
-            report = metrics.mmd_sq(result.snapshots[c], reference)
+            report = _mmd_report(result.snapshots[c], reference, reports)
             row["mmd"] = {"value": report.value, "bandwidth": report.bandwidth,
                           "n_x": report.n_x, "n_y": report.n_y}
         if isinstance(model, LogisticPosterior):

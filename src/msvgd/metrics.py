@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InvalidInputError, as_points
 from .kernels import _chunks, _median_trick, _metric_sq_dists
-from .targets import LogisticDataset
+from .targets import LogisticDataset, _sigmoid
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def predictive_metrics(particles, dataset: LogisticDataset) -> tuple[float, floa
     label.  Probabilities are clipped away from {0, 1} before the log.
     """
     particles = as_points(particles, dataset.n_features)
-    probs = expit(particles @ dataset.features.T).mean(axis=0)
+    probs = _sigmoid(particles @ dataset.features.T).mean(axis=0)
     labels = dataset.labels.astype(float)
     predicted = (probs > 0.5).astype(float)
     accuracy = float(np.mean(predicted == labels))

@@ -20,7 +20,11 @@ Its ``curvature_batch`` is one blocked GEMM: the (n, |B|) weights times the
 products f_ra f_rb (a <= b) of the active rows, formed a block of rows at a
 time within ``kernels.CHUNK_BYTES``, give the packed upper triangles, which
 a (d, d) index map unpacks.  Its ``mean_curvature`` averages the weights
-and forms one matrix instead of n.
+and forms one matrix instead of n.  Its score is
+``scale * (y @ F - p @ F) - x``, two GEMMs and no (n, |B|) residual; the
+probabilities p come from one logit GEMM whose sigmoid ``_sigmoid`` forms
+in place with numpy's vector ``exp``, and the score and the Fisher weights
+share that pass while the points and the batch are unchanged.
 
 ``curvature(x, mode)`` is ``curvature_batch`` at one point.  Each class
 states its ``kind``, ``config_keys`` and ``supported_curvature`` (the first
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import logsumexp
 
 from .errors import (ConfigError, InvalidInputError, as_choice, as_count, as_floats, as_points, as_real,
                      at_key_path)
@@ -50,6 +54,18 @@ def _sampler_setup(n, seed) -> tuple[int, np.random.Generator]:
     """A reference sampler's draw count, and its generator seeded by the run's seed rule."""
     n = as_count(n, "sample size", 1)
     return n, np.random.default_rng(as_count(seed, "seed", 0, ConfigError))
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), the formula of ``scipy.special.expit``, formed in
+    place in the float array ``z`` and returned: exactly 0 where exp(-z)
+    overflows (z < -709.78) and at -inf, 1 at +inf, NaN for NaN, and no
+    floating-point warning."""
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 def _positive_definite(matrix, name: str) -> np.ndarray:
@@ -477,13 +493,15 @@ class LogisticPosterior(TargetModel):
 
     def _probabilities(self, points, feats):
         """sigma(x_i . f_r) for each point and active row, shape (n, |B|): one
-        GEMM.  The last result is kept read-only and returned again while the
-        points and the active batch are the same, as when a refresh's curvature
-        and the score read one iteration's particles."""
+        GEMM, whose output ``_sigmoid`` overwrites with the probabilities, so
+        the pass allocates one (n, |B|) array.  The last result is kept
+        read-only and returned again while the points and the active batch
+        are the same, as when a refresh's curvature and the score read one
+        iteration's particles."""
         last = self._last_probabilities
         if last is not None and last[1] is self._batch_idx and np.array_equal(last[0], points):
             return last[2]
-        probs = expit(points @ feats.T)
+        probs = _sigmoid(points @ feats.T)
         probs.flags.writeable = False
         self._last_probabilities = (points.copy(), self._batch_idx, probs)
         return probs
@@ -491,7 +509,7 @@ class LogisticPosterior(TargetModel):
     def grad_log_density_batch(self, points):
         points = as_points(points, self.dim)
         feats, labs, scale = self._active()
-        return scale * (labs[None, :] - self._probabilities(points, feats)) @ feats - points
+        return scale * (labs @ feats - self._probabilities(points, feats) @ feats) - points
 
     def _fisher_weights(self, points):
         feats, _, scale = self._active()

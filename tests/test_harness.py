@@ -232,6 +232,56 @@ def test_runs_differing_in_target_seed_or_reference_size_never_share_a_reference
         assert len(harness_module._reference_memo) == 1
 
 
+def test_compare_scores_the_shared_initial_draw_once(tmp_path, monkeypatch):
+    scored = []
+    score = harness_module.metrics.mmd_sq
+    monkeypatch.setattr(harness_module.metrics, "mmd_sq",
+                        lambda xs, ys: scored.append(len(xs)) or score(xs, ys))
+    configs = [parse_config(minimal_config(method=m, n=20, iters=30, checkpoints=[0, 30],
+                                           mmd_reference_n=300, precond={"floor_ratio": 0.05}))
+               for m in METHOD_DEFAULT_RATES]
+    harness_module._reference_memo.clear()
+    compare(configs, out_dir=tmp_path / "memo")
+    assert len(scored) == 5  # one iteration-0 score for the four methods' one draw
+    scored.clear()
+    run = harness_module.run_experiment
+
+    def run_cold(config, *args, **kwargs):
+        harness_module._reference_memo.clear()
+        return run(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "run_experiment", run_cold)
+    compare(configs, out_dir=tmp_path / "cold")
+    assert len(scored) == 8
+    files = sorted(p.relative_to(tmp_path / "memo") for p in (tmp_path / "memo").rglob("*")
+                   if p.is_file() and p.name != "timing.json")
+    assert len(files) == 4 * 3 + 1  # metrics.json and two particle files per method
+    for name in files:
+        assert (tmp_path / "memo" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes(), name
+
+
+def test_report_memo_is_bounded_and_keyed_by_shape_and_bytes(monkeypatch):
+    monkeypatch.setattr(harness_module, "_REPORTS_KEPT", 3)
+    scored = []
+    score = harness_module.metrics.mmd_sq
+    monkeypatch.setattr(harness_module.metrics, "mmd_sq",
+                        lambda xs, ys: scored.append(xs.shape) or score(xs, ys))
+    rng = np.random.default_rng(5)
+    reference = harness_module.metrics.prepare_reference(rng.standard_normal((60, 2)))
+    reports = {}
+    x = rng.standard_normal((6, 2))
+    first = harness_module._mmd_report(x, reference, reports)
+    assert harness_module._mmd_report(x.copy(), reference, reports) is first
+    # fewer rows, the rows reordered and a one-ulp move are new snapshots
+    moved = x.copy()
+    moved[0, 0] = np.nextafter(moved[0, 0], np.inf)
+    for snapshot in (x[:5], x[::-1], moved):
+        harness_module._mmd_report(snapshot, reference, reports)
+    assert scored == [(6, 2), (5, 2), (6, 2), (6, 2)] and len(reports) == 3
+    harness_module._mmd_report(x, reference, reports)  # the oldest was dropped
+    assert len(scored) == 5 and len(reports) == 3
+
+
 def test_run_experiment_is_byte_deterministic(tmp_path):
     cfg = parse_config(minimal_config(target="gaussian", n=16, iters=10,
                                       checkpoints=[0, 10], mmd_reference_n=300,

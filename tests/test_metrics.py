@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,17 @@ def test_predictive_clips_probabilities_before_log():
     _, log_lik = predictive_metrics(np.array([[100.0, 100.0]]), data)
     assert np.isfinite(log_lik)
     assert log_lik >= -28.0  # the clip at 1e-12 caps the penalty near log(1e-12)
+
+
+def test_predictive_far_out_particles_raise_no_floating_point_warning():
+    # logits of +-875 overflow exp(-z) in the sigmoid; outside ``run`` no
+    # errstate is in force, so the sigmoid must keep its own
+    data = separable_dataset()
+    particles = np.array([[250.0, 250.0], [-250.0, -250.0], [300.0, -300.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        accuracy, log_lik = predictive_metrics(particles, data)
+    assert accuracy == 0.5 and np.isfinite(log_lik)
 
 
 def test_predictive_invariant_under_particle_reordering():

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -418,6 +419,41 @@ def test_logistic_fisher_stack_matches_the_per_particle_oracle(monkeypatch, mini
     assert min(blocks[len(pts):]) >= 8
 
 
+def test_sigmoid_matches_expit_without_warnings():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [np.inf, -np.inf, np.nan]])
+    expected = expit(z)
+    buffer = z.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = targets_module._sigmoid(buffer)
+    assert got is buffer  # formed in place
+    resolved = expected >= 1e-300
+    assert np.all(np.abs(got[resolved] - expected[resolved]) <= 1e-15 * expected[resolved])
+    assert got[0] == 0.0 and got[-4] == 1.0  # z = -800 and 800
+    assert got[-3] == 1.0 and got[-2] == 0.0 and np.isnan(got[-1])
+    assert np.all((got >= 0.0) & (got <= 1.0) | np.isnan(got))
+
+
+@pytest.mark.parametrize("minibatch_size", [0, 300], ids=["full_batch", "minibatch"])
+def test_logistic_score_equals_the_residual_form(minibatch_size):
+    rng = np.random.default_rng(17)
+    d, n_rows = 20, 1000
+    feats = rng.standard_normal((n_rows, d))
+    labels = (rng.random(n_rows) < expit(feats @ rng.standard_normal(d))).astype(float)
+    model = LogisticPosterior(LogisticDataset(features=feats, labels=labels,
+                                              minibatch_size=minibatch_size))
+    model.resample_minibatch(rng)
+    rows = np.arange(n_rows) if model._batch_idx is None else model._batch_idx
+    assert len(rows) == (minibatch_size or n_rows)
+    scale = n_rows / len(rows)
+    for spread in (0.03, 0.3, 3.0):
+        x = spread * rng.standard_normal((40, d))
+        residual = labels[rows] - expit(x @ feats[rows].T)
+        expected = scale * residual @ feats[rows] - x
+        got = model.grad_log_density_batch(x)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_logistic_rejects_exact_hessian_mode():
     rng = np.random.default_rng(10)
     model = LogisticPosterior(synthetic_dataset(rng))
@@ -470,9 +506,11 @@ def test_logistic_logits_are_reused_only_at_equal_points_and_batch(monkeypatch):
     data = synthetic_dataset(rng, minibatch_size=6)
     calls = []
 
-    def counted_expit(z):
+    sigmoid = targets_module._sigmoid
+
+    def counted_sigmoid(z):
         calls.append(z.shape)
-        return expit(z)
+        return sigmoid(z)
 
     def fresh(points, batch_idx):
         model = LogisticPosterior(data)
@@ -483,7 +521,7 @@ def test_logistic_logits_are_reused_only_at_equal_points_and_batch(monkeypatch):
     model.resample_minibatch(rng)
     x = rng.standard_normal((5, 2))
     expected = fresh(x, model._batch_idx)
-    monkeypatch.setattr(targets_module, "expit", counted_expit)
+    monkeypatch.setattr(targets_module, "_sigmoid", counted_sigmoid)
     # a refresh's curvature and the score at the same particles: one logit pass
     curvature = model.curvature_batch(x, mode="fisher")
     grads = model.grad_log_density_batch(x.copy())
@@ -500,7 +538,7 @@ def test_logistic_logits_are_reused_only_at_equal_points_and_batch(monkeypatch):
     grads = model.grad_log_density_batch(x)
     curvature = model.curvature_batch(x, mode="fisher")
     assert len(calls) == 4
-    monkeypatch.setattr(targets_module, "expit", expit)
+    monkeypatch.setattr(targets_module, "_sigmoid", sigmoid)
     expected = fresh(x, model._batch_idx)
     assert np.array_equal(grads, expected[0]) and np.array_equal(curvature, expected[1])
 
