@@ -16,7 +16,6 @@ from .kernels import (
     MixturePrecond,
     ScalarRBF,
     median_bandwidth,
-    mixture_weights,
 )
 from .dynamics import (
     METHODS,
@@ -42,7 +41,7 @@ __all__ = [
     "PreconditionerBundle", "RunConfig", "RunRecord", "RunResult",
     "ScalarRBF", "Sine", "StarMixture", "StepperState", "adagrad_step",
     "averaged_preconditioner", "compare", "make_bundle", "make_target",
-    "median_bandwidth", "mixture_weights", "mmd_sq", "parse_config",
-    "predictive_metrics", "psd_repair", "refresh_anchors", "run",
-    "run_experiment", "svn_direction", "svn_metrics",
+    "median_bandwidth", "mmd_sq", "parse_config", "predictive_metrics",
+    "psd_repair", "refresh_anchors", "run", "run_experiment",
+    "svn_direction", "svn_metrics",
 ]

@@ -118,7 +118,7 @@ def median_bandwidth(points, metric: PreconditionerBundle | None = None):
     must match bit for bit), and a stack with d > 3 take the expanded form of
     ``_metric_sq_dists``, a chunk of metrics at a time.
     """
-    points = as_points(points)
+    points = as_points(points, None if metric is None else metric.dim)
     n, d = points.shape
     if n < 2:
         raise InvalidInputError("median bandwidth needs at least two points")
@@ -263,22 +263,13 @@ def _one_metric_direction(points, grads, bundle: PreconditionerBundle, h: float)
 
 
 class KernelStrategy:
-    """Common surface: pointwise evaluation and Stein direction."""
+    """Common surface: the Stein direction of a particle set."""
 
     kind: str = "abstract"
     dim: int = 0
 
-    def eval(self, x, y) -> np.ndarray:
-        raise NotImplementedError
-
     def direction(self, points: np.ndarray, grads: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _check_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or (self.dim and x.shape[0] != self.dim):
-            raise InvalidInputError(f"expected a point of dimension {self.dim}, got shape {x.shape}")
-        return x
 
     def _check_pair_inputs(self, points, grads):
         points = as_points(points, self.dim or None)
@@ -295,11 +286,6 @@ class ScalarRBF(KernelStrategy):
 
     def __init__(self, bandwidth: float):
         self.bandwidth = as_real(bandwidth, "bandwidth", ConfigError, positive=True, finite=True)
-
-    def eval(self, x, y):
-        x, y = self._check_point(x), self._check_point(y)
-        d = x - y
-        return np.exp(-float(d @ d) / (2.0 * self.bandwidth)) * np.eye(x.shape[0])
 
     def direction(self, points, grads):
         points, grads = self._check_pair_inputs(points, grads)
@@ -321,12 +307,6 @@ class ConstPrecond(KernelStrategy):
         self.bandwidth = as_real(bandwidth, "bandwidth", ConfigError, positive=True, finite=True)
         self.dim = bundle.dim
 
-    def eval(self, x, y):
-        x, y = self._check_point(x), self._check_point(y)
-        d = x - y
-        s = np.exp(-max(float(d @ self.bundle.q @ d), 0.0) / (2.0 * self.bandwidth))
-        return s * self.bundle.q_inv
-
     def direction(self, points, grads):
         points, grads = self._check_pair_inputs(points, grads)
         return _one_metric_direction(points, grads, self.bundle, self.bandwidth)
@@ -340,14 +320,6 @@ def _anchor_log_scores(points, kernel: MixturePrecond):
     t = -(diff @ kernel.bundle.q)
     log_p = 0.5 * kernel.bundle.log_det[:, None] + 0.5 * np.sum(diff * t, axis=2)
     return log_p.T, t
-
-
-def mixture_weights(x, kernel: MixturePrecond) -> np.ndarray:
-    """Normalized anchor responsibilities w_l(x) of the mixture ``kernel``; a
-    point on the simplex."""
-    x = kernel._check_point(x)
-    scores = _anchor_log_scores(x[None, :], kernel)[0][0]
-    return np.exp(scores - logsumexp(scores))
 
 
 class MixturePrecond(KernelStrategy):
@@ -393,15 +365,6 @@ class MixturePrecond(KernelStrategy):
         t -= avg[None, :, :]
         t *= w.T[:, :, None]
         return w, t
-
-    def eval(self, x, y):
-        x, y = self._check_point(x), self._check_point(y)
-        wx = mixture_weights(x, self)
-        wy = mixture_weights(y, self)
-        d = x - y
-        quad = np.maximum(np.einsum("i,lij,j->l", d, self.bundle.q, d), 0.0)
-        s = np.exp(-quad / (2.0 * self.bandwidths))
-        return np.tensordot(wx * wy * s, self.bundle.q_inv, axes=1)
 
     def direction(self, points, grads):
         points, grads = self._check_pair_inputs(points, grads)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, as_points
+from .errors import InvalidInputError, as_points, as_real
 from .kernels import _chunks, _median_trick, _metric_sq_dists
 from .targets import LogisticDataset, _sigmoid
 
@@ -59,27 +59,6 @@ def _kernel_sum(d2: np.ndarray, bandwidth: float, out: np.ndarray | None = None)
     """Sum of exp(-d2 / (2 h)), computed in the head of ``out`` (default: in place in ``d2``)."""
     out = d2 if out is None else out[:len(d2)]
     return float(np.exp(np.divide(d2, -2.0 * bandwidth, out=out), out=out).sum())
-
-
-def _mean_kernel(xs: np.ndarray, ys: np.ndarray | None, bandwidth: float) -> float:
-    """Mean RBF kernel value over all pairs of ``xs`` with ``ys``, computed a
-    block of rows (``kernels._chunks``) at a time.  ``ys`` None pairs
-    ``xs`` with itself: a row block meets only the columns after each of its
-    rows, so every unordered pair is formed once, and each self term is
-    exp(0) = 1."""
-    eye = np.eye(xs.shape[1])[None]
-    own = ys is None
-    ys = xs if own else ys
-    total = float(len(xs)) if own else 0.0
-    for rows in _chunks(len(xs), len(ys)):
-        block = xs[rows]
-        if own:
-            d2 = _metric_sq_dists(block, eye, xs[rows.start:])[0]
-            d2[:, :len(block)][np.tril_indices(len(block))] = np.inf  # kernel value 0
-            total += 2.0 * _kernel_sum(d2, bandwidth)
-        else:
-            total += _kernel_sum(_metric_sq_dists(block, eye, ys)[0], bandwidth)
-    return total / (len(xs) * len(ys))
 
 
 def _rank_value(arrays, r: int):
@@ -150,29 +129,26 @@ def mmd_sq(xs, ys, bandwidth: float = 0.0) -> MmdReport:
     """Biased (V-statistic) squared maximum mean discrepancy under an RBF kernel.
 
     mean k(x, x') + mean k(y, y') - 2 mean k(x, y), with all diagonal terms
-    included.  ``ys`` is an (n_y, d) sample or an ``MmdReference`` prepared
-    from one.  ``bandwidth`` 0 requests the median trick over the pooled
-    sample: it goes through ``prepare_reference`` (which a caller scoring
-    many samples against the same draws does once, as the harness does per
-    target, seed and reference size), which holds one sorted n_y(n_y-1)/2
-    float triangle, 16 MB at n_y = 2000.  Each score then sorts only its own
-    n_x(n_x-1)/2 + n_x n_y fresh distances and merges them against that
-    triangle, copying nothing of size n_y^2, and sums the kernel over it.  An
-    explicit bandwidth needs no pair distances, so an array ``ys`` is scored
-    in row chunks of bounded memory.
+    included (Gretton et al., JMLR 2012).  ``ys`` is an (n_y, d) sample or an
+    ``MmdReference`` prepared from one; an array goes through
+    ``prepare_reference`` first, whatever the bandwidth, so it holds one
+    sorted n_y(n_y-1)/2 float triangle, 16 MB at n_y = 2000.  A caller
+    scoring many samples against the same draws prepares them once, as the
+    harness does per target, seed and reference size.  ``bandwidth`` 0
+    requests the median trick over the pooled sample: each score sorts only
+    its own n_x(n_x-1)/2 + n_x n_y fresh distances and merges them against
+    the triangle, copying nothing of size n_y^2.  Every score then sums the
+    kernel over its own pairs, its cross pairs and the triangle.
     """
     xs = as_points(xs)
-    ref = ys if isinstance(ys, MmdReference) else None
-    ys = ref.points if ref is not None else as_points(ys)
-    if xs.shape[1] != ys.shape[1]:
-        raise InvalidInputError(f"samples must have equal dimension, got {xs.shape} and {ys.shape}")
+    bandwidth = as_real(bandwidth, "bandwidth", InvalidInputError)
     if bandwidth < 0.0 or not np.isfinite(bandwidth):
         raise InvalidInputError(f"bandwidth must be >= 0 and finite, got {bandwidth}")
-    if ref is None and bandwidth > 0.0:
-        value = (_mean_kernel(xs, None, bandwidth) + _mean_kernel(ys, None, bandwidth)
-                 - 2.0 * _mean_kernel(xs, ys, bandwidth))
-    else:
-        value, bandwidth = _score(xs, ref or prepare_reference(ys), bandwidth)
+    ref = ys if isinstance(ys, MmdReference) else prepare_reference(ys)
+    ys = ref.points
+    if xs.shape[1] != ys.shape[1]:
+        raise InvalidInputError(f"samples must have equal dimension, got {xs.shape} and {ys.shape}")
+    value, bandwidth = _score(xs, ref, bandwidth)
     return MmdReport(value=max(value, 0.0), bandwidth=float(bandwidth),
                      n_x=xs.shape[0], n_y=ys.shape[0])
 

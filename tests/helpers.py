@@ -1,14 +1,16 @@
 """Shared finite-difference and brute-force oracles for the test suite.
 
-These helpers trust as little of the library as possible: the brute-force
-Stein direction only calls ``strategy.eval`` and differentiates it
-numerically, so it checks the closed-form divergence code paths against an
-independent construction, and the block Gram matrix is ``strategy.eval``
-evaluated pair by pair.  The sampler only ever reads whole particle sets, so
-the single-point target views, the grid quadrature, the mixture weight
-gradients and the particle CSV reader live here, read from the library's
-batch surfaces.  The logistic Fisher stack oracle forms one particle's matrix
-at a time, against the library's one blocked GEMM.
+These helpers trust as little of the library as possible: ``kernel_eval`` is
+each kernel kind's closed-form matrix K(x, y), formed apart from the
+library's Stein sum; the brute-force Stein direction only calls it and
+differentiates it numerically, so it checks the closed-form divergence code
+paths against an independent construction, and the block Gram matrix is
+``kernel_eval`` evaluated pair by pair.  The sampler only ever reads whole
+particle sets, so the single-point target views and mixture weights, the
+grid quadrature, the mixture weight gradients and the particle CSV reader
+live here, read from the library's batch surfaces.  The logistic Fisher
+stack oracle forms one particle's matrix at a time, against the library's
+one blocked GEMM.
 """
 
 from pathlib import Path
@@ -62,6 +64,40 @@ def grid_moments(model, bounds, resolution: int):
     dc = centers - mean
     cov = (dc * w[:, None]).T @ dc
     return mean, 0.5 * (cov + cov.T)
+
+
+def _check_point(strategy, x) -> np.ndarray:
+    """``x`` as one point of the kernel's dimension (any, for ``scalar_rbf``)."""
+    from msvgd.errors import InvalidInputError
+
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or (strategy.dim and x.shape[0] != strategy.dim):
+        raise InvalidInputError(f"expected a point of dimension {strategy.dim}, got shape {x.shape}")
+    return x
+
+
+def mixture_weights(x, kernel) -> np.ndarray:
+    """The anchor responsibilities w_l(x) of the mixture ``kernel`` at the one
+    point ``x``, from ``_weights_and_gradients``; a point on the simplex."""
+    return kernel._weights_and_gradients(_check_point(kernel, x)[None])[0][0]
+
+
+def kernel_eval(strategy, x, y) -> np.ndarray:
+    """The (d, d) kernel matrix K(x, y) of each kind in closed form:
+    k(x, y) I for ``scalar_rbf``, Q^{-1} k_Q(x, y) for ``const_precond`` and
+    sum_l w_l(x) w_l(y) Q_l^{-1} k_{Q_l}(x, y) for ``mixture_precond``, with
+    k_Q(x, y) = exp(-(x - y)' Q (x - y) / (2 h))."""
+    x, y = _check_point(strategy, x), _check_point(strategy, y)
+    d = x - y
+    if strategy.kind == "scalar_rbf":
+        return np.exp(-float(d @ d) / (2.0 * strategy.bandwidth)) * np.eye(x.shape[0])
+    if strategy.kind == "const_precond":
+        s = np.exp(-max(float(d @ strategy.bundle.q @ d), 0.0) / (2.0 * strategy.bandwidth))
+        return s * strategy.bundle.q_inv
+    wx, wy = mixture_weights(x, strategy), mixture_weights(y, strategy)
+    quad = np.maximum(np.einsum("i,lij,j->l", d, strategy.bundle.q, d), 0.0)
+    s = np.exp(-quad / (2.0 * strategy.bandwidths))
+    return np.tensordot(wx * wy * s, strategy.bundle.q_inv, axes=1)
 
 
 def weight_gradients(kernel, points) -> np.ndarray:
@@ -118,7 +154,7 @@ def brute_force_direction(strategy, points, grads, step=1e-6):
 
     phi(x_i) = (1/n) sum_j [K(x_i, x_j) grad_j + div_j K(x_i, x_j)] where the
     divergence's l-th entry is sum_m d/dx_j^m K_{lm}(x_i, x_j), built column
-    by column from ``strategy.eval`` alone.
+    by column from ``kernel_eval`` alone.
     """
     points = np.asarray(points, dtype=float)
     grads = np.asarray(grads, dtype=float)
@@ -126,27 +162,27 @@ def brute_force_direction(strategy, points, grads, step=1e-6):
     phi = np.zeros((n, d))
     for i in range(n):
         for j in range(n):
-            kij = strategy.eval(points[i], points[j])
+            kij = kernel_eval(strategy, points[i], points[j])
             div = np.zeros(d)
             for m in range(d):
                 e = np.zeros(d)
                 e[m] = step
-                plus = strategy.eval(points[i], points[j] + e)
-                minus = strategy.eval(points[i], points[j] - e)
+                plus = kernel_eval(strategy, points[i], points[j] + e)
+                minus = kernel_eval(strategy, points[i], points[j] - e)
                 div += (plus[:, m] - minus[:, m]) / (2.0 * step)
             phi[i] += kij @ grads[j] + div
     return phi / n
 
 
 def gram(strategy, points) -> np.ndarray:
-    """Block Gram matrix [K(x_i, x_j)]_{ij}, (n d, n d), from ``strategy.eval``
+    """Block Gram matrix [K(x_i, x_j)]_{ij}, (n d, n d), from ``kernel_eval``
     alone; the lower blocks are the transposes of the upper ones."""
     points = np.asarray(points, dtype=float)
     n, d = points.shape
     out = np.empty((n * d, n * d))
     for i in range(n):
         for j in range(i, n):
-            block = strategy.eval(points[i], points[j])
+            block = kernel_eval(strategy, points[i], points[j])
             out[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
             if j > i:
                 out[j * d:(j + 1) * d, i * d:(i + 1) * d] = block.T

@@ -20,6 +20,7 @@ from helpers import (
     grid_moments,
     log_density,
     map_estimate,
+    mixture_weights,
     random_anchor_set,
     random_spd,
     strategies_for,
@@ -34,7 +35,7 @@ from msvgd.dynamics import (
     svn_metrics,
 )
 from msvgd.harness import parse_config, run_experiment
-from msvgd.kernels import ScalarRBF, median_bandwidth, mixture_weights
+from msvgd.kernels import ScalarRBF, median_bandwidth
 from msvgd.metrics import predictive_metrics
 from msvgd.psdlin import make_bundle
 from msvgd.targets import (

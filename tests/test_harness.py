@@ -467,11 +467,15 @@ def test_cli_sample_gaussian_draws_the_standard_normal_of_a_bare_config(tmp_path
 
 def test_package_exports_resolve_and_test_only_surfaces_are_gone():
     import msvgd
-    from msvgd import harness, kernels, targets
+    from msvgd import harness, kernels, metrics, targets
 
     assert [name for name in msvgd.__all__ if not hasattr(msvgd, name)] == []
     gone = [(msvgd, "grid_moments"), (targets, "grid_moments"), (harness, "load_particles"),
-            (kernels.MixturePrecond, "weight_gradients")]
+            (kernels.MixturePrecond, "weight_gradients"), (msvgd, "mixture_weights"),
+            (kernels, "mixture_weights"), (metrics, "_mean_kernel")]
+    gone += [(cls, view) for cls in (kernels.KernelStrategy, kernels.ScalarRBF, kernels.ConstPrecond,
+                                     kernels.MixturePrecond)
+             for view in ("eval", "_check_point")]
     gone += [(cls, view) for cls in (targets.TargetModel, targets.Gaussian, targets.StarMixture,
                                      targets.Sine, targets.DoubleBanana, targets.LogisticPosterior)
              for view in ("log_density", "grad_log_density")]

@@ -6,6 +6,8 @@ from helpers import (
     brute_force_direction,
     fd_jacobian,
     gram,
+    kernel_eval,
+    mixture_weights,
     pairwise_mahalanobis_sq,
     pairwise_sq_dists,
     per_anchor_mixture_direction,
@@ -22,7 +24,6 @@ from msvgd.kernels import (
     MixturePrecond,
     ScalarRBF,
     median_bandwidth,
-    mixture_weights,
 )
 from msvgd.psdlin import identity_bundle, make_bundle
 from msvgd.targets import LogisticDataset, LogisticPosterior, StarMixture
@@ -149,7 +150,7 @@ def test_metric_sq_dists_match_the_q_sqrt_route():
 def test_scalar_rbf_at_coincident_points_is_identity():
     k = ScalarRBF(bandwidth=1.7)
     x = np.array([0.3, -0.4])
-    assert np.array_equal(k.eval(x, x), np.eye(2))
+    assert np.array_equal(kernel_eval(k, x, x), np.eye(2))
 
 
 def test_const_precond_at_coincident_points_is_inverse_metric():
@@ -157,14 +158,14 @@ def test_const_precond_at_coincident_points_is_inverse_metric():
     b = make_bundle(random_spd(rng, 3))
     k = ConstPrecond(b, bandwidth=0.9)
     x = rng.standard_normal(3)
-    assert np.array_equal(k.eval(x, x), b.q_inv)
+    assert np.array_equal(kernel_eval(k, x, x), b.q_inv)
 
 
 def test_const_precond_hand_evaluated_example():
     b = make_bundle(np.diag([4.0, 1.0]))
     k = ConstPrecond(b, bandwidth=2.0)
     # Mahalanobis^2 of (1, 0) under diag(4, 1) is 4; exponent -4 / (2 * 2) = -1
-    out = k.eval(np.array([1.0, 0.0]), np.zeros(2))
+    out = kernel_eval(k, np.array([1.0, 0.0]), np.zeros(2))
     assert np.allclose(out, np.exp(-1.0) * np.diag([0.25, 1.0]), atol=1e-12)
 
 
@@ -172,7 +173,7 @@ def test_eval_kernel_symmetry_across_kinds():
     rng = np.random.default_rng(3)
     for strat in strategies_for(rng, 3):
         x, y = rng.standard_normal(3), rng.standard_normal(3)
-        assert np.allclose(strat.eval(x, y), strat.eval(y, x).T, atol=1e-14)
+        assert np.allclose(kernel_eval(strat, x, y), kernel_eval(strat, y, x).T, atol=1e-14)
 
 
 def test_dimension_mismatch_rejected():
@@ -180,13 +181,16 @@ def test_dimension_mismatch_rejected():
     b = make_bundle(random_spd(rng, 3))
     k = ConstPrecond(b, bandwidth=1.0)
     with pytest.raises(InvalidInputError):
-        k.eval(np.zeros(2), np.zeros(2))
+        kernel_eval(k, np.zeros(2), np.zeros(2))
     with pytest.raises(InvalidInputError):
         k.direction(np.zeros((4, 2)), np.zeros((4, 2)))
     with pytest.raises(InvalidInputError, match="grads shape"):
         k.direction(np.zeros((4, 3)), np.zeros((4, 2)))
     with pytest.raises(InvalidInputError, match="dimension 2"):
         mixture_weights(np.zeros(3), random_anchor_set(rng, 2, 2))
+    for metric in (make_bundle(np.eye(3)), make_bundle(np.stack([np.eye(3)] * 2))):
+        with pytest.raises(InvalidInputError, match="shape"):
+            median_bandwidth(rng.standard_normal((4, 2)), metric)
 
 
 def test_bandwidth_validation():
@@ -289,8 +293,8 @@ CLOSED_FORM_CASES = (0, 1, 2, 2)
 
 @pytest.mark.parametrize("case", range(len(CLOSED_FORM_CASES)))
 def test_closed_form_directions_match_brute_force(case):
-    # the oracle differentiates eval() numerically, checking each kernel's
-    # closed-form divergence on 5 configurations x 10 points
+    # the oracle differentiates kernel_eval() numerically, checking each
+    # kernel's closed-form divergence on 5 configurations x 10 points
     rng = np.random.default_rng(100 + case)
     for _ in range(5):
         d = int(rng.integers(2, 4))
@@ -323,7 +327,7 @@ def test_single_anchor_mixture_equals_const_precond():
     pts = rng.standard_normal((6, 2))
     grads = rng.standard_normal((6, 2))
     x, y = rng.standard_normal(2), rng.standard_normal(2)
-    assert np.allclose(mix.eval(x, y), const.eval(x, y), atol=1e-14)
+    assert np.allclose(kernel_eval(mix, x, y), kernel_eval(const, x, y), atol=1e-14)
     assert np.allclose(mix.direction(pts, grads), const.direction(pts, grads), atol=1e-13)
 
 

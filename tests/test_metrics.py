@@ -80,6 +80,9 @@ def test_mmd_validation():
         mmd_sq(xs, xs, bandwidth=-1.0)
     with pytest.raises(InvalidInputError):
         mmd_sq(xs, xs, bandwidth=np.nan)
+    for bad in ("1", None):
+        with pytest.raises(InvalidInputError):
+            mmd_sq(xs, xs, bandwidth=bad)
 
 
 def test_mmd_median_route_rejects_non_finite_particles():
@@ -200,7 +203,7 @@ def test_mmd_value_independent_of_chunk_size(monkeypatch):
     }
     base = {name: score().value for name, score in scores.items()}
     monkeypatch.setattr(kernels, "CHUNK_BYTES", 8 * 3 * 23)
-    # the prepared routes sum their 253-pair triangle in 4 chunks
+    # every route sums its 253-pair triangle in 4 chunks
     assert len(kernels._chunks(23 * 22 // 2, 1)) == 4
     for name, score in scores.items():
         assert abs(score().value - base[name]) <= 1e-12, name
