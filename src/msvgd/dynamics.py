@@ -143,11 +143,7 @@ def refresh_anchors(positions, model: TargetModel,
 
 
 def _resolve_bandwidth(positions, metric: PreconditionerBundle | None = None):
-    # median trick where defined; a single particle sees no pairwise
-    # distances, and any bandwidth acts the same there
     stacked = metric is not None and metric.q.ndim > 2
-    if positions.shape[0] < 2:
-        return np.ones(metric.q.shape[:-2]) if stacked else 1.0
     h = median_bandwidth(positions, metric=metric)
     return _finite_or_abort(h, "bandwidth", "anchor" if stacked else None)
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import ConfigError, InvalidInputError, as_points, as_real
+from .errors import ConfigError, InvalidInputError, as_floats, as_points, as_real
 from .psdlin import PreconditionerBundle, identity_bundle
 
 
@@ -106,8 +106,8 @@ def median_bandwidth(points, metric: PreconditionerBundle | None = None):
 
     Distances are Mahalanobis under ``metric``, the identity (Euclidean) by
     default.  A stacked bundle (metric q of shape (m, d, d)) gives one
-    bandwidth per metric, shape (m,).  Needs at least two points; if all
-    points coincide the median is zero and the fallback bandwidth 1.0 is
+    bandwidth per metric, shape (m,).  If all points coincide (a single
+    point among them) the median is zero and the fallback bandwidth 1.0 is
     returned.
 
     A stack with d <= 3 shares one table of pair-difference products across
@@ -120,8 +120,6 @@ def median_bandwidth(points, metric: PreconditionerBundle | None = None):
     """
     points = as_points(points, None if metric is None else metric.dim)
     n, d = points.shape
-    if n < 2:
-        raise InvalidInputError("median bandwidth needs at least two points")
     q = (metric or identity_bundle(d)).q
     stack = q.reshape(-1, d, d)
     if np.all(points == points[0]):
@@ -273,7 +271,7 @@ class KernelStrategy:
 
     def _check_pair_inputs(self, points, grads):
         points = as_points(points, self.dim or None)
-        grads = np.asarray(grads, dtype=float)
+        grads = as_floats(grads, "grads")
         if grads.shape != points.shape:
             raise InvalidInputError(f"grads shape {grads.shape} must match particles shape {points.shape}")
         return points, grads
@@ -341,7 +339,7 @@ class MixturePrecond(KernelStrategy):
 
     def __init__(self, points, bundle: PreconditionerBundle, bandwidths):
         points = as_points(points)
-        bandwidths = np.asarray(bandwidths, dtype=float)
+        bandwidths = as_floats(bandwidths, "bandwidths")
         if bundle.q.shape[:-2] != points.shape[:1] or bandwidths.shape != points.shape[:1]:
             raise InvalidInputError("anchors need one metric and one bandwidth per point")
         if bundle.dim != points.shape[1]:

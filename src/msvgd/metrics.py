@@ -138,7 +138,8 @@ def mmd_sq(xs, ys, bandwidth: float = 0.0) -> MmdReport:
     requests the median trick over the pooled sample: each score sorts only
     its own n_x(n_x-1)/2 + n_x n_y fresh distances and merges them against
     the triangle, copying nothing of size n_y^2.  Every score then sums the
-    kernel over its own pairs, its cross pairs and the triangle.
+    kernel over its own pairs, its cross pairs and the triangle.  Squared
+    distances that overflow (no finite value or bandwidth) raise InvalidInputError.
     """
     xs = as_points(xs)
     bandwidth = as_real(bandwidth, "bandwidth", InvalidInputError)
@@ -148,7 +149,10 @@ def mmd_sq(xs, ys, bandwidth: float = 0.0) -> MmdReport:
     ys = ref.points
     if xs.shape[1] != ys.shape[1]:
         raise InvalidInputError(f"samples must have equal dimension, got {xs.shape} and {ys.shape}")
-    value, bandwidth = _score(xs, ref, bandwidth)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        value, bandwidth = _score(xs, ref, bandwidth)
+    if not (np.isfinite(value) and np.isfinite(bandwidth)):
+        raise InvalidInputError(f"MMD: squared distances overflow (value {value}, bandwidth {bandwidth})")
     return MmdReport(value=max(value, 0.0), bandwidth=float(bandwidth),
                      n_x=xs.shape[0], n_y=ys.shape[0])
 

@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra: PSD repair and matrix roots.
+"""Dense symmetric linear algebra: PSD repair and matrix powers.
 
 Everything here operates on small d x d symmetric matrices.  ``symmetrize``,
 ``psd_repair`` and ``make_bundle`` also accept stacks of shape (..., d, d)
@@ -13,14 +13,13 @@ matrix that ``_certified`` proves to be clear of the floor is kept as it is,
 with its inverse and log determinant from one Cholesky factor; the eigensolve
 is skipped because clipping would change nothing beyond round-off.  Every
 other matrix is eigendecomposed (``numpy.linalg.eigh``), and one former,
-vec diag(lam^p) vec^T over the clipped eigenpairs, builds its outputs and
-every bundle's roots q^(+-1/2), which are formed on first read.
+vec diag(lam^p) vec^T over the clipped eigenpairs, builds its outputs.  The
+floor is the sampler's; targets factor their exact matrices themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,29 +55,15 @@ class PreconditionerBundle:
         Its inverse.
     log_det : float or ndarray, shape (...)
         Log determinant of ``q``.
-    floor_ratio : float
-        The eigenvalue floor ``q`` was repaired to; the roots clip at it.
-    q_sqrt, q_inv_sqrt : ndarray, shape (..., d, d)
-        Symmetric square root and inverse square root, formed from ``q`` by
-        the eigen-former on first read (only set-up code and tests read them).
     """
 
     q: np.ndarray
     q_inv: np.ndarray
     log_det: float | np.ndarray
-    floor_ratio: float = DEFAULT_FLOOR_RATIO
 
     @property
     def dim(self) -> int:
         return self.q.shape[-1]
-
-    @cached_property
-    def q_sqrt(self) -> np.ndarray:
-        return _eig_form(*_clipped_eigh(self.q, self.floor_ratio), 0.5)
-
-    @cached_property
-    def q_inv_sqrt(self) -> np.ndarray:
-        return _eig_form(*_clipped_eigh(self.q, self.floor_ratio), -0.5)
 
 
 def check_floor_ratio(floor_ratio: float, error=InvalidInputError) -> float:
@@ -128,6 +113,13 @@ def _certified(stack: np.ndarray, floor_ratio: float) -> np.ndarray:
     return np.all(pivots > 0.0, axis=-1)
 
 
+def _cholesky_factors(chol):
+    """(L^-T L^-1 symmetrized, 2 sum log diag L): inverses and log determinants from factors L = ``chol``."""
+    chol_inv = np.linalg.inv(chol)
+    return (_symmetric_part(np.swapaxes(chol_inv, -1, -2) @ chol_inv),
+            2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1))
+
+
 def _symmetrized_stack(m, floor_ratio: float):
     """``m`` symmetrized, as a (k, d, d) stack, with its input shape and each
     matrix's certificate."""
@@ -166,17 +158,14 @@ def make_bundle(m, floor_ratio: float = DEFAULT_FLOOR_RATIO) -> PreconditionerBu
     q_inv = np.empty_like(q)
     log_det = np.empty(len(q))
     if ok.any():
-        chol = np.linalg.cholesky(q[ok])
-        chol_inv = np.linalg.inv(chol)
-        q_inv[ok] = _symmetric_part(np.swapaxes(chol_inv, -1, -2) @ chol_inv)
-        log_det[ok] = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+        q_inv[ok], log_det[ok] = _cholesky_factors(np.linalg.cholesky(q[ok]))
     if not ok.all():
         lam, vec = _clipped_eigh(q[~ok], floor_ratio)
         q[~ok] = _eig_form(lam, vec, 1.0)
         q_inv[~ok] = _eig_form(lam, vec, -1.0)
         log_det[~ok] = np.sum(np.log(lam), axis=-1)
     return PreconditionerBundle(q=q.reshape(shape), q_inv=q_inv.reshape(shape),
-                                log_det=log_det.reshape(shape[:-2])[()], floor_ratio=floor_ratio)
+                                log_det=log_det.reshape(shape[:-2])[()])
 
 
 def identity_bundle(dim: int) -> PreconditionerBundle:

@@ -15,6 +15,9 @@ Every model exposes the same batch surface over points X of shape (n, d):
   exact ancestral sampling for Gaussian / mixture targets, a deterministic
   inverse-CDF grid sampler on [-3, 3]^2 for the two irregular 2-D targets.
 
+The Gaussian and star matrices are kept as given, each factored by one Cholesky
+(``_gaussian_factors``); no eigenvalue floor applies, that repair is the sampler's.
+
 The logistic posterior's Fisher matrix is linear in the per-row weights.
 Its ``curvature_batch`` is one blocked GEMM: the (n, |B|) weights times the
 products f_ra f_rb (a <= b) of the active rows, formed a block of rows at a
@@ -43,11 +46,10 @@ from scipy.special import logsumexp
 from .errors import (ConfigError, InvalidInputError, as_choice, as_count, as_floats, as_points, as_real,
                      at_key_path)
 from .kernels import _chunks
-from .psdlin import make_bundle, symmetrize
+from .psdlin import _cholesky_factors, _eig_form, symmetrize
 
 GRID_BOUND = 3.0
 GRID_RESOLUTION = 512
-_GRID_CHUNK = 16384
 
 
 def _sampler_setup(n, seed) -> tuple[int, np.random.Generator]:
@@ -68,12 +70,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.reciprocal(z, out=z)
 
 
-def _positive_definite(matrix, name: str) -> np.ndarray:
-    """``matrix`` symmetrized, rejected unless it is positive definite."""
+def _gaussian_factors(matrix, name: str, shown=None):
+    """``matrix`` (or a stack) symmetrized, its Cholesky factor and ``_cholesky_factors``; rejected
+    unless positive definite, the error showing ``shown`` (default: the matrix)."""
     matrix = symmetrize(as_floats(matrix, name))
-    if not np.all(np.linalg.eigvalsh(matrix) > 0.0):
-        raise InvalidInputError(f"{name}: must be positive definite, got {matrix.tolist()}")
-    return matrix
+    try:
+        chol = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        shown = matrix if shown is None else shown
+        raise InvalidInputError(f"{name}: must be positive definite, got {shown.tolist()}") from None
+    return (matrix, chol, *_cholesky_factors(chol))
 
 
 class TargetModel:
@@ -130,17 +136,18 @@ class Gaussian(TargetModel):
             raise InvalidInputError("mean: must be a finite vector")
         if (cov is None) == (precision is None):
             raise InvalidInputError("pass exactly one of cov or precision")
-        base = (_positive_definite(cov, "cov") if cov is not None
-                else _positive_definite(precision, "precision"))
+        name, sign = ("cov", 1.0) if cov is not None else ("precision", -1.0)
+        base, _, inverse, log_det = _gaussian_factors(cov if cov is not None else precision, name)
         if base.shape[0] != mean.shape[0]:
             raise InvalidInputError("mean and matrix dimensions disagree")
-        bundle = make_bundle(base, floor_ratio=1e-12)
-        if cov is not None:
-            self.cov, self.precision, self._cov_sqrt = bundle.q, bundle.q_inv, bundle.q_sqrt
-            self._log_det_cov = bundle.log_det
-        else:
-            self.cov, self.precision, self._cov_sqrt = bundle.q_inv, bundle.q, bundle.q_inv_sqrt
-            self._log_det_cov = -bundle.log_det
+        # the sampling root cov^(1/2) is base^(sign/2); Cholesky can pass a
+        # matrix whose least eigenvalue eigh rounds to <= 0, which has no root
+        lam, vec = np.linalg.eigh(base)
+        if lam[0] <= 0.0:
+            raise InvalidInputError(f"{name}: must be positive definite, got {base.tolist()}")
+        self._cov_sqrt = _eig_form(lam, vec, 0.5 * sign)
+        self.cov, self.precision = (base, inverse) if cov is not None else (inverse, base)
+        self._log_det_cov = sign * log_det
         self.mean = mean
         self.dim = mean.shape[0]
         self._log_norm = -0.5 * (self.dim * np.log(2.0 * np.pi) + self._log_det_cov)
@@ -177,7 +184,7 @@ class StarMixture(TargetModel):
     def __init__(self, components: int = 5, mu1=(0.0, 1.5), sigma1=((1.0, 0.0), (0.0, 0.01))):
         components = as_count(components, "components", 1)
         mu1 = as_floats(mu1, "mu1")
-        sigma1 = _positive_definite(sigma1, "sigma1")
+        sigma1 = symmetrize(as_floats(sigma1, "sigma1"))
         if mu1.shape != (2,) or sigma1.shape != (2, 2):
             raise InvalidInputError("star mixture is 2-D: mu1 has shape (2,), sigma1 shape (2, 2)")
         theta = 2.0 * np.pi / components
@@ -189,14 +196,9 @@ class StarMixture(TargetModel):
         self.dim = 2
         self.n_components = components
         self.means = np.stack(means)
-        self.covs = np.stack(covs)
-        bundles = [make_bundle(c, floor_ratio=1e-12) for c in covs]
-        self.precisions = np.stack([b.q_inv for b in bundles])
-        self._chols = np.stack([np.linalg.cholesky(b.q) for b in bundles])
+        self.covs, self._chols, self.precisions, log_dets = _gaussian_factors(covs, "sigma1", sigma1)
         # exact per-component normalizers; mixture weights are uniform 1/K
-        self._log_norms = np.array(
-            [-np.log(2.0 * np.pi) - 0.5 * b.log_det for b in bundles]
-        )
+        self._log_norms = -np.log(2.0 * np.pi) - 0.5 * log_dets
 
     def _component_log_pdfs(self, points):
         dc = points[:, None, :] - self.means[None, :, :]  # (n, K, 2)
@@ -262,9 +264,8 @@ class _GridSampledTarget(TargetModel):
             gx, gy = np.meshgrid(mids, mids, indexing="ij")
             centers = np.column_stack([gx.ravel(), gy.ravel()])
             logp = np.empty(centers.shape[0])
-            for start in range(0, centers.shape[0], _GRID_CHUNK):
-                block = centers[start:start + _GRID_CHUNK]
-                logp[start:start + _GRID_CHUNK] = self.log_density_batch(block)
+            for rows in _chunks(len(centers), 4):  # a few temporaries per cell
+                logp[rows] = self.log_density_batch(centers[rows])
             weights = np.exp(logp - logp.max())
             cdf = np.cumsum(weights) / weights.sum()
             cdf[-1] = 1.0
@@ -401,10 +402,9 @@ class LogisticDataset:
 
     def __post_init__(self):
         features = as_points(self.features)
-        labels = np.asarray(self.labels)
-        if labels.shape != (features.shape[0],):
+        lab = as_floats(self.labels, "labels")
+        if lab.shape != (features.shape[0],):
             raise InvalidInputError("labels must be one per data row")
-        lab = labels.astype(float)
         if not np.all(np.isin(lab, (0.0, 1.0))):
             raise InvalidInputError("labels must be 0 or 1")
         mb = as_count(self.minibatch_size, "minibatch_size", 0)

@@ -213,11 +213,20 @@ def pairwise_sq_dists(xs, ys=None) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+def matrix_root(q, power: float = 0.5) -> np.ndarray:
+    """q^power of a symmetric positive definite matrix (or a stack of them),
+    from its own eigendecomposition: vec diag(lam^power) vec^T, symmetrized."""
+    lam, vec = np.linalg.eigh(q)
+    root = (vec * lam[..., None, :] ** power) @ np.swapaxes(vec, -1, -2)
+    return 0.5 * (root + np.swapaxes(root, -1, -2))
+
+
 def pairwise_mahalanobis_sq(xs, ys, bundle) -> np.ndarray:
     """Pairwise squared Mahalanobis distances, computed in q^{1/2} coordinates:
     a second route to the library's expanded-form ``_metric_sq_dists``."""
-    xs = np.asarray(xs, dtype=float) @ bundle.q_sqrt
-    ys = None if ys is None else np.asarray(ys, dtype=float) @ bundle.q_sqrt
+    root = matrix_root(bundle.q)
+    xs = np.asarray(xs, dtype=float) @ root
+    ys = None if ys is None else np.asarray(ys, dtype=float) @ root
     return pairwise_sq_dists(xs, ys)
 
 
@@ -250,8 +259,8 @@ def per_anchor_mixture_direction(anchors, points, grads):
     from msvgd.psdlin import PreconditionerBundle
 
     stack = anchors.bundle
-    bundles = [PreconditionerBundle(q=stack.q[l], q_inv=stack.q_inv[l], log_det=stack.log_det[l],
-                                    floor_ratio=stack.floor_ratio) for l in range(len(anchors.points))]
+    bundles = [PreconditionerBundle(q=stack.q[l], q_inv=stack.q_inv[l], log_det=stack.log_det[l])
+               for l in range(len(anchors.points))]
     n = points.shape[0]
     scores = np.empty((n, len(anchors.points)))
     t = np.empty((len(anchors.points), n, points.shape[1]))
@@ -303,9 +312,9 @@ def change_of_variables_directions(bundle, positions, bandwidth: float):
     target = Gaussian(np.zeros(bundle.dim), precision=bundle.q)
     grads = target.grad_log_density_batch(positions)
     direct = ConstPrecond(bundle, bandwidth).direction(positions, grads)
-    mapped_points = positions @ bundle.q_sqrt
+    mapped_points = positions @ matrix_root(bundle.q)
     phi0 = ScalarRBF(bandwidth).direction(mapped_points, -mapped_points)
-    return direct, phi0 @ bundle.q_inv_sqrt
+    return direct, phi0 @ matrix_root(bundle.q, -0.5)
 
 
 def map_estimate(model, x0, iterations: int = 100, tol: float = 1e-12) -> np.ndarray:

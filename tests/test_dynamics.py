@@ -280,6 +280,15 @@ def test_run_is_deterministic_per_seed(method):
         assert np.array_equal(a.snapshots[c], b.snapshots[c])
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_run_with_one_particle(method):
+    # a lone particle's median bandwidth is the coincident-points fallback, 1.0
+    res = run(StarMixture(), method, n_particles=1, iterations=3, checkpoints=[0, 3], seed=4,
+              policy=PrecondPolicy(floor_ratio=0.05))
+    assert res.iterations_run == 3 and res.snapshots[3].shape == (1, 2)
+    assert np.all(np.isfinite(res.snapshots[3])) and not np.array_equal(res.snapshots[3], res.snapshots[0])
+
+
 def test_run_converged_fills_remaining_checkpoints():
     # one particle on an isotropic Gaussian contracts geometrically, so the
     # direction norm crosses the 1e-8 threshold long before the budget

@@ -473,6 +473,8 @@ def test_package_exports_resolve_and_test_only_surfaces_are_gone():
     gone = [(msvgd, "grid_moments"), (targets, "grid_moments"), (harness, "load_particles"),
             (kernels.MixturePrecond, "weight_gradients"), (msvgd, "mixture_weights"),
             (kernels, "mixture_weights"), (metrics, "_mean_kernel")]
+    # the sampler's repair floor and the roots only target set-up read
+    gone += [(msvgd.PreconditionerBundle, name) for name in ("q_sqrt", "q_inv_sqrt", "floor_ratio")]
     gone += [(cls, view) for cls in (kernels.KernelStrategy, kernels.ScalarRBF, kernels.ConstPrecond,
                                      kernels.MixturePrecond)
              for view in ("eval", "_check_point")]
@@ -602,6 +604,18 @@ def test_cli_numeric_abort_prints_only_the_abort_line(tmp_path, capsys):
         assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 4
     assert capsys.readouterr().err == \
         "numeric: iteration 0: Adagrad accumulator has non-finite entries\n"
+
+
+def test_cli_mmd_distance_overflow_exits_2_without_metrics(tmp_path, capsys):
+    # a finite initial draw whose squared distances overflow: no NaN reaches metrics.json
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"target": "gaussian", "method": "vanilla_svgd", "n": 5, "iters": 0,
+                               "checkpoints": [0], "init": {"scale": 1e200}, "mmd_reference_n": 50}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("input: MMD: squared distances overflow")
+    assert not (tmp_path / "out" / "metrics.json").exists()
 
 
 def test_cli_module_run_exits_2_on_a_bad_target_parameter(tmp_path):

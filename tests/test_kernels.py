@@ -51,9 +51,14 @@ def test_median_bandwidth_identical_points_falls_back_to_one():
             assert np.array_equal(median_bandwidth(points, metric=stacked), np.ones(3))
 
 
-def test_median_bandwidth_requires_two_points():
-    with pytest.raises(InvalidInputError):
-        median_bandwidth(np.zeros((1, 2)))
+def test_median_bandwidth_of_one_point_is_one():
+    # one point coincides with itself: the coincident-points fallback
+    rng = np.random.default_rng(13)
+    point = rng.standard_normal((1, 3))
+    assert median_bandwidth(point) == 1.0
+    assert median_bandwidth(point, metric=make_bundle(random_spd(rng, 3))) == 1.0
+    stacked = make_bundle(np.stack([random_spd(rng, 3) for _ in range(4)]))
+    assert np.array_equal(median_bandwidth(point, metric=stacked), np.ones(4))
 
 
 def test_median_bandwidth_identity_metric_matches_euclidean_exactly():
@@ -186,6 +191,11 @@ def test_dimension_mismatch_rejected():
         k.direction(np.zeros((4, 2)), np.zeros((4, 2)))
     with pytest.raises(InvalidInputError, match="grads shape"):
         k.direction(np.zeros((4, 3)), np.zeros((4, 2)))
+    # a non-numeric argument is named in the documented error class
+    with pytest.raises(InvalidInputError, match="^grads: could not convert"):
+        ScalarRBF(1.0).direction(np.zeros((2, 2)), "x")
+    with pytest.raises(InvalidInputError, match="^points: could not convert"):
+        k.direction("abc", np.zeros((4, 3)))
     with pytest.raises(InvalidInputError, match="dimension 2"):
         mixture_weights(np.zeros(3), random_anchor_set(rng, 2, 2))
     for metric in (make_bundle(np.eye(3)), make_bundle(np.stack([np.eye(3)] * 2))):
@@ -210,6 +220,8 @@ def test_anchor_set_validation():
         MixturePrecond(points=pts, bundle=make_bundle(bundle.q[:2]), bandwidths=np.ones(3))
     with pytest.raises(InvalidInputError):
         MixturePrecond(points=pts, bundle=bundle, bandwidths=np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(InvalidInputError, match="^bandwidths: could not convert"):
+        MixturePrecond(points=pts, bundle=bundle, bandwidths="ab")
     with pytest.raises(InvalidInputError):
         MixturePrecond(points=pts, bundle=make_bundle(np.stack([random_spd(rng, 3) for _ in range(3)])),
                        bandwidths=np.ones(3))

@@ -83,6 +83,9 @@ def test_mmd_validation():
     for bad in ("1", None):
         with pytest.raises(InvalidInputError):
             mmd_sq(xs, xs, bandwidth=bad)
+    with pytest.raises(InvalidInputError, match="^points: could not convert"):
+        mmd_sq(xs, "abc")
+
 
 
 def test_mmd_median_route_rejects_non_finite_particles():
@@ -158,14 +161,14 @@ def test_merged_median_bandwidth_edge_cases():
     assert mmd_sq(*cases["all coincident"]).bandwidth == 1.0
 
 
-def test_mmd_overflowed_distance_gives_nan_bandwidth_and_value():
-    # |x|^2 overflows, so the expanded distance of the coincident pair is inf - inf
+def test_mmd_rejects_samples_whose_distances_overflow():
+    # |x|^2 overflows, so the expanded distance of the coincident pair is inf - inf:
+    # no NaN value or bandwidth is reported, by the median trick or a given bandwidth
     xs = np.array([[1e200, 0.0], [1e200, 0.0], [0.0, 1.0]])
     ys = np.random.default_rng(9).standard_normal((5, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for report in (mmd_sq(xs, ys), mmd_sq(xs, prepare_reference(ys))):
-            assert np.isnan(report.bandwidth)
-            assert np.isnan(report.value)
+    for ref, bandwidth in ((ys, 0.0), (prepare_reference(ys), 0.0), (ys, 1.0)):
+        with pytest.raises(InvalidInputError, match="overflow"), np.errstate(over="ignore", invalid="ignore"):
+            mmd_sq(xs, ref, bandwidth=bandwidth)
 
 
 def test_prepared_reference_holds_the_sorted_pair_triangle():

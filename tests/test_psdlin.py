@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from helpers import mahalanobis_sq, pairwise_mahalanobis_sq, pairwise_sq_dists, random_spd
+from helpers import mahalanobis_sq, matrix_root, pairwise_mahalanobis_sq, pairwise_sq_dists, random_spd
 from msvgd.errors import InvalidInputError
 from msvgd.psdlin import (
     _certified,
@@ -11,6 +11,7 @@ from msvgd.psdlin import (
     psd_repair,
     symmetrize,
 )
+from msvgd.targets import Gaussian
 
 
 def test_symmetrize_averages_with_transpose():
@@ -110,7 +111,7 @@ def test_make_bundle_of_a_stack_equals_per_matrix_bundles():
             bundle = make_bundle(stack, 1e-3)
             singles = [make_bundle(m, 1e-3) for m in stack]
             assert bundle.dim == d and bundle.log_det.shape == (30,)
-            for field in ("q", "q_sqrt", "q_inv_sqrt", "q_inv", "log_det"):
+            for field in ("q", "q_inv", "log_det"):
                 assert np.array_equal(getattr(bundle, field),
                                       np.stack([getattr(b, field) for b in singles])), field
     with pytest.raises(InvalidInputError):
@@ -146,7 +147,8 @@ def test_certified_matrices_clear_the_floor_and_skip_the_eigensolve():
 
 def test_make_bundle_identity():
     b = make_bundle(np.eye(3))
-    for factor in (b.q, b.q_sqrt, b.q_inv_sqrt, b.q_inv):
+    roots = [Gaussian(np.zeros(3), **{key: b.q})._cov_sqrt for key in ("cov", "precision")]
+    for factor in (b.q, b.q_inv, *roots):
         assert np.allclose(factor, np.eye(3), rtol=0, atol=1e-14)
     assert abs(b.log_det) <= 1e-14
     assert b.dim == 3
@@ -154,7 +156,8 @@ def test_make_bundle_identity():
 
 def test_make_bundle_diagonal_closed_form():
     b = make_bundle(np.diag([4.0, 1.0]))
-    assert np.allclose(b.q_sqrt, np.diag([2.0, 1.0]), atol=1e-12)
+    assert np.allclose(Gaussian(np.zeros(2), cov=b.q)._cov_sqrt, np.diag([2.0, 1.0]), atol=1e-12)
+    assert np.allclose(Gaussian(np.zeros(2), precision=b.q)._cov_sqrt, np.diag([0.5, 1.0]), atol=1e-12)
     assert np.allclose(b.q_inv, np.diag([0.25, 1.0]), atol=1e-12)
     assert abs(b.log_det - np.log(4.0)) <= 1e-12
 
@@ -166,11 +169,17 @@ def test_bundle_factor_round_trips():
         m = random_spd(rng, d)
         b = make_bundle(m)
         scale = np.linalg.norm(b.q)
-        assert np.linalg.norm(b.q_sqrt @ b.q_sqrt - b.q) <= 1e-8 * scale
-        assert np.linalg.norm(b.q_inv_sqrt @ b.q_inv_sqrt - b.q_inv) <= 1e-8 * np.linalg.norm(b.q_inv)
+        root, inv_root = matrix_root(b.q), matrix_root(b.q, -0.5)
+        assert np.linalg.norm(root @ root - b.q) <= 1e-8 * scale
+        assert np.linalg.norm(inv_root @ inv_root - b.q_inv) <= 1e-8 * np.linalg.norm(b.q_inv)
         assert np.linalg.norm(b.q @ b.q_inv - np.eye(d)) <= 1e-8 * np.sqrt(d)
-        assert np.linalg.norm(b.q_inv_sqrt @ b.q @ b.q_inv_sqrt - np.eye(d)) <= 1e-8 * np.sqrt(d)
+        assert np.linalg.norm(inv_root @ b.q @ inv_root - np.eye(d)) <= 1e-8 * np.sqrt(d)
         assert abs(b.log_det - np.linalg.slogdet(b.q)[1]) <= 1e-8 * max(1.0, abs(b.log_det))
+        # the Gaussian target's sampling root cov^(1/2), given cov or precision
+        for gauss in (Gaussian(np.zeros(d), cov=m), Gaussian(np.zeros(d), precision=m)):
+            root = gauss._cov_sqrt
+            assert np.linalg.norm(root @ root - gauss.cov) <= 1e-8 * np.linalg.norm(gauss.cov)
+            assert np.linalg.norm(root @ gauss.precision @ root - np.eye(d)) <= 1e-8 * np.sqrt(d)
 
 
 def test_identity_bundle_is_exact():

@@ -84,7 +84,26 @@ def test_gaussian_sampler_moments_and_determinism():
         g.reference_sample(2.5, seed=1)
 
 
+def test_gaussian_keeps_a_tiny_covariance_exactly():
+    # no eigenvalue floor: the target is the matrix it was given
+    for params in ({"cov": 1e-14 * np.eye(2)}, {"precision": 1e14 * np.eye(2)}):
+        g = make_target("gaussian", mean=[0, 0], **params)
+        assert np.array_equal(g.cov if "cov" in params else g.precision, next(iter(params.values())))
+        assert np.allclose(g.precision @ g.cov, np.eye(2), rtol=0, atol=1e-12)
+        assert np.allclose(g._cov_sqrt @ g._cov_sqrt, g.cov, rtol=1e-12, atol=0)
+
+
 # ------------------------------------------------------------------- star
+
+def test_star_keeps_a_thin_arm_exactly():
+    star = StarMixture(sigma1=np.diag([1.0, 1e-13]))
+    assert np.array_equal(star.covs[0], np.diag([1.0, 1e-13]))
+    assert np.allclose(star.precisions[0], np.diag([1.0, 1e13]), rtol=1e-12, atol=0)
+    # an inverse is good to about cond * eps = 1e13 * 2.2e-16 = 2e-3 in each entry
+    for prec, cov, chol in zip(star.precisions, star.covs, star._chols):
+        assert np.allclose(prec @ cov, np.eye(2), rtol=0, atol=1e-2)
+        assert np.allclose(chol @ chol.T, cov, rtol=0, atol=1e-15)
+
 
 def star_log_density_oracle(star, x):
     comps = [multivariate_normal(star.means[k], star.covs[k]).logpdf(x)
@@ -132,6 +151,22 @@ def test_star_rejects_nonpositive_component_count():
         with pytest.raises(InvalidInputError, match="components: must be an integer"):
             StarMixture(components=bad)
     assert StarMixture(components=3.0).n_components == 3
+
+
+def test_gaussian_rejects_a_matrix_with_a_round_off_eigenvalue():
+    # eigenvalues (1, 1, 1e-16): Cholesky passes some rotations, but eigh may
+    # round the least eigenvalue to <= 0, where the sampling root is NaN
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        matrix = (basis * [1.0, 1.0, 1e-16]) @ basis.T
+        for key in ("cov", "precision"):
+            try:
+                g = Gaussian(np.zeros(3), **{key: matrix})
+            except InvalidInputError as exc:
+                assert str(exc).startswith(f"{key}: must be positive definite")
+                continue
+            assert np.all(np.isfinite(g._cov_sqrt)) and np.all(np.isfinite(g.reference_sample(5, 0)))
 
 
 def test_targets_reject_a_covariance_that_is_not_positive_definite():
@@ -227,6 +262,14 @@ def test_banana_sampler_is_deterministic():
     assert np.all(np.abs(xs) <= 3.0)
 
 
+@pytest.mark.parametrize("cls", [Sine, DoubleBanana])
+def test_grid_sampler_draws_do_not_depend_on_the_chunk_budget(monkeypatch, cls):
+    # the grid CDF is tabulated a block of kernels.CHUNK_BYTES at a time
+    draws = cls().reference_sample(300, seed=2)
+    monkeypatch.setattr(kernels, "CHUNK_BYTES", 8 * 4 * 1000 + 8)
+    assert np.array_equal(cls().reference_sample(300, seed=2), draws)
+
+
 # ------------------------------------------------------------- validation
 
 @pytest.mark.parametrize("kind", ["gaussian", "star_mixture", "sine"])
@@ -319,6 +362,8 @@ def test_logistic_dataset_validation():
         LogisticDataset(features=np.zeros(2), labels=np.array([0.0, 1.0]))
     with pytest.raises(InvalidInputError, match="one per data row"):
         LogisticDataset(features=np.zeros((3, 2)), labels=np.array([0.0, 1.0]))
+    with pytest.raises(InvalidInputError, match="^labels: could not convert"):
+        LogisticDataset(features=np.zeros((2, 2)), labels=["a", "b"])
     for bad in (3, -1, 1.5, "1"):
         with pytest.raises(InvalidInputError, match="minibatch_size"):
             LogisticDataset(features=np.zeros((2, 2)), labels=np.array([0.0, 1.0]),

@@ -87,8 +87,8 @@ def panel_configs() -> list[dict]:
 
 
 # (label, overrides of a valid 30-iteration star_mixture config): one bad key
-# each, plus a gaussian whose Adagrad accumulator overflows at iteration 0 and
-# one whose initial draw overflows
+# each, plus a gaussian whose Adagrad accumulator overflows at iteration 0, one
+# whose initial draw overflows and one whose draw's MMD distances overflow
 BAD_CONFIGS = (
     ("n_float", {"n": 3.0}),
     ("n_zero", {"n": 0}),
@@ -116,6 +116,8 @@ BAD_CONFIGS = (
                               "n": 5, "iters": 3, "checkpoints": [0]}),
     ("init_draw_overflow", {"target": "gaussian", "n": 5, "iters": 2,
                             "init": {"mean": 1e308, "scale": 1e308}}),
+    ("mmd_distances_overflow", {"target": "gaussian", "n": 5, "iters": 0, "checkpoints": [0],
+                                "init": {"scale": 1e200}, "mmd_reference_n": 50}),
     ("target_cov_indefinite", {"target": {"kind": "gaussian", "mean": [0, 0],
                                           "cov": [[1, 2], [2, 1]]}}),
     ("target_sigma1_indefinite", {"target": {"kind": "star_mixture",
