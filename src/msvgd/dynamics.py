@@ -152,18 +152,36 @@ def svn_metrics(positions, model: TargetModel, bandwidth: float,
                 policy: PrecondPolicy = PrecondPolicy()) -> np.ndarray:
     """Kernel-weighted local metrics H~_i, one PD (d, d) matrix per particle.
 
-    H~_i = (1/n) sum_j [ H(x_j) k(x_j, x_i)^2 + g_ji g_ji^T ] where
-    g_ji = grad_{x_i} k(x_j, x_i) = k(x_j, x_i) (x_j - x_i) / h.
+    H~_i = (1/n) sum_j [ H(x_j) k_ji^2 + g_ji g_ji^T ] where
+    k_ji = k(x_j, x_i) and g_ji = grad_{x_i} k_ji = k_ji (x_j - x_i) / h.
+
+    H~ is translation invariant, so the points are first centred at their
+    mean, which keeps the cancellation below small.  With y = x / h for the
+    centred points, K2 = k^2, a = K2 @ y and s_i = sum_j K2_ij, the outer
+    products expand into
+
+        n H~_i = [K2 @ (H + y y^T)]_i + s_i y_i y_i^T - a_i y_i^T - y_i a_i^T,
+
+    so one (n, n) @ (n, d^2 + d + 1) GEMM gives the sums, a and s together,
+    and no (n, n, d) stack is formed.  A metric that overflows aborts the
+    refresh, naming its particle.
     """
     positions = np.asarray(positions, dtype=float)
     n, d = positions.shape
-    diff = positions[:, None, :] - positions[None, :, :]  # (j, i, d) as x_j - x_i
-    k = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * bandwidth))
     hs = _curvature_stack(positions, model, policy.source)
-    term1 = ((k * k).T @ hs.reshape(n, d * d)).reshape(n, d, d) / n
-    g = (k[:, :, None] * diff / bandwidth).transpose(1, 0, 2)  # (i, j, d)
-    term2 = (g.transpose(0, 2, 1) @ g) / n
-    return psd_repair(_finite_or_abort(term1 + term2, "SVN metric", "particle"),
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = positions - positions.mean(axis=0)
+        sq = np.einsum("ij,ij->i", x, x)
+        neg_r2 = np.minimum(2.0 * (x @ x.T) - sq[:, None] - sq[None, :], 0.0)
+        np.fill_diagonal(neg_r2, 0.0)  # exact self-weights k_ii = 1
+        k2 = np.exp(neg_r2 / bandwidth)
+        y = x / bandwidth
+        outer = y[:, :, None] * y[:, None, :]
+        sums = k2 @ np.concatenate([(hs + outer).reshape(n, d * d), y, np.ones((n, 1))], axis=1)
+        cross = y[:, :, None] * sums[:, None, d * d:-1]
+        cross = cross + cross.transpose(0, 2, 1)
+        metrics = (sums[:, :d * d].reshape(n, d, d) + sums[:, -1, None, None] * outer - cross) / n
+    return psd_repair(_finite_or_abort(metrics, "SVN metric", "particle"),
                       floor_ratio=policy.floor_ratio)
 
 

@@ -40,16 +40,19 @@ def prepare_reference(ys) -> MmdReference:
     """The draws ``ys`` with their pair distances, formed a block of rows
     (``kernels._chunks``) at a time, so no (n, n) matrix is held, and
     sorted in place once (O(n^2 log n)) for the pooled median of every
-    later score."""
+    later score.  Pair distances that overflow raise InvalidInputError."""
     ys = as_points(ys).copy()
     n = ys.shape[0]
     eye = np.eye(ys.shape[1])[None]
     pairs = np.empty(n * (n - 1) // 2)
     pos = 0
-    for rows in _chunks(n, n):
-        for i, row in enumerate(_metric_sq_dists(ys[rows], eye, ys)[0], start=rows.start):
-            pairs[pos:pos + n - 1 - i] = row[i + 1:]
-            pos += n - 1 - i
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        for rows in _chunks(n, n):
+            for i, row in enumerate(_metric_sq_dists(ys[rows], eye, ys)[0], start=rows.start):
+                pairs[pos:pos + n - 1 - i] = row[i + 1:]
+                pos += n - 1 - i
+    if not np.isfinite(np.max(pairs, initial=0.0)):  # NaN propagates; no mask of the triangle
+        raise InvalidInputError("MMD reference: squared distances overflow")
     pairs.sort()
     ys.flags.writeable = pairs.flags.writeable = False
     return MmdReference(points=ys, sorted_pair_sq_dists=pairs)

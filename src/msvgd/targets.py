@@ -70,15 +70,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.reciprocal(z, out=z)
 
 
-def _gaussian_factors(matrix, name: str, shown=None):
-    """``matrix`` (or a stack) symmetrized, its Cholesky factor and ``_cholesky_factors``; rejected
-    unless positive definite, the error showing ``shown`` (default: the matrix)."""
+def _gaussian_factors(matrix, name: str):
+    """``matrix`` (or a stack) symmetrized, its Cholesky factor and
+    ``_cholesky_factors``; rejected unless positive definite."""
     matrix = symmetrize(as_floats(matrix, name))
     try:
         chol = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
-        shown = matrix if shown is None else shown
-        raise InvalidInputError(f"{name}: must be positive definite, got {shown.tolist()}") from None
+        raise InvalidInputError(f"{name}: must be positive definite, got {matrix.tolist()}") from None
     return (matrix, chol, *_cholesky_factors(chol))
 
 
@@ -189,6 +188,7 @@ class StarMixture(TargetModel):
             raise InvalidInputError("star mixture is 2-D: mu1 has shape (2,), sigma1 shape (2, 2)")
         theta = 2.0 * np.pi / components
         rot = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
+        _gaussian_factors(sigma1, "sigma1")  # a sigma1 that is not PD is named as itself
         means, covs = [mu1], [sigma1]
         for _ in range(components - 1):
             means.append(rot @ means[-1])
@@ -196,7 +196,11 @@ class StarMixture(TargetModel):
         self.dim = 2
         self.n_components = components
         self.means = np.stack(means)
-        self.covs, self._chols, self.precisions, log_dets = _gaussian_factors(covs, "sigma1", sigma1)
+        try:
+            self.covs, self._chols, self.precisions, log_dets = _gaussian_factors(covs, "sigma1")
+        except InvalidInputError:
+            raise InvalidInputError(f"sigma1: positive definite, but its rotated copies round to "
+                                    f"matrices that are not, got {sigma1.tolist()}") from None
         # exact per-component normalizers; mixture weights are uniform 1/K
         self._log_norms = -np.log(2.0 * np.pi) - 0.5 * log_dets
 

@@ -10,7 +10,8 @@ particle sets, so the single-point target views and mixture weights, the
 grid quadrature, the mixture weight gradients and the particle CSV reader
 live here, read from the library's batch surfaces.  The logistic Fisher
 stack oracle forms one particle's matrix at a time, against the library's
-one blocked GEMM.
+one blocked GEMM, and the SVN metric oracle forms its pair sums from (n, n, d)
+stacks, against the library's one GEMM over centred points.
 """
 
 from pathlib import Path
@@ -116,6 +117,24 @@ def fisher_stack(model, points) -> np.ndarray:
         probs = expit(feats @ x)
         stack.append(scale * (feats.T * (probs * (1.0 - probs))) @ feats + np.eye(len(x)))
     return np.stack(stack)
+
+
+def svn_metrics_oracle(model, points, bandwidth: float, source: str = "exact_hessian",
+                       floor_ratio: float = 1e-6) -> np.ndarray:
+    """SVN's metrics from (n, n, d) difference and kernel-gradient stacks,
+    against ``dynamics.svn_metrics``' one GEMM over centred points:
+    (1/n) sum_j [k_ji^2 H(x_j) + g_ji g_ji^T] with g_ji = k_ji (x_j - x_i) / h,
+    repaired as the sampler repairs them."""
+    from msvgd.psdlin import psd_repair
+
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    diff = points[:, None, :] - points[None, :, :]  # (j, i, d) as x_j - x_i
+    k = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * bandwidth))
+    hs = model.curvature_batch(points, mode=source)
+    term1 = ((k * k).T @ hs.reshape(n, d * d)).reshape(n, d, d) / n
+    g = (k[:, :, None] * diff / bandwidth).transpose(1, 0, 2)  # (i, j, d)
+    return psd_repair(term1 + (g.transpose(0, 2, 1) @ g) / n, floor_ratio=floor_ratio)
 
 
 def load_particles(path) -> tuple[int, np.ndarray]:

@@ -1,7 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import change_of_variables_directions, fd_jacobian, grad_log_density, random_spd
+from helpers import (
+    change_of_variables_directions,
+    fd_jacobian,
+    grad_log_density,
+    random_spd,
+    svn_metrics_oracle,
+)
 from msvgd.dynamics import (
     METHODS,
     PrecondPolicy,
@@ -178,6 +186,48 @@ def test_svn_metrics_match_brute_force_double_loop(model):
             acc += model.curvature(pts[j]) * k * k + np.outer(g, g)
         expected.append(psd_repair(acc / n))
     assert np.allclose(svn_metrics(pts, model, bandwidth=h), np.stack(expected), atol=1e-10)
+
+
+@pytest.mark.parametrize("shift", [0.0, 50.0, 1e3])
+@pytest.mark.parametrize("n", [1, 2, 50])
+@pytest.mark.parametrize("d", [2, 5, 20])
+def test_svn_metrics_match_the_pair_stack_oracle(d, n, shift):
+    rng = np.random.default_rng(100 * d + n)
+    models = [Gaussian(np.zeros(d), precision=random_spd(rng, d))] + ([StarMixture()] if d == 2 else [])
+    pts = rng.standard_normal((n, d)) + shift
+    h = median_bandwidth(pts)
+    for model in models:
+        expected = svn_metrics_oracle(model, pts, h)
+        assert np.max(np.abs(svn_metrics(pts, model, h) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_svn_metrics_are_translation_invariant():
+    rng = np.random.default_rng(11)
+    for d in (2, 5, 20):
+        model = Gaussian(np.zeros(d), precision=random_spd(rng, d))
+        pts = rng.standard_normal((50, d))
+        h = median_bandwidth(pts)
+        base = svn_metrics(pts, model, h)
+        for scale in (50.0, 1e3):
+            moved = svn_metrics(pts + scale * rng.standard_normal(d), model, h)
+            assert np.max(np.abs(moved - base)) <= 1e-12 * np.max(np.abs(base))
+
+
+def test_svn_metric_overflow_aborts_the_refresh_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # x / h is about 1e200, so the outer products (x / h)(x / h)^T overflow
+        pts = np.random.default_rng(8).standard_normal((6, 2))
+        with pytest.raises(NumericalAbort) as exc:
+            svn_metrics(pts, gaussian_target(), bandwidth=1e-200)
+        assert str(exc.value) == "refresh: SVN metric of particle 0 has non-finite entries"
+        assert (exc.value.iteration, exc.value.phase, exc.value.particle) == (None, "refresh", 0)
+        # a start this tight has a subnormal median-trick bandwidth, so x / h
+        # is about 1e158 and its outer products overflow
+        with pytest.raises(NumericalAbort) as exc:
+            run(gaussian_target(), "svn", n_particles=5, iterations=2, init_scale=1e-158)
+        assert str(exc.value) == "iteration 0: refresh: SVN metric of particle 0 has non-finite entries"
+        assert (exc.value.iteration, exc.value.phase, exc.value.particle) == (0, "refresh", 0)
 
 
 def test_single_particle_svn_is_exact_newton():

@@ -171,6 +171,18 @@ def test_mmd_rejects_samples_whose_distances_overflow():
             mmd_sq(xs, ref, bandwidth=bandwidth)
 
 
+def test_reference_whose_pair_distances_overflow_is_rejected_without_warnings():
+    # |y|^2 = 1e400 overflows for the draw (-1e200, 0) while the reference is
+    # prepared, outside the score's own errstate
+    ys = np.array([[-1e200, 0.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^MMD reference: squared distances overflow$"):
+            mmd_sq([[1e200, 0.0]], ys)
+        with pytest.raises(InvalidInputError, match="^MMD reference: squared distances overflow$"):
+            prepare_reference(np.array([[1e200, 0.0], [-1e200, 0.0]]))
+
+
 def test_prepared_reference_holds_the_sorted_pair_triangle():
     ys = np.random.default_rng(10).integers(-3, 4, (40, 2)).astype(float)  # many ties
     reference = prepare_reference(ys)

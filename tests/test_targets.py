@@ -186,6 +186,19 @@ def test_targets_reject_a_covariance_that_is_not_positive_definite():
             make_target(kind, **params)
 
 
+def test_star_names_rotated_copies_that_round_out_of_positive_definiteness():
+    # diag(1, 1e-17) is PD, but its rotations by 2 pi / 5 round to matrices
+    # whose Cholesky factor fails; a sigma1 that is not PD is named as itself
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "sigma1: positive definite, but its rotated copies round to matrices that are not, "
+            "got [[1.0, 0.0], [0.0, 1e-17]]")):
+        StarMixture(sigma1=np.diag([1.0, 1e-17]))
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "sigma1: must be positive definite, got [[1.0, 0.0], [0.0, -1e-17]]")):
+        StarMixture(sigma1=np.diag([1.0, -1e-17]))
+    assert StarMixture(sigma1=np.diag([1.0, 1e-16])).covs.shape == (5, 2, 2)
+
+
 def test_star_sampler_mean_near_zero_by_symmetry():
     star = StarMixture()
     xs = star.reference_sample(10_000, seed=0)
