@@ -189,6 +189,8 @@ def svn_direction(positions, grads, metrics: np.ndarray, bandwidth: float) -> np
     """Newton-like direction: each particle's H~_i solved against its
     scalar-RBF Stein direction."""
     f = ScalarRBF(bandwidth).direction(positions, grads)
+    if np.shape(metrics) != f.shape + f.shape[-1:]:
+        raise InvalidInputError(f"metrics: expected shape {f.shape + f.shape[-1:]}, got {np.shape(metrics)}")
     return np.linalg.solve(metrics, f[:, :, None])[:, :, 0]
 
 

@@ -75,10 +75,10 @@ def as_floats(value, name: str, error=InvalidInputError) -> np.ndarray:
 
 
 def as_points(points, dim: int | None = None) -> np.ndarray:
-    """``points`` as a finite (n, d) float array, n >= 1 and d = ``dim`` if given."""
+    """``points`` as a finite (n, d) float array, n >= 1, d >= 1 and d = ``dim`` if given."""
     points = as_floats(points, "points")
-    if points.ndim != 2 or points.shape[0] < 1 or (dim is not None and points.shape[1] != dim):
-        raise InvalidInputError(f"expected points of shape (n >= 1, {dim or 'd'}), got {points.shape}")
+    if points.ndim != 2 or min(points.shape) < 1 or (dim is not None and points.shape[1] != dim):
+        raise InvalidInputError(f"expected points of shape (n >= 1, {dim or 'd >= 1'}), got {points.shape}")
     if not np.all(np.isfinite(points)):
         raise InvalidInputError("points have non-finite coordinates")
     return points

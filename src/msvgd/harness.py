@@ -260,9 +260,10 @@ def _mmd_report(snapshot: np.ndarray, reference: metrics.MmdReference,
     return reports[key]
 
 
-def run_experiment(config: RunConfig, out_dir: str | None = None,
-                   persist: bool = True) -> RunRecord:
-    """Execute one configured run, compute per-checkpoint metrics, write files."""
+def run_experiment(config: RunConfig, out_dir: str | None = None) -> RunRecord:
+    """Execute one configured run, compute per-checkpoint metrics and write
+    its record under ``out_dir`` (default: the config's ``out_dir``).  A
+    run that aborts writes ``aborted.json`` there instead and re-raises."""
     model = build_target(config)
     destination = Path(out_dir if out_dir is not None else config.out_dir)
     try:
@@ -272,11 +273,10 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
                                   stepper=config.stepper, policy=config.precond, seed=config.seed,
                                   init_mean=config.init_mean, init_scale=config.init_scale)
     except NumericalAbort as exc:
-        if persist:
-            destination.mkdir(parents=True, exist_ok=True)
-            payload = {"aborted": True, "error": str(exc), "iteration": exc.iteration,
-                       "phase": exc.phase, "particle": exc.particle}
-            (destination / "aborted.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        destination.mkdir(parents=True, exist_ok=True)
+        payload = {"aborted": True, "error": str(exc), "iteration": exc.iteration,
+                   "phase": exc.phase, "particle": exc.particle}
+        (destination / "aborted.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         raise
 
     reference = None
@@ -297,8 +297,7 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
     record = RunRecord(config=config.to_dict(), snapshots=result.snapshots,
                        metric_rows=rows, converged_at=result.converged_at,
                        step_seconds=result.step_seconds)
-    if persist:
-        persist_record(record, destination)
+    persist_record(record, destination)
     return record
 
 
@@ -332,14 +331,14 @@ def _comparison_value(row: dict) -> float:
     return float("nan")
 
 
-def compare(configs, out_dir=None) -> dict:
+def compare(configs, out_dir) -> dict:
     """Run several configs that differ only in method and stepper; tabulate
     their metrics.
 
-    Returns {"checkpoints": [...], "methods": [...], "values": row-major list,
-    "records": {method: RunRecord}} and, when ``out_dir`` is given, writes
-    each run under ``out_dir/<method>/`` plus a ``comparison.csv`` table with
-    one row per checkpoint and one column per method.
+    Writes each run under ``out_dir/<method>/`` plus a ``comparison.csv``
+    table with one row per checkpoint and one column per method, and returns
+    {"checkpoints": [...], "methods": [...], "values": row-major list,
+    "records": {method: RunRecord}}.
     """
     configs = list(configs)
     if not configs:
@@ -356,17 +355,13 @@ def compare(configs, out_dir=None) -> dict:
                 raise ConfigError(f"{key}: configs in a comparison must agree, got "
                                   f"{json.dumps(value)} vs {json.dumps(shared[key])}")
 
-    records = {}
-    for cfg in configs:
-        sub = None if out_dir is None else Path(out_dir) / cfg.method
-        records[cfg.method] = run_experiment(cfg, out_dir=sub, persist=out_dir is not None)
+    records = {cfg.method: run_experiment(cfg, out_dir=Path(out_dir) / cfg.method) for cfg in configs}
     checkpoints = sorted(first.checkpoints)
     values = [[_comparison_value(records[m].metric_rows[i]) for m in methods]
               for i in range(len(checkpoints))]
-    if out_dir is not None:
-        lines = ["iter," + ",".join(methods)]
-        for c, row in zip(checkpoints, values):
-            lines.append(f"{c}," + ",".join(format(v, ".17g") for v in row))
-        Path(out_dir, "comparison.csv").write_text("\n".join(lines) + "\n")
+    lines = ["iter," + ",".join(methods)]
+    for c, row in zip(checkpoints, values):
+        lines.append(f"{c}," + ",".join(format(v, ".17g") for v in row))
+    Path(out_dir, "comparison.csv").write_text("\n".join(lines) + "\n")
     return {"checkpoints": checkpoints, "methods": methods, "values": values,
             "records": records}

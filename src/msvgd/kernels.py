@@ -20,8 +20,10 @@ implemented, each with its closed-form divergence:
 
 They are one family: the scalar RBF is the mixture with one anchor, unit
 weight and the identity metric, and ``const_precond`` is the same with its
-own metric.  Their directions all go through ``_stein_sum``, and the pairwise
-squared distances of the directions and bandwidths come from
+own metric.  Every direction is formed by ``_anchor_terms``: the one-anchor
+kernels call it once over the whole particle set, and the mixture goes
+through ``_stein_sum``, which calls it on each anchor's active particles.
+The pairwise squared distances of the directions and bandwidths come from
 ``_metric_sq_dists``, computed a chunk of metrics at a time (``CHUNK_BYTES``);
 the MMD scoring in ``metrics`` uses it too, with the identity metric.  The
 mixture weights form the (m, n, d) offsets of the points from the anchors
@@ -186,21 +188,11 @@ def _stein_sum(points, grads, q, q_inv, h, w, wg) -> np.ndarray:
     as both rows and columns: what is skipped is round-off.  Anchors are
     sorted by active count and processed a chunk at a time (see
     ``_active_chunks``), each one's active set padded to the chunk's largest
-    with weight 0 and weight gradient 0, which add exact zeros.  When every
-    pair is active (one anchor of unit weight, or dense weights), the anchors
-    share the whole particle set, a chunk of about ``CHUNK_BYTES`` at a time,
-    and nothing is gathered or scattered.
+    with weight 0 and weight gradient 0, which add exact zeros.
     """
-    n, d = points.shape
     active = ~(w.T <= WEIGHT_FLOOR)  # (m, n)
     h = h[:, None, None]
     phi = np.zeros_like(points)
-    if np.all(active):
-        for chunk in _chunks(len(h), n * n):
-            wc = w.T[chunk]
-            phi += np.einsum("ln,lnd->nd", wc, _anchor_terms(
-                points, grads, wc, wg[chunk], q[chunk], q_inv[chunk], h[chunk]))
-        return phi / n
     counts = np.count_nonzero(active, axis=1)
     for anchors, size in _active_chunks(counts):
         # each row lists its anchor's active particles first; the rest pads
@@ -210,7 +202,7 @@ def _stein_sum(points, grads, q, q_inv, h, w, wg) -> np.ndarray:
         wgc = np.where(pad[:, :, None], 0.0, wg[anchors[:, None], idx])
         terms = _anchor_terms(points[idx], grads[idx], wc, wgc, q[anchors], q_inv[anchors], h[anchors])
         np.add.at(phi, idx, wc[:, :, None] * terms)
-    return phi / n
+    return phi / len(points)
 
 
 def _active_chunks(counts: np.ndarray) -> list[tuple[np.ndarray, int]]:
@@ -254,10 +246,12 @@ def _anchor_terms(points, grads, w, wg, q, q_inv, h) -> np.ndarray:
 
 
 def _one_metric_direction(points, grads, bundle: PreconditionerBundle, h: float) -> np.ndarray:
-    """``_stein_sum`` for one anchor of unit weight: the kernel Q^{-1} k_Q."""
+    """The Stein direction of the kernel Q^{-1} k_Q: ``_anchor_terms`` for one
+    anchor of unit weight over the whole particle set."""
     n, d = points.shape
-    return _stein_sum(points, grads, bundle.q[None], bundle.q_inv[None], np.array([h]),
-                      np.ones((n, 1)), np.zeros((1, n, d)))
+    terms = _anchor_terms(points, grads, np.ones((1, n)), np.zeros((1, n, d)),
+                          bundle.q[None], bundle.q_inv[None], np.full((1, 1, 1), h))
+    return terms[0] / n
 
 
 class KernelStrategy:
@@ -301,6 +295,8 @@ class ConstPrecond(KernelStrategy):
     kind = "const_precond"
 
     def __init__(self, bundle: PreconditionerBundle, bandwidth: float):
+        if bundle.q.ndim != 2:
+            raise InvalidInputError(f"bundle: expected one (d, d) metric, got shape {bundle.q.shape}")
         self.bundle = bundle
         self.bandwidth = as_real(bandwidth, "bandwidth", ConfigError, positive=True, finite=True)
         self.dim = bundle.dim
@@ -308,16 +304,6 @@ class ConstPrecond(KernelStrategy):
     def direction(self, points, grads):
         points, grads = self._check_pair_inputs(points, grads)
         return _one_metric_direction(points, grads, self.bundle, self.bandwidth)
-
-
-def _anchor_log_scores(points, kernel: MixturePrecond):
-    """log of N(x; z_l, Q_l^{-1}) for each point/anchor pair, shape (n, m), up
-    to the shared (2 pi)^{-d/2} factor that cancels in the weights; and the
-    anchor Gaussians' scores t_l(x) = -Q_l (x - z_l), shape (m, n, d)."""
-    diff = points[None, :, :] - kernel.points[:, None, :]
-    t = -(diff @ kernel.bundle.q)
-    log_p = 0.5 * kernel.bundle.log_det[:, None] + 0.5 * np.sum(diff * t, axis=2)
-    return log_p.T, t
 
 
 class MixturePrecond(KernelStrategy):
@@ -354,10 +340,14 @@ class MixturePrecond(KernelStrategy):
     def _weights_and_gradients(self, points):
         """w_l(x_i), shape (n, m), and grad w_l(x_i), shape (m, n, d).
 
+        The weights are the softmax over l of log N(x; z_l, Q_l^{-1}), whose
+        shared (2 pi)^{-d/2} factor cancels, and
         grad w_l(x) = w_l(x) (t_l(x) - sum_l' w_l'(x) t_l'(x)) with
         t_l(x) = -Q_l (x - z_l) the score of the anchor Gaussian.
         """
-        scores, t = _anchor_log_scores(points, self)
+        diff = points[None, :, :] - self.points[:, None, :]
+        t = -(diff @ self.bundle.q)
+        scores = (0.5 * self.bundle.log_det[:, None] + 0.5 * np.sum(diff * t, axis=2)).T
         w = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
         avg = np.einsum("nl,lnd->nd", w, t)
         t -= avg[None, :, :]

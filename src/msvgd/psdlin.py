@@ -29,14 +29,15 @@ DEFAULT_FLOOR_RATIO = 1e-6
 
 
 def _symmetric_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    # halved before the sum, so finite entries cannot overflow
+    return 0.5 * m + 0.5 * np.swapaxes(m, -1, -2)
 
 
 def symmetrize(m) -> np.ndarray:
-    """Validate a square matrix (or a stack of them) with finite entries and
-    return 0.5*(m + m^T) per matrix."""
+    """Validate a square matrix (or a stack of them) of size d >= 1 with
+    finite entries and return 0.5*(m + m^T) per matrix."""
     m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix has non-finite entries")

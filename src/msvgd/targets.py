@@ -131,8 +131,8 @@ class Gaussian(TargetModel):
 
     def __init__(self, mean, cov=None, precision=None):
         mean = np.atleast_1d(as_floats(mean, "mean"))
-        if mean.ndim != 1 or not np.all(np.isfinite(mean)):
-            raise InvalidInputError("mean: must be a finite vector")
+        if mean.ndim != 1 or mean.size == 0 or not np.all(np.isfinite(mean)):
+            raise InvalidInputError(f"mean: must be a non-empty finite vector, got {mean.tolist()}")
         if (cov is None) == (precision is None):
             raise InvalidInputError("pass exactly one of cov or precision")
         name, sign = ("cov", 1.0) if cov is not None else ("precision", -1.0)
@@ -319,7 +319,7 @@ class Sine(_GridSampledTarget):
 
     def _curvature_batch(self, points, mode):
         x1, x2, u, du1 = self._ridge_parts(points)
-        d2u1 = -self.alpha**2 * np.sin(self.alpha * x1)
+        d2u1 = -(self.alpha * self.alpha) * np.sin(self.alpha * x1)
         h11 = -(du1 * du1 + u * d2u1) / self.sigma1 - 1.0 / self.sigma2
         h12 = -du1 / self.sigma1
         h22 = np.full_like(h11, -1.0 / self.sigma1 - 1.0 / self.sigma2)

@@ -62,12 +62,13 @@ def star_config(method, seed):
     })
 
 
-def test_criterion_1_method_ordering_on_the_star_target(capsys):
+def test_criterion_1_method_ordering_on_the_star_target(capsys, tmp_path):
     t0 = time.perf_counter()
     finals = {m: [] for m in ("matrix_svgd_mixture", "matrix_svgd_average", "vanilla_svgd", "svn")}
     for seed in range(10):
         for method in finals:
-            record = run_experiment(star_config(method, seed), persist=False)
+            record = run_experiment(star_config(method, seed),
+                                    out_dir=str(tmp_path / f"seed{seed}" / method))
             finals[method].append(record.metric_rows[-1]["mmd"]["value"])
     med = {m: float(np.median(v)) for m, v in finals.items()}
     wins = sum(mx < vn for mx, vn in zip(finals["matrix_svgd_mixture"], finals["vanilla_svgd"]))

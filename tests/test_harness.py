@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -212,17 +213,17 @@ def test_metrics_json_is_identical_with_the_reference_memo_cold_and_warm(tmp_pat
         assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
 
 
-def test_runs_differing_in_target_seed_or_reference_size_never_share_a_reference(monkeypatch):
+def test_runs_differing_in_target_seed_or_reference_size_never_share_a_reference(tmp_path, monkeypatch):
     calls = _count_prepared_references(monkeypatch)
     base = minimal_config(target={"kind": "gaussian", "mean": [0.0, 0.0]}, n=6, iters=2,
                           checkpoints=[0, 2], mmd_reference_n=80)
     variants = [base, {**base, "target": {"kind": "gaussian", "mean": [0.0, 0.5]}},
                 {**base, "mmd_reference_n": 90}, {**base, "seed": 2}]
     harness_module._reference_memo.clear()
-    for raw in variants + variants[:1]:
+    for i, raw in enumerate(variants + variants[:1]):
         cfg = parse_config(raw)
         calls.clear()
-        record = run_experiment(cfg, persist=False)
+        record = run_experiment(cfg, out_dir=str(tmp_path / f"run{i}"))
         assert calls == [cfg.mmd_reference_n]  # each run is a miss: nothing was shared
         draws = build_target(cfg).reference_sample(cfg.mmd_reference_n,
                                                    harness_module._reference_seed(cfg.seed))
@@ -344,7 +345,7 @@ def test_compare_tabulates_methods_by_checkpoint(tmp_path):
 
 def test_compare_single_config_matches_its_own_metrics(tmp_path):
     [cfg] = comparison_configs(tmp_path, ["svn"])
-    table = compare([cfg])
+    table = compare([cfg], out_dir=tmp_path / "cmp")
     record = table["records"]["svn"]
     expected = [row["mmd"]["value"] for row in record.metric_rows]
     assert [r[0] for r in table["values"]] == expected
@@ -353,13 +354,13 @@ def test_compare_single_config_matches_its_own_metrics(tmp_path):
 def test_compare_rejects_mismatched_or_duplicated_configs(tmp_path):
     a, b = comparison_configs(tmp_path, ["vanilla_svgd", "svn"])
     with pytest.raises(ConfigError, match="needs at least one config"):
-        compare([])
+        compare([], out_dir=tmp_path / "cmp")
     with pytest.raises(ConfigError, match="duplicate"):
-        compare([a, a])
+        compare([a, a], out_dir=tmp_path / "cmp")
     mismatched = parse_config(minimal_config(method="svn", n=11, iters=10,
                                              checkpoints=[0, 5, 10]))
     with pytest.raises(ConfigError, match="^n: configs in a comparison must agree, got 11 vs 10$"):
-        compare([a, mismatched])
+        compare([a, mismatched], out_dir=tmp_path / "cmp")
     # a mismatch names the config key of the section that differs, not a RunConfig field
     shared = dict(method="svn", n=10, iters=10, checkpoints=[0, 5, 10], out_dir=str(tmp_path))
     for override, values in [
@@ -375,12 +376,12 @@ def test_compare_rejects_mismatched_or_duplicated_configs(tmp_path):
         raw.update(override)
         key = next(iter(override))
         with pytest.raises(ConfigError) as caught:
-            compare([a, parse_config(raw)])
+            compare([a, parse_config(raw)], out_dir=tmp_path / "cmp")
         assert str(caught.value) == f"{key}: configs in a comparison must agree, got {values}"
     # the stepper may differ: its base rate defaults per method
     b_fixed = parse_config(minimal_config(**shared, mmd_reference_n=300, precond={"floor_ratio": 0.05},
                                           stepper={"method": "fixed", "base_rate": 0.01}))
-    assert compare([a, b_fixed])["methods"] == ["vanilla_svgd", "svn"]
+    assert compare([a, b_fixed], out_dir=tmp_path / "cmp")["methods"] == ["vanilla_svgd", "svn"]
 
 
 # --------------------------------------------------------------------- cli
@@ -472,7 +473,7 @@ def test_package_exports_resolve_and_test_only_surfaces_are_gone():
     assert [name for name in msvgd.__all__ if not hasattr(msvgd, name)] == []
     gone = [(msvgd, "grid_moments"), (targets, "grid_moments"), (harness, "load_particles"),
             (kernels.MixturePrecond, "weight_gradients"), (msvgd, "mixture_weights"),
-            (kernels, "mixture_weights"), (metrics, "_mean_kernel")]
+            (kernels, "mixture_weights"), (metrics, "_mean_kernel"), (kernels, "_anchor_log_scores")]
     # the sampler's repair floor and the roots only target set-up read
     gone += [(msvgd.PreconditionerBundle, name) for name in ("q_sqrt", "q_inv_sqrt", "floor_ratio")]
     gone += [(cls, view) for cls in (kernels.KernelStrategy, kernels.ScalarRBF, kernels.ConstPrecond,
@@ -483,6 +484,9 @@ def test_package_exports_resolve_and_test_only_surfaces_are_gone():
              for view in ("log_density", "grad_log_density")]
     assert [f"{getattr(owner, '__name__', owner)}.{name}" for owner, name in gone
             if hasattr(owner, name)] == []
+    # a run always writes its record: no in-memory switch, and compare needs a directory
+    assert "persist" not in inspect.signature(harness.run_experiment).parameters
+    assert inspect.signature(harness.compare).parameters["out_dir"].default is inspect.Parameter.empty
 
 
 def test_cli_exit_codes_by_error_category(tmp_path, capsys):
@@ -572,6 +576,7 @@ def test_cli_exit_codes_by_error_category(tmp_path, capsys):
 
     data_path = write_dataset(tmp_path)
     for target, prefix in (({"kind": "gaussian", "mean": "x"}, "target.mean: "),
+                           ({"kind": "gaussian", "mean": []}, "target.mean: "),
                            ({"kind": "star_mixture", "components": "five"}, "target.components: "),
                            ({"kind": "star_mixture", "components": 2.7}, "target.components: "),
                            ({"kind": "sine", "alpha": "fast"}, "target.alpha: "),
@@ -635,7 +640,8 @@ def test_cli_module_run_exits_2_on_a_bad_target_parameter(tmp_path):
                     stepper={"method": "fixed", "base_rate": 5.0}), 73, 49),
     (minimal_config(target="double_banana", method="svn", n=3, iters=2,
                     init={"mean": [1.0, 1.0], "scale": 1e-300}), 0, 0),
-], ids=["star_far_init", "banana_svn_large_step", "banana_svn_zero_density"])
+    (minimal_config(target={"kind": "sine", "alpha": 1e200}, method="svn", n=5, iters=2), 0, 0),
+], ids=["star_far_init", "banana_svn_large_step", "banana_svn_zero_density", "sine_alpha_overflow"])
 def test_cli_non_finite_curvature_aborts_with_the_iteration(tmp_path, capsys, raw, iteration, particle):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**raw, "mmd_reference_n": 0}))

@@ -17,7 +17,7 @@ from helpers import (
     weight_gradients,
 )
 from msvgd import kernels
-from msvgd.dynamics import PrecondPolicy, refresh_anchors
+from msvgd.dynamics import PrecondPolicy, refresh_anchors, svn_direction
 from msvgd.errors import ConfigError, InvalidInputError
 from msvgd.kernels import (
     ConstPrecond,
@@ -201,6 +201,13 @@ def test_dimension_mismatch_rejected():
     for metric in (make_bundle(np.eye(3)), make_bundle(np.stack([np.eye(3)] * 2))):
         with pytest.raises(InvalidInputError, match="shape"):
             median_bandwidth(rng.standard_normal((4, 2)), metric)
+    with pytest.raises(InvalidInputError, match="shape"):
+        median_bandwidth(np.zeros((3, 0)))
+    # the single-metric kernels take one (d, d) metric, one per particle for SVN
+    with pytest.raises(InvalidInputError, match="^bundle: expected one"):
+        ConstPrecond(make_bundle(np.stack([np.eye(3)] * 2)), 1.0)
+    with pytest.raises(InvalidInputError, match="^metrics: expected shape"):
+        svn_direction(np.zeros((4, 2)), np.zeros((4, 2)), np.stack([np.eye(2)] * 3), 1.0)
 
 
 def test_bandwidth_validation():

@@ -25,6 +25,8 @@ def test_symmetrize_rejects_nonsquare_and_nonfinite():
         symmetrize(np.zeros((2, 3)))
     with pytest.raises(InvalidInputError):
         symmetrize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidInputError, match="square matrix"):
+        symmetrize(np.zeros((0, 0)))
 
 
 def test_psd_repair_keeps_well_conditioned_input():
@@ -49,6 +51,8 @@ def test_psd_repair_rejects_bad_floor_and_nonfinite_input():
         psd_repair(np.eye(2), 1.0)
     with pytest.raises(InvalidInputError):
         psd_repair(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidInputError, match="square matrix"):
+        psd_repair(np.zeros((0, 0)))
 
 
 def test_psd_repair_preserves_unclipped_eigenpairs():

@@ -70,6 +70,8 @@ def test_gaussian_requires_exactly_one_parameterization():
         Gaussian(mean=[0.0, 0.0, 0.0], cov=np.eye(2))
     with pytest.raises(InvalidInputError, match="^mean"):
         Gaussian(mean=[0.0, np.nan], cov=np.eye(2))
+    with pytest.raises(InvalidInputError, match="^mean: must be a non-empty finite vector"):
+        Gaussian(mean=[], cov=np.eye(1))
 
 
 def test_gaussian_sampler_moments_and_determinism():
@@ -85,9 +87,13 @@ def test_gaussian_sampler_moments_and_determinism():
 
 
 def test_gaussian_keeps_a_tiny_covariance_exactly():
-    # no eigenvalue floor: the target is the matrix it was given
-    for params in ({"cov": 1e-14 * np.eye(2)}, {"precision": 1e14 * np.eye(2)}):
-        g = make_target("gaussian", mean=[0, 0], **params)
+    # no eigenvalue floor: the target is the matrix it was given; a precision
+    # near the largest float symmetrizes without overflow
+    for params in ({"cov": 1e-14 * np.eye(2)}, {"precision": 1e14 * np.eye(2)},
+                   {"precision": 1e308 * np.eye(2)}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = make_target("gaussian", mean=[0, 0], **params)
         assert np.array_equal(g.cov if "cov" in params else g.precision, next(iter(params.values())))
         assert np.allclose(g.precision @ g.cov, np.eye(2), rtol=0, atol=1e-12)
         assert np.allclose(g._cov_sqrt @ g._cov_sqrt, g.cov, rtol=1e-12, atol=0)

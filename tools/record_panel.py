@@ -88,7 +88,8 @@ def panel_configs() -> list[dict]:
 
 # (label, overrides of a valid 30-iteration star_mixture config): one bad key
 # each, plus a gaussian whose Adagrad accumulator overflows at iteration 0, one
-# whose initial draw overflows and one whose draw's MMD distances overflow
+# whose initial draw overflows, one whose draw's MMD distances overflow and a
+# sine whose svn curvature overflows
 BAD_CONFIGS = (
     ("n_float", {"n": 3.0}),
     ("n_zero", {"n": 0}),
@@ -112,6 +113,8 @@ BAD_CONFIGS = (
     ("precond_floor_ratio_inf", {"precond": {"floor_ratio": float("inf")}}),
     ("target_components_float", {"target": {"kind": "star_mixture", "components": 2.7}}),
     ("target_sigma1_negative", {"target": {"kind": "sine", "sigma1": -1.0}}),
+    ("target_mean_empty", {"target": {"kind": "gaussian", "mean": []}}),
+    ("target_alpha_overflow", {"target": {"kind": "sine", "alpha": 1e200}, "method": "svn"}),
     ("accumulator_overflow", {"target": {"kind": "gaussian", "mean": [1e160, 1e160]},
                               "n": 5, "iters": 3, "checkpoints": [0]}),
     ("init_draw_overflow", {"target": "gaussian", "n": 5, "iters": 2,
