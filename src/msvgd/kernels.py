@@ -15,8 +15,9 @@ implemented, each with its closed-form divergence:
   squared distance, divergence k_Q * (x - x') / h (the Q^{-1} and the metric's
   Q cancel).
 - ``mixture_precond``: sum_l w_l(x) w_l(x') K_{Q_l}(x,x') with Gaussian
-  mixture weights anchored at points z_l; the divergence picks up a
-  K_{Q_l}(x,x') grad w_l(x') term from the product rule.
+  mixture weights anchored at points z_l, a softmax formed with one max
+  shift in numpy; the divergence picks up a K_{Q_l}(x,x') grad w_l(x')
+  term from the product rule.
 
 They are one family: the scalar RBF is the mixture with one anchor, unit
 weight and the identity metric, and ``const_precond`` is the same with its
@@ -43,7 +44,6 @@ costs no more per pair there and needs no (n, n) matrix.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, InvalidInputError, as_floats, as_points, as_real
 from .psdlin import PreconditionerBundle, identity_bundle
@@ -340,15 +340,18 @@ class MixturePrecond(KernelStrategy):
     def _weights_and_gradients(self, points):
         """w_l(x_i), shape (n, m), and grad w_l(x_i), shape (m, n, d).
 
-        The weights are the softmax over l of log N(x; z_l, Q_l^{-1}), whose
-        shared (2 pi)^{-d/2} factor cancels, and
+        The weights are the softmax over l of the scores log N(x; z_l, Q_l^{-1}),
+        whose shared (2 pi)^{-d/2} factor cancels, formed with one max shift:
+        exp(score - row max) over its row sum, so a NaN score gives NaN
+        weights for the direction to carry.  Their gradients are
         grad w_l(x) = w_l(x) (t_l(x) - sum_l' w_l'(x) t_l'(x)) with
         t_l(x) = -Q_l (x - z_l) the score of the anchor Gaussian.
         """
         diff = points[None, :, :] - self.points[:, None, :]
         t = -(diff @ self.bundle.q)
         scores = (0.5 * self.bundle.log_det[:, None] + 0.5 * np.sum(diff * t, axis=2)).T
-        w = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
+        w = np.exp(scores - scores.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
         avg = np.einsum("nl,lnd->nd", w, t)
         t -= avg[None, :, :]
         t *= w.T[:, :, None]

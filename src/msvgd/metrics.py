@@ -167,7 +167,7 @@ def predictive_metrics(particles, dataset: LogisticDataset) -> tuple[float, floa
     logistic likelihood; a row is scored correct when 1[p > 1/2] matches its
     label.  Probabilities are clipped away from {0, 1} before the log.
     """
-    particles = as_points(particles, dataset.n_features)
+    particles = as_points(particles, dataset.features.shape[1])
     probs = _sigmoid(particles @ dataset.features.T).mean(axis=0)
     labels = dataset.labels.astype(float)
     predicted = (probs > 0.5).astype(float)

@@ -16,7 +16,10 @@ Every model exposes the same batch surface over points X of shape (n, d):
   inverse-CDF grid sampler on [-3, 3]^2 for the two irregular 2-D targets.
 
 The Gaussian and star matrices are kept as given, each factored by one Cholesky
-(``_gaussian_factors``); no eigenvalue floor applies, that repair is the sampler's.
+(``_gaussian_factors``); no eigenvalue floor applies, that repair is the sampler's,
+and a matrix whose inverse overflows is rejected.  The star mixture's log
+density is the log-sum-exp of the max-shifted component pdfs whose softmax
+gives its responsibilities (``StarMixture._shifted_pdfs``), one pass in numpy.
 
 The logistic posterior's Fisher matrix is linear in the per-row weights.
 Its ``curvature_batch`` is one blocked GEMM: the (n, |B|) weights times the
@@ -38,10 +41,10 @@ it is where a bad parameter becomes a ``ConfigError``.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (ConfigError, InvalidInputError, as_choice, as_count, as_floats, as_points, as_real,
                      at_key_path)
@@ -72,13 +75,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _gaussian_factors(matrix, name: str):
     """``matrix`` (or a stack) symmetrized, its Cholesky factor and
-    ``_cholesky_factors``; rejected unless positive definite."""
+    ``_cholesky_factors``; rejected unless positive definite with a finite
+    inverse and log determinant."""
     matrix = symmetrize(as_floats(matrix, name))
     try:
         chol = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         raise InvalidInputError(f"{name}: must be positive definite, got {matrix.tolist()}") from None
-    return (matrix, chol, *_cholesky_factors(chol))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        inverse, log_det = _cholesky_factors(chol)
+    if not (np.all(np.isfinite(inverse)) and np.all(np.isfinite(log_det))):
+        raise InvalidInputError(f"{name}: its inverse or log determinant is not finite, "
+                                f"got {matrix.tolist()}")
+    return matrix, chol, inverse, log_det
 
 
 class TargetModel:
@@ -204,23 +213,28 @@ class StarMixture(TargetModel):
         # exact per-component normalizers; mixture weights are uniform 1/K
         self._log_norms = -np.log(2.0 * np.pi) - 0.5 * log_dets
 
-    def _component_log_pdfs(self, points):
+    def _shifted_pdfs(self, points):
+        """The component log pdfs lp (n, K) shifted by their row maxima top
+        (n, 1): (exp(lp - top), top, the offsets of the points from the means).
+        The softmax of lp (the responsibilities) and its log-sum-exp (the log
+        density) both come from this one pass.  A row whose log pdfs are all
+        -inf (a point so far out that every quadratic form overflows) is
+        shifted by the least float instead, so its pdfs are 0, not NaN; a NaN
+        log pdf makes its row NaN."""
         dc = points[:, None, :] - self.means[None, :, :]  # (n, K, 2)
-        quad = np.einsum("nki,kij,nkj->nk", dc, self.precisions, dc)
-        return self._log_norms[None, :] - 0.5 * quad
+        lp = self._log_norms[None, :] - 0.5 * np.einsum("nki,kij,nkj->nk", dc, self.precisions, dc)
+        top = np.maximum(lp.max(axis=1, keepdims=True), -np.finfo(float).max)
+        return np.exp(lp - top), top, dc
 
     def log_density_batch(self, points):
-        points = as_points(points, self.dim)
-        lp = self._component_log_pdfs(points)
-        return logsumexp(lp, axis=1) - np.log(self.n_components)
+        w, top, _ = self._shifted_pdfs(as_points(points, self.dim))
+        with np.errstate(divide="ignore"):  # log 0 = -inf where every pdf is 0
+            return top[:, 0] + np.log(w.sum(axis=1)) - np.log(self.n_components)
 
     def _responsibilities_and_scores(self, points):
         """Component responsibilities (n, K) and component scores (n, K, 2),
         shared by the score and the curvature."""
-        lp = self._component_log_pdfs(points)
-        lp = lp - lp.max(axis=1, keepdims=True)
-        w = np.exp(lp)
-        dc = points[:, None, :] - self.means[None, :, :]
+        w, _, dc = self._shifted_pdfs(points)
         return w / w.sum(axis=1, keepdims=True), -np.einsum("kij,nkj->nki", self.precisions, dc)
 
     def grad_log_density_batch(self, points):
@@ -418,14 +432,6 @@ class LogisticDataset:
         object.__setattr__(self, "labels", lab.astype(int))
         object.__setattr__(self, "minibatch_size", mb)
 
-    @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
     @classmethod
     def from_file(cls, data_path, delimiter: str | bytes | None = ",",
                   minibatch_size: int = 0) -> "LogisticDataset":
@@ -433,20 +439,30 @@ class LogisticDataset:
 
         ``delimiter`` is what ``np.loadtxt`` takes: one character (str, or
         latin-1 bytes) other than a newline or the comment mark '#', or None
-        for runs of whitespace.
+        for runs of whitespace.  A fault in the file's contents (no data
+        rows, too few columns, a non-finite feature, a label other than 0
+        or 1) is a ``data_path: <file>: ...`` error.
         """
         text = delimiter.decode("latin1") if isinstance(delimiter, bytes) else delimiter
         if text is not None and (not isinstance(text, str) or len(text) != 1 or text in "\r\n#"):
             raise InvalidInputError("delimiter: must be one character other than a newline "
                                     f"or '#', or null for whitespace, got {delimiter!r}")
         try:
-            raw = np.loadtxt(data_path, delimiter=delimiter, ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty file is reported below
+                raw = np.loadtxt(data_path, delimiter=delimiter, ndmin=2)
         except ValueError as exc:
             reason = " ".join(str(exc).split())  # numpy's text may span lines
             raise InvalidInputError(f"data_path: could not parse dataset file {data_path}: {reason}") from exc
-        if raw.shape[1] < 2:
-            raise InvalidInputError("dataset needs at least one feature column and a label column")
-        return cls(features=raw[:, :-1], labels=raw[:, -1], minibatch_size=minibatch_size)
+        try:
+            if raw.size == 0:
+                raise InvalidInputError("no data rows")
+            if raw.shape[1] < 2:
+                raise InvalidInputError("dataset needs at least one feature column and a label column")
+            data = cls(features=raw[:, :-1], labels=raw[:, -1])
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"data_path: {data_path}: {exc}") from None
+        return cls(features=data.features, labels=data.labels, minibatch_size=minibatch_size)
 
 
 class LogisticPosterior(TargetModel):
@@ -463,27 +479,21 @@ class LogisticPosterior(TargetModel):
 
     def __init__(self, dataset: LogisticDataset):
         self.dataset = dataset
-        self.dim = dataset.n_features
+        self.dim = dataset.features.shape[1]
         self._batch_idx = None  # None means full batch
         self._last_probabilities = None  # (points, batch index, probabilities)
 
     # --- minibatch control -------------------------------------------------------
-    @property
-    def uses_minibatches(self) -> bool:
-        return 0 < self.dataset.minibatch_size < self.dataset.n_rows
-
     def resample_minibatch(self, rng: np.random.Generator) -> None:
         self._last_probabilities = None
-        if self.uses_minibatches:
-            idx = rng.choice(self.dataset.n_rows, size=self.dataset.minibatch_size, replace=False)
-            self._batch_idx = np.sort(idx)
+        rows, size = len(self.dataset.features), self.dataset.minibatch_size
+        if 0 < size < rows:
+            self._batch_idx = np.sort(rng.choice(rows, size=size, replace=False))
 
     def _active(self):
-        if self._batch_idx is None:
-            return self.dataset.features, self.dataset.labels.astype(float), 1.0
-        feats = self.dataset.features[self._batch_idx]
-        labs = self.dataset.labels[self._batch_idx].astype(float)
-        return feats, labs, self.dataset.n_rows / len(self._batch_idx)
+        rows = slice(None) if self._batch_idx is None else self._batch_idx
+        feats = self.dataset.features[rows]
+        return feats, self.dataset.labels[rows].astype(float), len(self.dataset.features) / len(feats)
 
     # --- density surface ---------------------------------------------------------
     def log_density_batch(self, points):

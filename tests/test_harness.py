@@ -657,6 +657,32 @@ def test_cli_non_finite_curvature_aborts_with_the_iteration(tmp_path, capsys, ra
 
 # ----------------------------------------------------------------- package
 
+IMPORT_BOUNDARY_SCRIPT = """
+import json, sys
+from pathlib import Path
+import msvgd
+from msvgd import cli
+out = Path(sys.argv[1])
+assert cli.main(["sample", "star_mixture", "5", "0", "--out", str(out), "--quiet"]) == 0
+config = out / "run.json"
+config.write_text(json.dumps({"target": "star_mixture", "method": "matrix_svgd_mixture", "n": 10,
+                              "iters": 3, "seed": 0, "out_dir": str(out / "run")}))
+assert cli.main(["run", str(config), "--quiet"]) == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_the_package_runs_on_numpy_without_importing_scipy(tmp_path):
+    # scipy is a test-only dependency: a fresh interpreter that samples and
+    # runs the mixture kernel on the star must not load any of it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_every_export_resolves_on_the_package():
     import msvgd
 

@@ -122,6 +122,15 @@ def test_star_density_matches_direct_mixture_summation():
     rng = np.random.default_rng(1)
     for x in rng.uniform(-2.0, 2.0, size=(20, 2)):
         assert abs(log_density(star, x) - star_log_density_oracle(star, x)) <= 1e-10
+    # far out every component's quadratic form overflows to inf, and the
+    # density is -inf as in the oracle; where a form's cross terms overflow
+    # to inf - inf it is NaN.  Neither raises a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = star.log_density_batch([[1e200, 0.0], [1e155, 1e155]])
+    with np.errstate(over="ignore"):
+        assert far[0] == star_log_density_oracle(star, [1e200, 0.0]) == -np.inf
+    assert np.isnan(far[1])
 
 
 def test_star_density_invariant_under_component_rotation():
@@ -177,9 +186,10 @@ def test_gaussian_rejects_a_matrix_with_a_round_off_eigenvalue():
 
 def test_targets_reject_a_covariance_that_is_not_positive_definite():
     # the eigenvalue floor would repair these into another target in silence
-    for build, name in ((lambda m: Gaussian(mean=[0.0, 0.0], cov=m), "cov"),
-                        (lambda m: Gaussian(mean=[0.0, 0.0], precision=m), "precision"),
-                        (lambda m: StarMixture(sigma1=m), "sigma1")):
+    builds = ((lambda m: Gaussian(mean=[0.0, 0.0], cov=m), "cov"),
+              (lambda m: Gaussian(mean=[0.0, 0.0], precision=m), "precision"),
+              (lambda m: StarMixture(sigma1=m), "sigma1"))
+    for build, name in builds:
         for bad in ([[1.0, 2.0], [2.0, 1.0]], np.diag([1.0, -0.01]), np.diag([1.0, 0.0])):
             with pytest.raises(InvalidInputError, match=f"^{name}: must be positive definite"):
                 build(bad)
@@ -190,6 +200,19 @@ def test_targets_reject_a_covariance_that_is_not_positive_definite():
              "target.sigma1: must be positive definite, got [[1.0, 0.0], [0.0, -0.01]]")):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             make_target(kind, **params)
+    # positive definite, but the inverse overflows: the matrix is named, and
+    # no numpy warning is printed on the way
+    tiny = [[1e-320, 0.0], [0.0, 1.0]]
+    reason = re.escape(": its inverse or log determinant is not finite, got [[1e-320, 0.0], [0.0, 1.0]]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build, name in builds:
+            with pytest.raises(InvalidInputError, match=f"^{name}{reason}$"):
+                build(tiny)
+        for kind, key in (("gaussian", "cov"), ("star_mixture", "sigma1")):
+            params = {"mean": [0, 0], "cov": tiny} if key == "cov" else {"sigma1": tiny}
+            with pytest.raises(ConfigError, match=f"^target.{key}{reason}$"):
+                make_target(kind, **params)
 
 
 def test_star_names_rotated_copies_that_round_out_of_positive_definiteness():
@@ -405,10 +428,18 @@ def test_logistic_dataset_file_round_trip(tmp_path):
     unparsable.write_text("a,b,c\n")
     with pytest.raises(InvalidInputError, match="could not parse"):
         LogisticDataset.from_file(unparsable)
-    one_column = tmp_path / "labels.csv"
-    one_column.write_text("0\n1\n")
-    with pytest.raises(InvalidInputError, match="label column"):
-        LogisticDataset.from_file(one_column)
+    # a fault in the file's contents names the file, and numpy's warning on
+    # an empty file is not shown
+    for name, text, reason in (("labels.csv", "0\n1\n", "dataset needs at least one feature column"),
+                               ("empty.csv", "", "no data rows"),
+                               ("nan.csv", "nan,1\n", "points have non-finite coordinates"),
+                               ("label2.csv", "0.5,2\n", "labels must be 0 or 1")):
+        bad = tmp_path / name
+        bad.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"^data_path: {re.escape(str(bad))}: {reason}"):
+                LogisticDataset.from_file(bad)
     # the delimiters np.loadtxt takes load; the others name the key
     spaced = tmp_path / "data.txt"
     np.savetxt(spaced, rows)
@@ -534,7 +565,7 @@ def test_logistic_full_size_minibatch_equals_full_batch():
     data = synthetic_dataset(rng, n_per_class=5)
     full = LogisticPosterior(data)
     mini = LogisticPosterior(LogisticDataset(features=data.features, labels=data.labels,
-                                             minibatch_size=data.n_rows))
+                                             minibatch_size=len(data.features)))
     mini.resample_minibatch(np.random.default_rng(0))
     theta = np.array([0.4, -0.3])
     assert np.allclose(grad_log_density(mini, theta), grad_log_density(full, theta), atol=1e-12)

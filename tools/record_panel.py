@@ -125,6 +125,8 @@ BAD_CONFIGS = (
                                           "cov": [[1, 2], [2, 1]]}}),
     ("target_sigma1_indefinite", {"target": {"kind": "star_mixture",
                                              "sigma1": [[1, 0], [0, -0.01]]}}),
+    ("target_cov_inverse_overflow", {"target": {"kind": "gaussian", "mean": [0, 0],
+                                                "cov": [[1e-320, 0], [0, 1]]}}),
     ("precond_source_unsupported", {"method": "svn", "precond": {"source": "fisher"}}),
     ("target_data_path_number", {"target": {"kind": "logistic_posterior", "data_path": 5}}),
     ("target_kind_unknown", {"target": "banana"}),
