@@ -8,7 +8,8 @@ the current particles (kernel bandwidths, averaged preconditioners, mixture
 anchors or SVN metrics), on the ``refresh_period`` schedule (default: every
 iteration).  The refresh helpers ``averaged_preconditioner``,
 ``refresh_anchors`` (which returns the mixture kernel) and ``svn_metrics``
-read the curvature source and eigenvalue floor from a ``PrecondPolicy``.
+read the target's curvature and the eigenvalue floor of a ``PrecondPolicy``,
+whose source ``run`` checks once against the target's ``curvature_source``.
 A non-finite value in any phase of an iteration (a refresh quantity, the
 scores, the directions, the Adagrad accumulators or the new positions)
 raises ``NumericalAbort`` naming the phase and, where the value is indexed
@@ -115,8 +116,8 @@ def _finite_or_abort(values, what: str, item: str | None = None):
     return values
 
 
-def _curvature_stack(positions, model: TargetModel, source: str) -> np.ndarray:
-    return _finite_or_abort(model.curvature_batch(positions, mode=source), "curvature", "particle")
+def _curvature_stack(positions, model: TargetModel) -> np.ndarray:
+    return _finite_or_abort(model.curvature_batch(positions), "curvature", "particle")
 
 
 def averaged_preconditioner(positions, model: TargetModel,
@@ -124,9 +125,9 @@ def averaged_preconditioner(positions, model: TargetModel,
     """``model.mean_curvature`` repaired into a PD bundle; a non-finite mean
     forms the stack, so the abort names a particle whose curvature is."""
     positions = np.asarray(positions, dtype=float)
-    avg = model.mean_curvature(positions, mode=policy.source)
+    avg = model.mean_curvature(positions)
     if not np.all(np.isfinite(avg)):
-        _curvature_stack(positions, model, policy.source)
+        _curvature_stack(positions, model)
     return make_bundle(_finite_or_abort(avg, "averaged curvature"), floor_ratio=policy.floor_ratio)
 
 
@@ -136,7 +137,7 @@ def refresh_anchors(positions, model: TargetModel,
     curvature plus a median-trick bandwidth measured in that anchor's own
     metric, for all anchors at once."""
     positions = np.asarray(positions, dtype=float)
-    bundle = make_bundle(_curvature_stack(positions, model, policy.source),
+    bundle = make_bundle(_curvature_stack(positions, model),
                          floor_ratio=policy.floor_ratio)
     _finite_or_abort(bundle.q, "metric", "anchor")
     return MixturePrecond(positions.copy(), bundle, _resolve_bandwidth(positions, metric=bundle))
@@ -168,7 +169,7 @@ def svn_metrics(positions, model: TargetModel, bandwidth: float,
     """
     positions = np.asarray(positions, dtype=float)
     n, d = positions.shape
-    hs = _curvature_stack(positions, model, policy.source)
+    hs = _curvature_stack(positions, model)
     with np.errstate(over="ignore", invalid="ignore"):
         x = positions - positions.mean(axis=0)
         sq = np.einsum("ij,ij->i", x, x)
@@ -272,7 +273,7 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
     stepper = StepperState() if stepper is None else stepper
     policy = PrecondPolicy() if policy is None else policy
     if method != "vanilla_svgd":
-        as_choice(policy.source, "source", model.supported_curvature, ConfigError)
+        as_choice(policy.source, "source", (model.curvature_source,), ConfigError)
 
     init_rng = np.random.default_rng([seed, 0])
     batch_rng = np.random.default_rng([seed, 1])

@@ -7,7 +7,7 @@ harness checks the JSON structure and types and owns one range rule,
 the value: ``dynamics.run_arguments`` (n, iters, seed, checkpoints, init),
 ``StepperState`` and ``PrecondPolicy``, whose errors ``errors.at_key_path``
 re-raises at the key path, and each target class, which states its kind,
-keys and curvature sources and whose ``make_target`` names ``target.<key>``.
+keys and curvature source and whose ``make_target`` names ``target.<key>``.
 All defaults are filled at parse time, so the echoed config in the output
 is the complete resolved configuration and parses back to an equal config.
 
@@ -172,7 +172,7 @@ def parse_config(source) -> RunConfig:
                      base_rate=METHOD_DEFAULT_RATES[method])
     precond = _build(dynamics.PrecondPolicy, "precond", source.get("precond", {}),
                      {"source": str, "refresh_period": int, "floor_ratio": float},
-                     source=target_cls.supported_curvature[0])
+                     source=target_cls.curvature_source)
 
     init = _as_section(source.get("init", {}), "init", ("mean", "scale"))
     raw_mean = init.get("mean", 0.0)

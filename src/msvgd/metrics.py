@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, as_points, as_real
+from .errors import InvalidInputError, as_points
 from .kernels import _chunks, _median_trick, _metric_sq_dists
 from .targets import LogisticDataset, _sigmoid
 
@@ -100,20 +100,19 @@ def _union_median(arrays):
     return (_rank_value(arrays, total // 2 - 1) + upper) / 2.0
 
 
-def _score(xs: np.ndarray, ref: MmdReference, bandwidth: float) -> tuple[float, float]:
-    """(MMD^2, bandwidth) of ``xs`` against a prepared reference; bandwidth 0
-    takes the median trick over the pairs of the pooled sample: the sorted
-    reference pairs and the fresh self and cross pairs, sorted here."""
+def _score(xs: np.ndarray, ref: MmdReference) -> tuple[float, float]:
+    """(MMD^2, bandwidth) of ``xs`` against a prepared reference, the
+    bandwidth by the median trick over the pairs of the pooled sample: the
+    sorted reference pairs and the fresh self and cross pairs, sorted here."""
     n, m = xs.shape[0], ref.points.shape[0]
     eye = np.eye(xs.shape[1])[None]
     own = _metric_sq_dists(xs, eye)[0]
     cross = _metric_sq_dists(xs, eye, ref.points)[0]
-    if bandwidth == 0.0:
-        # own and cross pairs are sorted apart, one n x m copy and no
-        # concatenation, and the copies are freed before the kernel sums
-        median = _union_median((ref.sorted_pair_sq_dists, np.sort(own[np.triu_indices(n, 1)]),
-                                np.sort(cross, axis=None)))
-        bandwidth = float(_median_trick(median, n + m))
+    # own and cross pairs are sorted apart, one n x m copy and no
+    # concatenation, and the copies are freed before the kernel sums
+    median = _union_median((ref.sorted_pair_sq_dists, np.sort(own[np.triu_indices(n, 1)]),
+                            np.sort(cross, axis=None)))
+    bandwidth = float(_median_trick(median, n + m))
     # the reference triangle is summed through one buffer of a chunk's size;
     # each draw's self term is exp(0) = 1
     pairs = ref.sorted_pair_sq_dists
@@ -128,35 +127,32 @@ def _score(xs: np.ndarray, ref: MmdReference, bandwidth: float) -> tuple[float, 
     return value, bandwidth
 
 
-def mmd_sq(xs, ys, bandwidth: float = 0.0) -> MmdReport:
+def mmd_sq(xs, ys) -> MmdReport:
     """Biased (V-statistic) squared maximum mean discrepancy under an RBF kernel.
 
     mean k(x, x') + mean k(y, y') - 2 mean k(x, y), with all diagonal terms
-    included (Gretton et al., JMLR 2012).  ``ys`` is an (n_y, d) sample or an
-    ``MmdReference`` prepared from one; an array goes through
-    ``prepare_reference`` first, whatever the bandwidth, so it holds one
-    sorted n_y(n_y-1)/2 float triangle, 16 MB at n_y = 2000.  A caller
-    scoring many samples against the same draws prepares them once, as the
-    harness does per target, seed and reference size.  ``bandwidth`` 0
-    requests the median trick over the pooled sample: each score sorts only
-    its own n_x(n_x-1)/2 + n_x n_y fresh distances and merges them against
-    the triangle, copying nothing of size n_y^2.  Every score then sums the
-    kernel over its own pairs, its cross pairs and the triangle.  Squared
-    distances that overflow (no finite value or bandwidth) raise InvalidInputError.
+    included (Gretton et al., JMLR 2012), at the median-trick bandwidth of
+    the pooled sample.  ``ys`` is an (n_y, d) sample or an ``MmdReference``
+    prepared from one; an array goes through ``prepare_reference`` first, so
+    it holds one sorted n_y(n_y-1)/2 float triangle, 16 MB at n_y = 2000.  A
+    caller scoring many samples against the same draws prepares them once,
+    as the harness does per target, seed and reference size.  Each score
+    sorts only its own n_x(n_x-1)/2 + n_x n_y fresh distances and merges
+    them against the triangle for the pooled median, copying nothing of size
+    n_y^2, then sums the kernel over its own pairs, its cross pairs and the
+    triangle.  Squared distances that overflow (no finite value or
+    bandwidth) raise InvalidInputError.
     """
     xs = as_points(xs)
-    bandwidth = as_real(bandwidth, "bandwidth", InvalidInputError)
-    if bandwidth < 0.0 or not np.isfinite(bandwidth):
-        raise InvalidInputError(f"bandwidth must be >= 0 and finite, got {bandwidth}")
     ref = ys if isinstance(ys, MmdReference) else prepare_reference(ys)
     ys = ref.points
     if xs.shape[1] != ys.shape[1]:
         raise InvalidInputError(f"samples must have equal dimension, got {xs.shape} and {ys.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        value, bandwidth = _score(xs, ref, bandwidth)
+        value, bandwidth = _score(xs, ref)
     if not (np.isfinite(value) and np.isfinite(bandwidth)):
         raise InvalidInputError(f"MMD: squared distances overflow (value {value}, bandwidth {bandwidth})")
-    return MmdReport(value=max(value, 0.0), bandwidth=float(bandwidth),
+    return MmdReport(value=max(value, 0.0), bandwidth=bandwidth,
                      n_x=xs.shape[0], n_y=ys.shape[0])
 
 

@@ -4,13 +4,14 @@ Every model exposes the same batch surface over points X of shape (n, d):
 
 - ``log_density_batch(X)``: possibly-unnormalized log p.
 - ``grad_log_density_batch(X)``: the score.
-- ``curvature_batch(X, mode)``: (n, d, d) local curvature matrices,
-  ``-hessian(log p)`` for ``mode="exact_hessian"`` or the Fisher information
-  for ``mode="fisher"`` (logistic posterior only).  Raw output;
+- ``curvature_batch(X)``: (n, d, d) local curvature matrices from the
+  class's one ``curvature_source``: ``-hessian(log p)`` (``"exact_hessian"``)
+  or, for the logistic posterior, the Fisher information (``"fisher"``), which
+  there equals the full-batch observed information.  Raw output;
   positive-definiteness is the caller's problem (see ``psdlin.psd_repair``,
   which repairs a whole stack at once).
-- ``mean_curvature(X, mode)``: the (d, d) particle mean of
-  ``curvature_batch``, with the same checks.
+- ``mean_curvature(X)``: the (d, d) particle mean of ``curvature_batch``,
+  with the same checks.
 - ``reference_sample(n, seed)``: ground-truth-ish draws where available:
   exact ancestral sampling for Gaussian / mixture targets, a deterministic
   inverse-CDF grid sampler on [-3, 3]^2 for the two irregular 2-D targets.
@@ -32,9 +33,9 @@ probabilities p come from one logit GEMM whose sigmoid ``_sigmoid`` forms
 in place with numpy's vector ``exp``, and the score and the Fisher weights
 share that pass while the points and the batch are unchanged.
 
-``curvature(x, mode)`` is ``curvature_batch`` at one point.  Each class
-states its ``kind``, ``config_keys`` and ``supported_curvature`` (the first
-is the default source); ``target_class`` finds a class by its kind, and
+``curvature(x)`` is ``curvature_batch`` at one point.  Each class states
+its ``kind``, ``config_keys`` and ``curvature_source``, which a run's
+``precond.source`` must name; ``target_class`` finds a class by its kind, and
 ``make_target`` builds a target from its kind name and config parameters;
 it is where a bad parameter becomes a ``ConfigError``.
 """
@@ -91,13 +92,12 @@ def _gaussian_factors(matrix, name: str):
 
 
 class TargetModel:
-    """Base class: the batch surface, its input checks and the curvature
-    mode check shared by every target."""
+    """Base class: the batch surface and the input checks shared by every target."""
 
     kind: str = "abstract"
     config_keys: tuple[str, ...] = ()
     dim: int = 0
-    supported_curvature: tuple[str, ...] = ("exact_hessian",)
+    curvature_source: str = "exact_hessian"
 
     # --- mandatory batch surface -------------------------------------------------
     def log_density_batch(self, points: np.ndarray) -> np.ndarray:
@@ -106,59 +106,51 @@ class TargetModel:
     def grad_log_density_batch(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _curvature_batch(self, points: np.ndarray, mode: str) -> np.ndarray:
+    def _curvature_batch(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     # --- shared plumbing ---------------------------------------------------------
-    def _check_curvature_input(self, points, mode: str) -> np.ndarray:
-        as_choice(mode, "mode", self.supported_curvature, ConfigError)
-        return as_points(points, self.dim)
+    def curvature_batch(self, points) -> np.ndarray:
+        return self._curvature_batch(as_points(points, self.dim))
 
-    def curvature_batch(self, points, mode: str = "exact_hessian") -> np.ndarray:
-        return self._curvature_batch(self._check_curvature_input(points, mode), mode)
-
-    def mean_curvature(self, points, mode: str = "exact_hessian") -> np.ndarray:
+    def mean_curvature(self, points) -> np.ndarray:
         """The particle mean of ``curvature_batch``, shape (d, d)."""
-        return self._mean_curvature(self._check_curvature_input(points, mode), mode)
+        return self._mean_curvature(as_points(points, self.dim))
 
-    def _mean_curvature(self, points: np.ndarray, mode: str) -> np.ndarray:
-        return self._curvature_batch(points, mode).mean(axis=0)
+    def _mean_curvature(self, points: np.ndarray) -> np.ndarray:
+        return self._curvature_batch(points).mean(axis=0)
 
-    def curvature(self, x, mode: str = "exact_hessian") -> np.ndarray:
+    def curvature(self, x) -> np.ndarray:
         """``curvature_batch`` at the one point ``x``, shape (d, d)."""
-        return self.curvature_batch(np.asarray(x, dtype=float)[None], mode)[0]
+        return self.curvature_batch(np.asarray(x, dtype=float)[None])[0]
 
     def reference_sample(self, n: int, seed: int) -> np.ndarray:
         raise ConfigError(f"target '{self.kind}' has no reference sampler")
 
 
 class Gaussian(TargetModel):
-    """Multivariate normal, parameterized by covariance or by precision."""
+    """Multivariate normal with mean ``mean`` and covariance ``cov``."""
 
     kind = "gaussian"
     config_keys = ("mean", "cov")
 
-    def __init__(self, mean, cov=None, precision=None):
+    def __init__(self, mean, cov):
         mean = np.atleast_1d(as_floats(mean, "mean"))
         if mean.ndim != 1 or mean.size == 0 or not np.all(np.isfinite(mean)):
             raise InvalidInputError(f"mean: must be a non-empty finite vector, got {mean.tolist()}")
-        if (cov is None) == (precision is None):
-            raise InvalidInputError("pass exactly one of cov or precision")
-        name, sign = ("cov", 1.0) if cov is not None else ("precision", -1.0)
-        base, _, inverse, log_det = _gaussian_factors(cov if cov is not None else precision, name)
-        if base.shape[0] != mean.shape[0]:
+        cov, _, precision, log_det_cov = _gaussian_factors(cov, "cov")
+        if cov.shape[0] != mean.shape[0]:
             raise InvalidInputError("mean and matrix dimensions disagree")
-        # the sampling root cov^(1/2) is base^(sign/2); Cholesky can pass a
-        # matrix whose least eigenvalue eigh rounds to <= 0, which has no root
-        lam, vec = np.linalg.eigh(base)
+        # the sampling root cov^(1/2); Cholesky can pass a matrix whose least
+        # eigenvalue eigh rounds to <= 0, which has no root
+        lam, vec = np.linalg.eigh(cov)
         if lam[0] <= 0.0:
-            raise InvalidInputError(f"{name}: must be positive definite, got {base.tolist()}")
-        self._cov_sqrt = _eig_form(lam, vec, 0.5 * sign)
-        self.cov, self.precision = (base, inverse) if cov is not None else (inverse, base)
-        self._log_det_cov = sign * log_det
+            raise InvalidInputError(f"cov: must be positive definite, got {cov.tolist()}")
+        self._cov_sqrt = _eig_form(lam, vec, 0.5)
+        self.cov, self.precision = cov, precision
         self.mean = mean
         self.dim = mean.shape[0]
-        self._log_norm = -0.5 * (self.dim * np.log(2.0 * np.pi) + self._log_det_cov)
+        self._log_norm = -0.5 * (self.dim * np.log(2.0 * np.pi) + log_det_cov)
 
     def log_density_batch(self, points):
         points = as_points(points, self.dim)
@@ -169,7 +161,7 @@ class Gaussian(TargetModel):
         points = as_points(points, self.dim)
         return -(points - self.mean) @ self.precision
 
-    def _curvature_batch(self, points, mode):
+    def _curvature_batch(self, points):
         return np.repeat(self.precision[None, :, :], points.shape[0], axis=0)
 
     def reference_sample(self, n, seed):
@@ -235,20 +227,24 @@ class StarMixture(TargetModel):
         """Component responsibilities (n, K) and component scores (n, K, 2),
         shared by the score and the curvature."""
         w, _, dc = self._shifted_pdfs(points)
-        return w / w.sum(axis=1, keepdims=True), -np.einsum("kij,nkj->nki", self.precisions, dc)
+        with np.errstate(invalid="ignore"):  # 0/0 where every pdf is 0: a NaN row
+            resp = w / w.sum(axis=1, keepdims=True)
+        return resp, -np.einsum("kij,nkj->nki", self.precisions, dc)
 
     def grad_log_density_batch(self, points):
         points = as_points(points, self.dim)
         resp, comp_grads = self._responsibilities_and_scores(points)
         return np.einsum("nk,nki->ni", resp, comp_grads)
 
-    def _curvature_batch(self, points, mode):
+    def _curvature_batch(self, points):
         resp, grads = self._responsibilities_and_scores(points)
-        gbar = (resp[:, None, :] @ grads)[:, 0]
-        hess = -gbar[:, :, None] * gbar[:, None, :]
-        for k, prec in enumerate(self.precisions):
-            g = grads[:, k, :]
-            hess += resp[:, k, None, None] * (g[:, :, None] * g[:, None, :] - prec)
+        # the outer products of a far point's scores may overflow: its row is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            gbar = (resp[:, None, :] @ grads)[:, 0]
+            hess = -gbar[:, :, None] * gbar[:, None, :]
+            for k, prec in enumerate(self.precisions):
+                g = grads[:, k, :]
+                hess += resp[:, k, None, None] * (g[:, :, None] * g[:, None, :] - prec)
         return -hess
 
     def reference_sample(self, n, seed):
@@ -331,7 +327,7 @@ class Sine(_GridSampledTarget):
         g2 = -u / self.sigma1 - x2 / self.sigma2
         return np.column_stack([g1, g2])
 
-    def _curvature_batch(self, points, mode):
+    def _curvature_batch(self, points):
         x1, x2, u, du1 = self._ridge_parts(points)
         d2u1 = -(self.alpha * self.alpha) * np.sin(self.alpha * x1)
         h11 = -(du1 * du1 + u * d2u1) / self.sigma1 - 1.0 / self.sigma2
@@ -393,7 +389,7 @@ class DoubleBanana(_GridSampledTarget):
             return np.column_stack([-x1 / self.sigma1 + coef * dg1,
                                     -x2 / self.sigma1 + coef * dg2])
 
-    def _curvature_batch(self, points, mode):
+    def _curvature_batch(self, points):
         x1, x2 = points[:, 0], points[:, 1]
         g, dg1, dg2 = self._rosenbrock_parts(x1, x2)
         d11 = 2.0 - 400.0 * (x2 - x1 * x1) + 800.0 * x1 * x1
@@ -440,8 +436,9 @@ class LogisticDataset:
         ``delimiter`` is what ``np.loadtxt`` takes: one character (str, or
         latin-1 bytes) other than a newline or the comment mark '#', or None
         for runs of whitespace.  A fault in the file's contents (no data
-        rows, too few columns, a non-finite feature, a label other than 0
-        or 1) is a ``data_path: <file>: ...`` error.
+        rows, too few columns) is a ``data_path: <file>: ...`` error, and a
+        non-finite feature or a label other than 0 or 1 is
+        ``data_path: <file>: row <r>: ...``, r counting parsed rows from 1.
         """
         text = delimiter.decode("latin1") if isinstance(delimiter, bytes) else delimiter
         if text is not None and (not isinstance(text, str) or len(text) != 1 or text in "\r\n#"):
@@ -459,10 +456,14 @@ class LogisticDataset:
                 raise InvalidInputError("no data rows")
             if raw.shape[1] < 2:
                 raise InvalidInputError("dataset needs at least one feature column and a label column")
-            data = cls(features=raw[:, :-1], labels=raw[:, -1])
+            finite = np.all(np.isfinite(raw[:, :-1]), axis=1)
+            bad = np.flatnonzero(~(finite & np.isin(raw[:, -1], (0.0, 1.0))))
+            if bad.size:
+                rule = "features must be finite" if not finite[bad[0]] else "label must be 0 or 1"
+                raise InvalidInputError(f"row {bad[0] + 1}: {rule}, got {raw[bad[0]].tolist()}")
         except InvalidInputError as exc:
             raise InvalidInputError(f"data_path: {data_path}: {exc}") from None
-        return cls(features=data.features, labels=data.labels, minibatch_size=minibatch_size)
+        return cls(features=raw[:, :-1], labels=raw[:, -1], minibatch_size=minibatch_size)
 
 
 class LogisticPosterior(TargetModel):
@@ -475,7 +476,7 @@ class LogisticPosterior(TargetModel):
 
     kind = "logistic_posterior"
     config_keys = ("data_path", "delimiter", "minibatch_size")
-    supported_curvature = ("fisher",)
+    curvature_source = "fisher"
 
     def __init__(self, dataset: LogisticDataset):
         self.dataset = dataset
@@ -530,7 +531,7 @@ class LogisticPosterior(TargetModel):
         probs = self._probabilities(points, feats)
         return feats, scale, probs * (1.0 - probs)
 
-    def _curvature_batch(self, points, mode):
+    def _curvature_batch(self, points):
         # row i of ``packed`` is particle i's upper triangle, w_i @ (f_ra f_rb);
         # a block's temporaries are its products and the gathered f_rb
         feats, scale, w = self._fisher_weights(points)
@@ -548,7 +549,7 @@ class LogisticPosterior(TargetModel):
         stack += np.eye(self.dim)
         return stack
 
-    def _mean_curvature(self, points, mode):
+    def _mean_curvature(self, points):
         feats, scale, w = self._fisher_weights(points)
         return scale * (feats.T * w.mean(axis=0)) @ feats + np.eye(self.dim)
 

@@ -119,8 +119,7 @@ def fisher_stack(model, points) -> np.ndarray:
     return np.stack(stack)
 
 
-def svn_metrics_oracle(model, points, bandwidth: float, source: str = "exact_hessian",
-                       floor_ratio: float = 1e-6) -> np.ndarray:
+def svn_metrics_oracle(model, points, bandwidth: float, floor_ratio: float = 1e-6) -> np.ndarray:
     """SVN's metrics from (n, n, d) difference and kernel-gradient stacks,
     against ``dynamics.svn_metrics``' one GEMM over centred points:
     (1/n) sum_j [k_ji^2 H(x_j) + g_ji g_ji^T] with g_ji = k_ji (x_j - x_i) / h,
@@ -131,7 +130,7 @@ def svn_metrics_oracle(model, points, bandwidth: float, source: str = "exact_hes
     n, d = points.shape
     diff = points[:, None, :] - points[None, :, :]  # (j, i, d) as x_j - x_i
     k = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * bandwidth))
-    hs = model.curvature_batch(points, mode=source)
+    hs = model.curvature_batch(points)
     term1 = ((k * k).T @ hs.reshape(n, d * d)).reshape(n, d, d) / n
     g = (k[:, :, None] * diff / bandwidth).transpose(1, 0, 2)  # (i, j, d)
     return psd_repair(term1 + (g.transpose(0, 2, 1) @ g) / n, floor_ratio=floor_ratio)
@@ -323,13 +322,11 @@ def change_of_variables_directions(bundle, positions, bandwidth: float):
     """
     from msvgd.errors import InvalidInputError
     from msvgd.kernels import ConstPrecond, ScalarRBF
-    from msvgd.targets import Gaussian
 
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != bundle.dim:
         raise InvalidInputError(f"expected particles of shape (n, {bundle.dim}), got {positions.shape}")
-    target = Gaussian(np.zeros(bundle.dim), precision=bundle.q)
-    grads = target.grad_log_density_batch(positions)
+    grads = -positions @ bundle.q  # the score of N(0, q^{-1})
     direct = ConstPrecond(bundle, bandwidth).direction(positions, grads)
     mapped_points = positions @ matrix_root(bundle.q)
     phi0 = ScalarRBF(bandwidth).direction(mapped_points, -mapped_points)
@@ -339,9 +336,8 @@ def change_of_variables_directions(bundle, positions, bandwidth: float):
 def map_estimate(model, x0, iterations: int = 100, tol: float = 1e-12) -> np.ndarray:
     """Newton ascent on log density using the model's curvature as the metric."""
     x = np.asarray(x0, dtype=float).copy()
-    mode = model.supported_curvature[0]
     for _ in range(iterations):
-        step = np.linalg.solve(model.curvature(x, mode), grad_log_density(model, x))
+        step = np.linalg.solve(model.curvature(x), grad_log_density(model, x))
         x = x + step
         if float(np.linalg.norm(step)) < tol:
             break

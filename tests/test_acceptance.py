@@ -158,14 +158,13 @@ def test_criterion_4_divergences_and_derivatives_match_finite_differences(capsys
               StarMixture(), Sine(), DoubleBanana(), logistic]
     for model in models:
         pts = rng.uniform(-2.0, 2.0, size=(50, 2))
-        mode = model.supported_curvature[0]
         for x in pts:
             assert_fd_close(grad_log_density(model, x),
                             np.array([
                                 (log_density(model, x + e) - log_density(model, x - e)) / 2e-5
                                 for e in np.eye(2) * 1e-5]),
                             rel=2e-4, label=f"{model.kind} gradient")
-            curv = model.curvature(x, mode=mode)
+            curv = model.curvature(x)
             fd_hess = fd_jacobian(lambda v: grad_log_density(model, v), x)
             assert_fd_close(curv, -fd_hess, rel=2e-4, label=f"{model.kind} curvature")
 
@@ -212,7 +211,7 @@ def test_criterion_6_logistic_posterior_against_quadrature_oracle(capsys):
     # quadrature oracle: integrate the posterior on a window of +-6 posterior
     # standard deviations (Laplace scale) around the MAP
     mode = map_estimate(model, np.zeros(2))
-    laplace_cov = np.linalg.inv(model.curvature(mode, mode="fisher"))
+    laplace_cov = np.linalg.inv(model.curvature(mode))
     sigma = np.sqrt(np.diag(laplace_cov))
     bounds = [(mode[i] - 6.0 * sigma[i], mode[i] + 6.0 * sigma[i]) for i in range(2)]
     oracle_mean, _ = grid_moments(model, bounds=bounds, resolution=512)

@@ -22,15 +22,21 @@ from msvgd.dynamics import (
     svn_metrics,
 )
 from msvgd.errors import ConfigError, InvalidInputError, NumericalAbort
-from msvgd.harness import METHOD_DEFAULT_RATES
+from msvgd.harness import DEFAULT_MMD_REFERENCE_N, METHOD_DEFAULT_RATES
 from msvgd.kernels import ScalarRBF, median_bandwidth
-from msvgd.metrics import mmd_sq
+from msvgd.metrics import mmd_sq, prepare_reference
 from msvgd.psdlin import identity_bundle, make_bundle, psd_repair
-from msvgd.targets import DoubleBanana, Gaussian, Sine, StarMixture, TargetModel
+from msvgd.targets import (DoubleBanana, Gaussian, LogisticDataset, LogisticPosterior, Sine, StarMixture,
+                            TargetModel)
 
 
 def gaussian_target(cov=((1.0, 0.0), (0.0, 1.0))):
     return Gaussian(mean=np.zeros(2), cov=np.asarray(cov))
+
+
+def precision_target(q):
+    """The zero-mean Gaussian whose precision is ``q`` (up to the round-off of two inverses)."""
+    return Gaussian(np.zeros(len(q)), cov=np.linalg.inv(q))
 
 
 # ----------------------------------------------------------------- stepper
@@ -106,7 +112,7 @@ def test_stepper_and_policy_validation():
 
 def test_averaged_preconditioner_recovers_constant_curvature():
     q = np.array([[2.0, 0.4], [0.4, 1.1]])
-    model = Gaussian(mean=np.zeros(2), precision=q)
+    model = precision_target(q)
     rng = np.random.default_rng(1)
     bundle = averaged_preconditioner(rng.standard_normal((12, 2)), model)
     assert np.allclose(bundle.q, q, atol=1e-12)
@@ -124,7 +130,7 @@ def test_averaged_preconditioner_matches_finite_difference_hessians():
 
 def test_refresh_anchors_places_anchors_at_particles():
     q = np.array([[1.5, 0.2], [0.2, 0.7]])
-    model = Gaussian(mean=np.zeros(2), precision=q)
+    model = precision_target(q)
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((5, 2))
     anchors = refresh_anchors(pts, model)
@@ -156,14 +162,14 @@ def test_refresh_anchors_repairs_indefinite_star_curvature():
 
 def test_svn_metric_single_particle_is_local_curvature():
     q = np.array([[2.0, 0.3], [0.3, 1.4]])
-    model = Gaussian(mean=np.zeros(2), precision=q)
+    model = precision_target(q)
     mets = svn_metrics(np.array([[0.7, -0.5]]), model, bandwidth=1.0)
     assert np.allclose(mets[0], q, atol=1e-12)
 
 
 def test_svn_metric_coincident_particles_reduce_to_local_curvature():
     q = np.array([[1.8, 0.0], [0.0, 0.6]])
-    model = Gaussian(mean=np.zeros(2), precision=q)
+    model = precision_target(q)
     x = np.array([0.4, 0.9])
     mets = svn_metrics(np.stack([x, x]), model, bandwidth=0.7)
     for m in mets:
@@ -193,7 +199,7 @@ def test_svn_metrics_match_brute_force_double_loop(model):
 @pytest.mark.parametrize("d", [2, 5, 20])
 def test_svn_metrics_match_the_pair_stack_oracle(d, n, shift):
     rng = np.random.default_rng(100 * d + n)
-    models = [Gaussian(np.zeros(d), precision=random_spd(rng, d))] + ([StarMixture()] if d == 2 else [])
+    models = [precision_target(random_spd(rng, d))] + ([StarMixture()] if d == 2 else [])
     pts = rng.standard_normal((n, d)) + shift
     h = median_bandwidth(pts)
     for model in models:
@@ -204,7 +210,7 @@ def test_svn_metrics_match_the_pair_stack_oracle(d, n, shift):
 def test_svn_metrics_are_translation_invariant():
     rng = np.random.default_rng(11)
     for d in (2, 5, 20):
-        model = Gaussian(np.zeros(d), precision=random_spd(rng, d))
+        model = precision_target(random_spd(rng, d))
         pts = rng.standard_normal((50, d))
         h = median_bandwidth(pts)
         base = svn_metrics(pts, model, h)
@@ -232,7 +238,7 @@ def test_svn_metric_overflow_aborts_the_refresh_without_warnings():
 
 def test_single_particle_svn_is_exact_newton():
     q0 = np.array([[3.0, 0.5], [0.5, 1.2]])
-    model = Gaussian(mean=np.zeros(2), precision=q0)
+    model = precision_target(q0)
     x = np.array([[1.1, -0.8]])
     grads = model.grad_log_density_batch(x)
     mets = svn_metrics(x, model, bandwidth=1.0)
@@ -279,10 +285,14 @@ def test_run_validates_configuration_before_iterating():
         run(model, "vanilla_svgd", n_particles=4, iterations=5, checkpoints=[0, 6])
     with pytest.raises(ConfigError, match=r"^checkpoints\[0\]: must be >= 0, got -1$"):
         run(model, "vanilla_svgd", n_particles=4, iterations=5, checkpoints=[-1])
-    with pytest.raises(ConfigError):
-        # gaussian curvature cannot come from a fisher matrix
-        run(model, "matrix_svgd_average", n_particles=4, iterations=1,
-            policy=PrecondPolicy(source="fisher"))
+    # each target has one curvature source, checked once here: gaussian
+    # curvature cannot come from a fisher matrix, nor the logistic's from a Hessian
+    logistic = LogisticPosterior(LogisticDataset(features=np.eye(2), labels=[0.0, 1.0]))
+    for target, source in ((model, "fisher"), (logistic, "exact_hessian")):
+        with pytest.raises(ConfigError, match=f"^source: must be one of \\['{target.curvature_source}'\\], "
+                                              f"got '{source}'$"):
+            run(target, "matrix_svgd_average", n_particles=4, iterations=1,
+                policy=PrecondPolicy(source=source))
     # non-integral counts are rejected, not truncated
     for kwargs, name in ((dict(n_particles=3.9, iterations=5), "n_particles"),
                          (dict(n_particles=4, iterations=2.5), "iterations"),
@@ -370,7 +380,7 @@ def test_run_aborts_with_iteration_index_on_blowup():
     assert (exc.value.phase, exc.value.particle) == ("refresh", 0)
     # a finite direction times a huge fixed rate overflows in the step
     with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore"):
-        run(Gaussian(np.zeros(2), precision=1e10 * np.eye(2)), "vanilla_svgd", n_particles=3,
+        run(precision_target(1e10 * np.eye(2)), "vanilla_svgd", n_particles=3,
             iterations=5, stepper=StepperState(method="fixed", base_rate=1e300))
     assert str(exc.value) == "iteration 0: particles left the finite domain"
     assert (exc.value.iteration, exc.value.phase, exc.value.particle) == (0, "step", 0)
@@ -398,14 +408,14 @@ def test_run_aborts_in_the_direction_phase_with_the_iteration():
 
 def test_refresh_overflow_from_finite_curvature_aborts_with_the_iteration():
     # the curvature 1e307 I is finite, but averaging 50 copies of it overflows
-    model = Gaussian(np.zeros(2), precision=1e307 * np.eye(2))
+    model = precision_target(1e307 * np.eye(2))
     with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore"):
         run(model, "matrix_svgd_average", n_particles=50, iterations=2)
     assert exc.value.iteration == 0
     assert "refresh: averaged curvature has non-finite entries" in str(exc.value)
     assert (exc.value.phase, exc.value.particle) == ("refresh", None)
     # each anchor's metric is finite, but its median-trick distances overflow
-    model = Gaussian(np.zeros(2), precision=1e306 * np.eye(2))
+    model = precision_target(1e306 * np.eye(2))
     with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore", invalid="ignore"):
         run(model, "matrix_svgd_mixture", n_particles=5, iterations=2, init_scale=10.0)
     assert exc.value.iteration == 0
@@ -432,13 +442,12 @@ def test_mean_log_density_rises_from_a_displaced_start(method):
 
 def test_mmd_to_reference_decreases_for_every_method():
     model = gaussian_target(((1.5, 0.4), (0.4, 0.8)))
-    reference = model.reference_sample(10_000, seed=123)
-    h = median_bandwidth(reference[:2000])
+    reference = prepare_reference(model.reference_sample(DEFAULT_MMD_REFERENCE_N, seed=123))
     for method in METHODS:
         res = run(model, method, n_particles=50, iterations=200, checkpoints=[0, 200],
                   seed=7, stepper=StepperState(base_rate=METHOD_DEFAULT_RATES[method]))
-        before = mmd_sq(res.snapshots[0], reference, bandwidth=h).value
-        after = mmd_sq(res.snapshots[200], reference, bandwidth=h).value
+        before = mmd_sq(res.snapshots[0], reference).value
+        after = mmd_sq(res.snapshots[200], reference).value
         assert after < before, f"{method}: {after:.4g} !< {before:.4g}"
 
 

@@ -487,6 +487,19 @@ def test_package_exports_resolve_and_test_only_surfaces_are_gone():
     # a run always writes its record: no in-memory switch, and compare needs a directory
     assert "persist" not in inspect.signature(harness.run_experiment).parameters
     assert inspect.signature(harness.compare).parameters["out_dir"].default is inspect.Parameter.empty
+    # options that only tests set: each target has one curvature source, MMD
+    # always takes the pooled median, and a Gaussian is given by its covariance
+    curvature_calls = [getattr(cls, name) for cls in (targets.TargetModel, targets.Gaussian,
+                                                      targets.StarMixture, targets.Sine,
+                                                      targets.DoubleBanana, targets.LogisticPosterior)
+                       for name in ("curvature", "curvature_batch", "_curvature_batch",
+                                    "mean_curvature", "_mean_curvature")]
+    assert [f.__qualname__ for f in curvature_calls if "mode" in inspect.signature(f).parameters] == []
+    assert [name for name in ("supported_curvature", "_check_curvature_input")
+            if hasattr(targets.TargetModel, name)] == []
+    assert targets.LogisticPosterior.curvature_source == "fisher"
+    assert list(inspect.signature(metrics.mmd_sq).parameters) == ["xs", "ys"]
+    assert list(inspect.signature(targets.Gaussian).parameters) == ["mean", "cov"]
 
 
 def test_cli_exit_codes_by_error_category(tmp_path, capsys):

@@ -22,11 +22,13 @@ def test_mmd_identical_multisets_is_exactly_zero():
 
 
 def test_mmd_singletons_hand_evaluation():
+    # one pooled pair at squared distance 2: the median trick gives
+    # h = 2 / log 3, so k(x, y) = exp(-2 / (2 h)) = 1 / sqrt(3)
     x = np.array([[0.5, 0.0]])
     y = np.array([[-0.5, 1.0]])
-    h = 2.0
-    expected = 2.0 - 2.0 * np.exp(-float(np.sum((x - y) ** 2)) / (2.0 * h))
-    assert mmd_sq(x, y, bandwidth=h).value == pytest.approx(expected, abs=1e-12)
+    report = mmd_sq(x, y)
+    assert report.bandwidth == pytest.approx(2.0 / np.log(3.0), rel=1e-15)
+    assert report.value == pytest.approx(2.0 - 2.0 / np.sqrt(3.0), abs=1e-12)
 
 
 def test_mmd_zero_bandwidth_uses_pooled_median_trick():
@@ -47,9 +49,9 @@ def test_mmd_is_symmetric():
 def test_mmd_is_invariant_under_sample_permutations():
     rng = np.random.default_rng(3)
     xs, ys = rng.standard_normal((25, 2)), rng.standard_normal((25, 2))
-    base = mmd_sq(xs, ys, bandwidth=1.0).value
-    assert abs(mmd_sq(xs[rng.permutation(25)], ys, bandwidth=1.0).value - base) <= 1e-12
-    assert abs(mmd_sq(xs, ys[rng.permutation(25)], bandwidth=1.0).value - base) <= 1e-12
+    base = mmd_sq(xs, ys).value
+    assert abs(mmd_sq(xs[rng.permutation(25)], ys).value - base) <= 1e-12
+    assert abs(mmd_sq(xs, ys[rng.permutation(25)]).value - base) <= 1e-12
 
 
 def test_mmd_is_nonnegative_on_near_identical_samples():
@@ -76,13 +78,6 @@ def test_mmd_validation():
         mmd_sq(xs, np.zeros((3, 3)))
     with pytest.raises(InvalidInputError):
         mmd_sq(xs, np.zeros((0, 2)))
-    with pytest.raises(InvalidInputError):
-        mmd_sq(xs, xs, bandwidth=-1.0)
-    with pytest.raises(InvalidInputError):
-        mmd_sq(xs, xs, bandwidth=np.nan)
-    for bad in ("1", None):
-        with pytest.raises(InvalidInputError):
-            mmd_sq(xs, xs, bandwidth=bad)
     with pytest.raises(InvalidInputError, match="^points: could not convert"):
         mmd_sq(xs, "abc")
 
@@ -111,9 +106,6 @@ def test_mmd_median_route_matches_pooled_and_double_loop_oracles(d):
         for report in (mmd_sq(xs, ys), mmd_sq(xs, reference)):
             assert report.bandwidth == pooled_median_bandwidth(xs, ys)
             assert abs(report.value - double_loop_mmd_sq(xs, ys, report.bandwidth)) <= 1e-12
-        # an explicit bandwidth scores a prepared reference like the plain draws
-        explicit = mmd_sq(xs, ys, bandwidth=0.8).value
-        assert abs(mmd_sq(xs, reference, bandwidth=0.8).value - explicit) <= 1e-12
     # single points on either side: an empty reference triangle, one pooled pair
     for xs, ys in ((xs, ys[:1]), (xs[:1], ys[:1]), (xs[:1], ys)):
         report = mmd_sq(xs, ys)
@@ -163,12 +155,12 @@ def test_merged_median_bandwidth_edge_cases():
 
 def test_mmd_rejects_samples_whose_distances_overflow():
     # |x|^2 overflows, so the expanded distance of the coincident pair is inf - inf:
-    # no NaN value or bandwidth is reported, by the median trick or a given bandwidth
+    # no NaN value or bandwidth is reported
     xs = np.array([[1e200, 0.0], [1e200, 0.0], [0.0, 1.0]])
     ys = np.random.default_rng(9).standard_normal((5, 2))
-    for ref, bandwidth in ((ys, 0.0), (prepare_reference(ys), 0.0), (ys, 1.0)):
+    for ref in (ys, prepare_reference(ys)):
         with pytest.raises(InvalidInputError, match="overflow"), np.errstate(over="ignore", invalid="ignore"):
-            mmd_sq(xs, ref, bandwidth=bandwidth)
+            mmd_sq(xs, ref)
 
 
 def test_reference_whose_pair_distances_overflow_is_rejected_without_warnings():
@@ -212,9 +204,8 @@ def test_mmd_value_independent_of_chunk_size(monkeypatch):
     rng = np.random.default_rng(5)
     xs, ys = rng.standard_normal((17, 2)), rng.standard_normal((23, 2))
     scores = {
-        "array": lambda: mmd_sq(xs, ys, bandwidth=0.7),
-        "prepared": lambda: mmd_sq(xs, prepare_reference(ys), bandwidth=0.7),
-        "median": lambda: mmd_sq(xs, prepare_reference(ys)),
+        "array": lambda: mmd_sq(xs, ys),
+        "prepared": lambda: mmd_sq(xs, prepare_reference(ys)),
     }
     base = {name: score().value for name, score in scores.items()}
     monkeypatch.setattr(kernels, "CHUNK_BYTES", 8 * 3 * 23)
@@ -241,7 +232,7 @@ def test_kernels_chunk_bytes_alone_sizes_the_metrics_blocks(monkeypatch):
         reference = prepare_reference(ys)
         rows = calls.count("_metric_sq_dists")
         calls.clear()
-        metrics_module._score(xs, reference, 0.0)
+        metrics_module._score(xs, reference)
         return rows, calls.count("_kernel_sum") - 2  # one sum each for the own and cross pairs
 
     assert blocks() == (1, 1)

@@ -1,24 +1,37 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps msvgd functions by name
 from outside the package.  A refactor that moves or renames one of them must
-fail here rather than only under ``perfbench/run.py --trace 1``."""
+fail here rather than only under ``perfbench/run.py --trace 1``.  And
+``tools/ab_runs.py`` keeps its own copies of the benchmark's workload
+configs, seed panels and logistic CSV; a drift between the two must fail
+here too."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def _load_tracer():
-    """Import the tracer read-only: no bytecode cache is written beside it."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(path: Path, name: str, search_path: Path | None = None):
+    """Import the file at ``path`` as ``name`` read-only: no bytecode cache is
+    written beside it or beside what it imports from ``search_path``."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    if search_path is not None:
+        sys.path.insert(0, str(search_path))
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = dont_write
+        if search_path is not None:
+            sys.path.remove(str(search_path))
     return module
+
+
+def _load_tracer():
+    return _load(TRACER, "perfbench_tracer")
 
 
 def _bindings(functions):
@@ -48,3 +61,26 @@ def test_tracer_wraps_every_traced_function_and_restores_the_originals():
     after = _bindings(functions)
     changed = [key[1] for key, fn in before.items() if after.get(key) is not fn]
     assert not changed, f"originals not restored: {changed}"
+
+
+def test_ab_runs_keeps_the_benchmark_workloads(tmp_path, monkeypatch):
+    # ab_runs pins one BLAS thread in os.environ when imported; the test
+    # process gets its own values back afterwards
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    ab_runs = _load(ROOT / "tools" / "ab_runs.py", "ab_runs_tool")
+    workloads = _load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads", ROOT / "perfbench")
+    assert sorted(ab_runs.WORKLOADS) == sorted(workloads.WORKLOADS)
+    assert ab_runs.METHODS == workloads.METHODS
+    for name, cls in workloads.WORKLOADS.items():
+        config, panel = ab_runs.WORKLOADS[name]
+        bench = cls(tmp_path / name, seed=0)
+        assert panel == cls.PANEL, name
+        for method in workloads.METHODS:
+            ours = config(method, panel[0], getattr(bench, "data_path", None))
+            theirs = bench.config(method)
+            assert {**ours, "seed": None} == {**theirs, "seed": None}, (name, method)
+        if name == "logistic_fisher":
+            bench.prepare()
+            ab_runs.write_logistic_data(tmp_path / "ab_runs.csv")
+            assert (tmp_path / "ab_runs.csv").read_bytes() == bench.data_path.read_bytes()

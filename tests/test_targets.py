@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 
@@ -18,6 +19,8 @@ from helpers import (
 )
 from msvgd import kernels
 from msvgd import targets as targets_module
+from msvgd.cli import main
+from msvgd.dynamics import PrecondPolicy, run
 from msvgd.errors import ConfigError, InvalidInputError
 from msvgd.targets import (
     DoubleBanana,
@@ -53,7 +56,7 @@ def test_gaussian_log_density_matches_reference_implementation():
 
 def test_gaussian_gradient_and_curvature():
     q = np.array([[2.0, 0.3], [0.3, 1.0]])
-    g = Gaussian(mean=np.zeros(2), precision=q)
+    g = Gaussian(mean=np.zeros(2), cov=np.linalg.inv(q))
     x = np.array([0.8, -1.1])
     assert np.allclose(grad_log_density(g, x), -q @ x, atol=1e-12)
     # constant curvature equal to the precision, at any point
@@ -62,9 +65,10 @@ def test_gaussian_gradient_and_curvature():
 
 
 def test_gaussian_requires_exactly_one_parameterization():
-    with pytest.raises(InvalidInputError):
+    # the covariance is the one parameterization: required, and no precision
+    with pytest.raises(TypeError):
         Gaussian(mean=[0.0, 0.0])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(TypeError):
         Gaussian(mean=[0.0, 0.0], cov=np.eye(2), precision=np.eye(2))
     with pytest.raises(InvalidInputError):
         Gaussian(mean=[0.0, 0.0, 0.0], cov=np.eye(2))
@@ -87,14 +91,13 @@ def test_gaussian_sampler_moments_and_determinism():
 
 
 def test_gaussian_keeps_a_tiny_covariance_exactly():
-    # no eigenvalue floor: the target is the matrix it was given; a precision
+    # no eigenvalue floor: the target is the matrix it was given; a covariance
     # near the largest float symmetrizes without overflow
-    for params in ({"cov": 1e-14 * np.eye(2)}, {"precision": 1e14 * np.eye(2)},
-                   {"precision": 1e308 * np.eye(2)}):
+    for cov in (1e-14 * np.eye(2), 1e14 * np.eye(2), 1e308 * np.eye(2)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = make_target("gaussian", mean=[0, 0], **params)
-        assert np.array_equal(g.cov if "cov" in params else g.precision, next(iter(params.values())))
+            g = make_target("gaussian", mean=[0, 0], cov=cov)
+        assert np.array_equal(g.cov, cov)
         assert np.allclose(g.precision @ g.cov, np.eye(2), rtol=0, atol=1e-12)
         assert np.allclose(g._cov_sqrt @ g._cov_sqrt, g.cov, rtol=1e-12, atol=0)
 
@@ -153,6 +156,22 @@ def test_star_gradient_and_hessian_match_finite_differences():
         assert_fd_close(hess, fd_jacobian(lambda v: grad_log_density(star, v), x), label="star hessian")
 
 
+def test_star_far_point_is_nan_in_score_and_curvature_without_warnings():
+    # every component's quadratic form overflows at (1e200, 0): the log density
+    # is -inf, and the score and curvature rows are NaN for a run to abort on,
+    # with no numpy warning outside the run's errstate
+    star = StarMixture()
+    pts = np.array([[1e200, 0.0], [0.3, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logp = star.log_density_batch(pts)
+        grads = star.grad_log_density_batch(pts)
+        curv = star.curvature_batch(pts)
+    assert logp[0] == -np.inf and np.all(np.isnan(grads[0])) and np.all(np.isnan(curv[0]))
+    assert np.array_equal(grads[1], star.grad_log_density_batch(pts[1:])[0])
+    assert np.array_equal(curv[1], star.curvature_batch(pts[1:])[0])
+
+
 def test_star_single_component_mode_has_zero_gradient():
     star = StarMixture(components=1)
     assert np.allclose(grad_log_density(star, star.means[0]), 0.0, atol=1e-12)
@@ -175,19 +194,17 @@ def test_gaussian_rejects_a_matrix_with_a_round_off_eigenvalue():
     for _ in range(200):
         basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         matrix = (basis * [1.0, 1.0, 1e-16]) @ basis.T
-        for key in ("cov", "precision"):
-            try:
-                g = Gaussian(np.zeros(3), **{key: matrix})
-            except InvalidInputError as exc:
-                assert str(exc).startswith(f"{key}: must be positive definite")
-                continue
-            assert np.all(np.isfinite(g._cov_sqrt)) and np.all(np.isfinite(g.reference_sample(5, 0)))
+        try:
+            g = Gaussian(np.zeros(3), matrix)
+        except InvalidInputError as exc:
+            assert str(exc).startswith("cov: must be positive definite")
+            continue
+        assert np.all(np.isfinite(g._cov_sqrt)) and np.all(np.isfinite(g.reference_sample(5, 0)))
 
 
 def test_targets_reject_a_covariance_that_is_not_positive_definite():
     # the eigenvalue floor would repair these into another target in silence
     builds = ((lambda m: Gaussian(mean=[0.0, 0.0], cov=m), "cov"),
-              (lambda m: Gaussian(mean=[0.0, 0.0], precision=m), "precision"),
               (lambda m: StarMixture(sigma1=m), "sigma1"))
     for build, name in builds:
         for bad in ([[1.0, 2.0], [2.0, 1.0]], np.diag([1.0, -0.01]), np.diag([1.0, 0.0])):
@@ -332,10 +349,10 @@ def test_models_reject_nonfinite_points_and_fisher_mode(model):
         log_density(model, np.array([np.nan, 0.0]))
     with pytest.raises(InvalidInputError):
         grad_log_density(model, np.array([np.inf, 0.0]))
-    with pytest.raises(ConfigError):
-        model.curvature(np.zeros(2), mode="fisher")
-    with pytest.raises(ConfigError):
-        model.curvature_batch(np.zeros((3, 2)), mode="fisher")
+    # the Fisher source is the logistic posterior's alone, and run checks it
+    assert model.curvature_source == "exact_hessian"
+    with pytest.raises(ConfigError, match=r"^source: must be one of \['exact_hessian'\], got 'fisher'$"):
+        run(model, "svn", n_particles=3, iterations=1, policy=PrecondPolicy(source="fisher"))
     for bad in (np.zeros(2), np.zeros((3, 3)), np.array([[0.0, np.nan]])):
         with pytest.raises(InvalidInputError):
             model.curvature_batch(bad)
@@ -354,12 +371,11 @@ def test_curvature_batch_stacks_single_point_curvatures(model):
     rng = np.random.default_rng(14)
     if hasattr(model, "resample_minibatch"):
         model.resample_minibatch(rng)
-    mode = model.supported_curvature[0]
     for scale in (0.3, 1.0, 3.0):
         pts = scale * rng.standard_normal((9, model.dim))
-        batch = model.curvature_batch(pts, mode=mode)
+        batch = model.curvature_batch(pts)
         assert batch.shape == (9, model.dim, model.dim)
-        singles = np.stack([model.curvature(x, mode=mode) for x in pts])
+        singles = np.stack([model.curvature(x) for x in pts])
         if isinstance(model, LogisticPosterior):
             # one row of a multi-row GEMM is not bitwise the one-row GEMM
             expected = fisher_stack(model, pts)
@@ -367,6 +383,10 @@ def test_curvature_batch_stacks_single_point_curvatures(model):
                 assert np.max(np.abs(stack - expected)) <= 1e-12 * np.max(np.abs(expected))
         else:
             assert np.array_equal(batch, singles)
+    for bad in (np.zeros(model.dim), np.zeros((3, model.dim + 1)),
+                np.full((2, model.dim), np.nan)):
+        with pytest.raises(InvalidInputError):
+            model.curvature_batch(bad)
 
 
 @over_curvature_models
@@ -374,23 +394,20 @@ def test_mean_curvature_is_the_particle_mean_of_curvature_batch(model):
     rng = np.random.default_rng(15)
     if hasattr(model, "resample_minibatch"):
         model.resample_minibatch(rng)
-    mode = model.supported_curvature[0]
     for scale in (0.3, 1.0, 3.0):
         pts = scale * rng.standard_normal((9, model.dim))
-        mean = model.mean_curvature(pts, mode=mode)
-        expected = model.curvature_batch(pts, mode=mode).mean(axis=0)
+        mean = model.mean_curvature(pts)
+        expected = model.curvature_batch(pts).mean(axis=0)
         assert mean.shape == (model.dim, model.dim)
         if isinstance(model, LogisticPosterior):
             # the weights are averaged before the one matrix product: round-off
             assert np.max(np.abs(mean - expected)) <= 1e-12 * np.max(np.abs(expected))
         else:
             assert np.array_equal(mean, expected)
-    with pytest.raises(ConfigError):
-        model.mean_curvature(pts, mode="unsupported")
     for bad in (np.zeros(model.dim), np.zeros((3, model.dim + 1)),
                 np.full((2, model.dim), np.nan)):
         with pytest.raises(InvalidInputError):
-            model.mean_curvature(bad, mode=mode)
+            model.mean_curvature(bad)
 
 
 # --------------------------------------------------------------- logistic
@@ -414,7 +431,7 @@ def test_logistic_dataset_validation():
                            minibatch_size=2.0).minibatch_size == 2
 
 
-def test_logistic_dataset_file_round_trip(tmp_path):
+def test_logistic_dataset_file_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(6)
     data = synthetic_dataset(rng, n_per_class=5)
     path = tmp_path / "data.csv"
@@ -428,18 +445,24 @@ def test_logistic_dataset_file_round_trip(tmp_path):
     unparsable.write_text("a,b,c\n")
     with pytest.raises(InvalidInputError, match="could not parse"):
         LogisticDataset.from_file(unparsable)
-    # a fault in the file's contents names the file, and numpy's warning on
-    # an empty file is not shown
+    # a fault in the file's contents names the file, a bad row its 1-based
+    # place among the parsed rows, and numpy's warning on an empty file is not shown
     for name, text, reason in (("labels.csv", "0\n1\n", "dataset needs at least one feature column"),
                                ("empty.csv", "", "no data rows"),
-                               ("nan.csv", "nan,1\n", "points have non-finite coordinates"),
-                               ("label2.csv", "0.5,2\n", "labels must be 0 or 1")):
+                               ("nan.csv", "0.5,1\nnan,1\n", "row 2: features must be finite, got [nan, 1.0]"),
+                               ("label2.csv", "0.5,0\n0.5,2\n", "row 2: label must be 0 or 1, got [0.5, 2.0]")):
         bad = tmp_path / name
         bad.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match=f"^data_path: {re.escape(str(bad))}: {reason}"):
+            with pytest.raises(InvalidInputError, match=f"^data_path: {re.escape(str(bad))}: {re.escape(reason)}"):
                 LogisticDataset.from_file(bad)
+        if reason.startswith("row"):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"target": {"kind": "logistic_posterior", "data_path": str(bad)},
+                                          "method": "svn", "n": 5, "iters": 1}))
+            assert main(["run", str(config), "--quiet"]) == 2
+            assert capsys.readouterr().err == f"config: target.data_path: {bad}: {reason}\n"
     # the delimiters np.loadtxt takes load; the others name the key
     spaced = tmp_path / "data.txt"
     np.savetxt(spaced, rows)
@@ -471,7 +494,7 @@ def test_logistic_fisher_single_datapoint_closed_form():
     data = LogisticDataset(features=np.array([[1.0, 0.0]]), labels=np.array([1.0]))
     model = LogisticPosterior(data)
     expected = 0.25 * np.diag([1.0, 0.0]) + np.eye(2)
-    assert np.allclose(model.curvature(np.zeros(2), mode="fisher"), expected, atol=1e-12)
+    assert np.allclose(model.curvature(np.zeros(2)), expected, atol=1e-12)
 
 
 def test_logistic_fisher_equals_full_batch_observed_information():
@@ -480,7 +503,7 @@ def test_logistic_fisher_equals_full_batch_observed_information():
     rng = np.random.default_rng(9)
     model = LogisticPosterior(synthetic_dataset(rng))
     for theta in rng.standard_normal((10, 2)):
-        fisher = model.curvature(theta, mode="fisher")
+        fisher = model.curvature(theta)
         hess = fd_jacobian(lambda v: grad_log_density(model, v), theta)
         assert_fd_close(fisher, -hess, label="logistic fisher")
 
@@ -507,7 +530,7 @@ def test_logistic_fisher_stack_matches_the_per_particle_oracle(monkeypatch, mini
         # the small budget holds 16 rows of a block's temporaries: >= 8 blocks
         monkeypatch.setattr(kernels, "CHUNK_BYTES", chunk_bytes)
         for x in pts:
-            stack = model.curvature_batch(x, mode="fisher")
+            stack = model.curvature_batch(x)
             expected = fisher_stack(model, x)
             assert np.array_equal(stack, stack.transpose(0, 2, 1))
             assert np.max(np.abs(stack - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -549,17 +572,6 @@ def test_logistic_score_equals_the_residual_form(minibatch_size):
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_logistic_rejects_exact_hessian_mode():
-    rng = np.random.default_rng(10)
-    model = LogisticPosterior(synthetic_dataset(rng))
-    with pytest.raises(ConfigError):
-        model.curvature(np.zeros(2), mode="exact_hessian")
-    with pytest.raises(ConfigError):
-        model.curvature_batch(np.zeros((4, 2)), mode="exact_hessian")
-    with pytest.raises(InvalidInputError):
-        model.curvature_batch(np.zeros((4, 3)), mode="fisher")
-
-
 def test_logistic_full_size_minibatch_equals_full_batch():
     rng = np.random.default_rng(11)
     data = synthetic_dataset(rng, n_per_class=5)
@@ -580,8 +592,8 @@ def test_logistic_minibatch_rescales_to_full_data_scale():
     mini.resample_minibatch(np.random.default_rng(3))
     theta = np.array([0.2, 0.1])
     assert np.allclose(grad_log_density(mini, theta), grad_log_density(full, theta), atol=1e-12)
-    assert np.allclose(mini.curvature(theta, mode="fisher"),
-                       full.curvature(theta, mode="fisher"), atol=1e-12)
+    assert np.allclose(mini.curvature(theta),
+                       full.curvature(theta), atol=1e-12)
 
 
 def test_logistic_minibatch_resampling_is_seed_deterministic():
@@ -610,7 +622,7 @@ def test_logistic_logits_are_reused_only_at_equal_points_and_batch(monkeypatch):
     def fresh(points, batch_idx):
         model = LogisticPosterior(data)
         model._batch_idx = batch_idx
-        return model.grad_log_density_batch(points), model.curvature_batch(points, mode="fisher")
+        return model.grad_log_density_batch(points), model.curvature_batch(points)
 
     model = LogisticPosterior(data)
     model.resample_minibatch(rng)
@@ -618,7 +630,7 @@ def test_logistic_logits_are_reused_only_at_equal_points_and_batch(monkeypatch):
     expected = fresh(x, model._batch_idx)
     monkeypatch.setattr(targets_module, "_sigmoid", counted_sigmoid)
     # a refresh's curvature and the score at the same particles: one logit pass
-    curvature = model.curvature_batch(x, mode="fisher")
+    curvature = model.curvature_batch(x)
     grads = model.grad_log_density_batch(x.copy())
     assert len(calls) == 1
     assert np.array_equal(grads, expected[0]) and np.array_equal(curvature, expected[1])
@@ -631,7 +643,7 @@ def test_logistic_logits_are_reused_only_at_equal_points_and_batch(monkeypatch):
     assert len(calls) == 3
     model.resample_minibatch(rng)
     grads = model.grad_log_density_batch(x)
-    curvature = model.curvature_batch(x, mode="fisher")
+    curvature = model.curvature_batch(x)
     assert len(calls) == 4
     monkeypatch.setattr(targets_module, "_sigmoid", sigmoid)
     expected = fresh(x, model._batch_idx)
