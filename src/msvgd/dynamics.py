@@ -8,8 +8,9 @@ the current particles (kernel bandwidths, averaged preconditioners, mixture
 anchors or SVN metrics), on the ``refresh_period`` schedule (default: every
 iteration).  The refresh helpers ``averaged_preconditioner``,
 ``refresh_anchors`` (which returns the mixture kernel) and ``svn_metrics``
-read the target's curvature and the eigenvalue floor of a ``PrecondPolicy``,
-whose source ``run`` checks once against the target's ``curvature_source``.
+read the target's curvature and take the eigenvalue floor ratio; ``run``
+passes its ``PrecondPolicy``'s, after checking the policy's source once
+against the target's ``curvature_source``, which a run given no policy takes.
 A non-finite value in any phase of an iteration (a refresh quantity, the
 scores, the directions, the Adagrad accumulators or the new positions)
 raises ``NumericalAbort`` naming the phase and, where the value is indexed
@@ -121,24 +122,23 @@ def _curvature_stack(positions, model: TargetModel) -> np.ndarray:
 
 
 def averaged_preconditioner(positions, model: TargetModel,
-                            policy: PrecondPolicy = PrecondPolicy()) -> PreconditionerBundle:
+                            floor_ratio: float = DEFAULT_FLOOR_RATIO) -> PreconditionerBundle:
     """``model.mean_curvature`` repaired into a PD bundle; a non-finite mean
     forms the stack, so the abort names a particle whose curvature is."""
     positions = np.asarray(positions, dtype=float)
     avg = model.mean_curvature(positions)
     if not np.all(np.isfinite(avg)):
         _curvature_stack(positions, model)
-    return make_bundle(_finite_or_abort(avg, "averaged curvature"), floor_ratio=policy.floor_ratio)
+    return make_bundle(_finite_or_abort(avg, "averaged curvature"), floor_ratio=floor_ratio)
 
 
 def refresh_anchors(positions, model: TargetModel,
-                    policy: PrecondPolicy = PrecondPolicy()) -> MixturePrecond:
+                    floor_ratio: float = DEFAULT_FLOOR_RATIO) -> MixturePrecond:
     """The mixture kernel with one anchor per particle: local repaired
     curvature plus a median-trick bandwidth measured in that anchor's own
     metric, for all anchors at once."""
     positions = np.asarray(positions, dtype=float)
-    bundle = make_bundle(_curvature_stack(positions, model),
-                         floor_ratio=policy.floor_ratio)
+    bundle = make_bundle(_curvature_stack(positions, model), floor_ratio=floor_ratio)
     _finite_or_abort(bundle.q, "metric", "anchor")
     return MixturePrecond(positions.copy(), bundle, _resolve_bandwidth(positions, metric=bundle))
 
@@ -150,7 +150,7 @@ def _resolve_bandwidth(positions, metric: PreconditionerBundle | None = None):
 
 
 def svn_metrics(positions, model: TargetModel, bandwidth: float,
-                policy: PrecondPolicy = PrecondPolicy()) -> np.ndarray:
+                floor_ratio: float = DEFAULT_FLOOR_RATIO) -> np.ndarray:
     """Kernel-weighted local metrics H~_i, one PD (d, d) matrix per particle.
 
     H~_i = (1/n) sum_j [ H(x_j) k_ji^2 + g_ji g_ji^T ] where
@@ -182,8 +182,7 @@ def svn_metrics(positions, model: TargetModel, bandwidth: float,
         cross = y[:, :, None] * sums[:, None, d * d:-1]
         cross = cross + cross.transpose(0, 2, 1)
         metrics = (sums[:, :d * d].reshape(n, d, d) + sums[:, -1, None, None] * outer - cross) / n
-    return psd_repair(_finite_or_abort(metrics, "SVN metric", "particle"),
-                      floor_ratio=policy.floor_ratio)
+    return psd_repair(_finite_or_abort(metrics, "SVN metric", "particle"), floor_ratio=floor_ratio)
 
 
 def svn_direction(positions, grads, metrics: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -195,25 +194,25 @@ def svn_direction(positions, grads, metrics: np.ndarray, bandwidth: float) -> np
     return np.linalg.solve(metrics, f[:, :, None])[:, :, 0]
 
 
-def _refresh_average(positions, model: TargetModel, policy: PrecondPolicy):
-    bundle = averaged_preconditioner(positions, model, policy)
+def _refresh_average(positions, model: TargetModel, floor_ratio: float):
+    bundle = averaged_preconditioner(positions, model, floor_ratio)
     return ConstPrecond(bundle, _resolve_bandwidth(positions, metric=bundle)).direction
 
 
-def _refresh_svn(positions, model: TargetModel, policy: PrecondPolicy):
+def _refresh_svn(positions, model: TargetModel, floor_ratio: float):
     h = _resolve_bandwidth(positions)
-    metrics = svn_metrics(positions, model, h, policy)
+    metrics = svn_metrics(positions, model, h, floor_ratio)
     return lambda points, grads: svn_direction(points, grads, metrics, h)
 
 
-# method -> refresh(positions, model, policy) returning direction(positions, grads);
+# method -> refresh(positions, model, floor_ratio) returning direction(positions, grads);
 # the helpers are looked up at call time, so wrapping them in this module
 # (as the profiler does) reaches every run
 _REFRESH = {
-    "vanilla_svgd": lambda positions, model, policy: ScalarRBF(_resolve_bandwidth(positions)).direction,
+    "vanilla_svgd": lambda positions, model, floor_ratio: ScalarRBF(_resolve_bandwidth(positions)).direction,
     "matrix_svgd_average": _refresh_average,
-    "matrix_svgd_mixture": lambda positions, model, policy: refresh_anchors(
-        positions, model, policy).direction,
+    "matrix_svgd_mixture": lambda positions, model, floor_ratio: refresh_anchors(
+        positions, model, floor_ratio).direction,
     "svn": _refresh_svn,
 }
 METHODS = tuple(_REFRESH)
@@ -271,7 +270,7 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
     n_particles, iterations, checkpoints, seed, init_mean, init_scale = run_arguments(
         n_particles, iterations, checkpoints, seed, init_mean, init_scale, dim=model.dim)
     stepper = StepperState() if stepper is None else stepper
-    policy = PrecondPolicy() if policy is None else policy
+    policy = PrecondPolicy(source=model.curvature_source) if policy is None else policy
     if method != "vanilla_svgd":
         as_choice(policy.source, "source", (model.curvature_source,), ConfigError)
 
@@ -302,7 +301,7 @@ def run(model: TargetModel, method: str, *, n_particles: int, iterations: int,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 if it % policy.refresh_period == 0:
-                    direction = refresh(positions, model, policy)
+                    direction = refresh(positions, model, policy.floor_ratio)
                 grads = model.grad_log_density_batch(positions)
                 bad = _first_bad_row(grads)
                 if bad is not None:

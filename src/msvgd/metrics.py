@@ -165,9 +165,8 @@ def predictive_metrics(particles, dataset: LogisticDataset) -> tuple[float, floa
     """
     particles = as_points(particles, dataset.features.shape[1])
     probs = _sigmoid(particles @ dataset.features.T).mean(axis=0)
-    labels = dataset.labels.astype(float)
-    predicted = (probs > 0.5).astype(float)
-    accuracy = float(np.mean(predicted == labels))
+    labels = dataset.labels
+    accuracy = float(np.mean((probs > 0.5) == labels))
     clipped = np.clip(probs, 1e-12, 1.0 - 1e-12)
     log_lik = float(np.mean(labels * np.log(clipped) + (1.0 - labels) * np.log1p(-clipped)))
     return accuracy, log_lik

@@ -16,8 +16,9 @@ Every model exposes the same batch surface over points X of shape (n, d):
   exact ancestral sampling for Gaussian / mixture targets, a deterministic
   inverse-CDF grid sampler on [-3, 3]^2 for the two irregular 2-D targets.
 
-The Gaussian and star matrices are kept as given, each factored by one Cholesky
-(``_gaussian_factors``); no eigenvalue floor applies, that repair is the sampler's,
+The Gaussian and star matrices are kept as given, each factored once by Cholesky
+(``_gaussian_factors``), and the reference samplers draw through that factor L
+as mean + z L^T; no eigenvalue floor applies, that repair is the sampler's,
 and a matrix whose inverse overflows is rejected.  The star mixture's log
 density is the log-sum-exp of the max-shifted component pdfs whose softmax
 gives its responsibilities (``StarMixture._shifted_pdfs``), one pass in numpy.
@@ -50,7 +51,7 @@ import numpy as np
 from .errors import (ConfigError, InvalidInputError, as_choice, as_count, as_floats, as_points, as_real,
                      at_key_path)
 from .kernels import _chunks
-from .psdlin import _cholesky_factors, _eig_form, symmetrize
+from .psdlin import _cholesky_factors, symmetrize
 
 GRID_BOUND = 3.0
 GRID_RESOLUTION = 512
@@ -138,15 +139,9 @@ class Gaussian(TargetModel):
         mean = np.atleast_1d(as_floats(mean, "mean"))
         if mean.ndim != 1 or mean.size == 0 or not np.all(np.isfinite(mean)):
             raise InvalidInputError(f"mean: must be a non-empty finite vector, got {mean.tolist()}")
-        cov, _, precision, log_det_cov = _gaussian_factors(cov, "cov")
+        cov, self._chol, precision, log_det_cov = _gaussian_factors(cov, "cov")
         if cov.shape[0] != mean.shape[0]:
             raise InvalidInputError("mean and matrix dimensions disagree")
-        # the sampling root cov^(1/2); Cholesky can pass a matrix whose least
-        # eigenvalue eigh rounds to <= 0, which has no root
-        lam, vec = np.linalg.eigh(cov)
-        if lam[0] <= 0.0:
-            raise InvalidInputError(f"cov: must be positive definite, got {cov.tolist()}")
-        self._cov_sqrt = _eig_form(lam, vec, 0.5)
         self.cov, self.precision = cov, precision
         self.mean = mean
         self.dim = mean.shape[0]
@@ -166,7 +161,7 @@ class Gaussian(TargetModel):
 
     def reference_sample(self, n, seed):
         n, rng = _sampler_setup(n, seed)
-        return self.mean + rng.standard_normal((n, self.dim)) @ self._cov_sqrt
+        return self.mean + rng.standard_normal((n, self.dim)) @ self._chol.T
 
 
 class StarMixture(TargetModel):
@@ -189,7 +184,6 @@ class StarMixture(TargetModel):
             raise InvalidInputError("star mixture is 2-D: mu1 has shape (2,), sigma1 shape (2, 2)")
         theta = 2.0 * np.pi / components
         rot = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
-        _gaussian_factors(sigma1, "sigma1")  # a sigma1 that is not PD is named as itself
         means, covs = [mu1], [sigma1]
         for _ in range(components - 1):
             means.append(rot @ means[-1])
@@ -200,6 +194,7 @@ class StarMixture(TargetModel):
         try:
             self.covs, self._chols, self.precisions, log_dets = _gaussian_factors(covs, "sigma1")
         except InvalidInputError:
+            _gaussian_factors(sigma1, "sigma1")  # a sigma1 that is not PD is named as itself
             raise InvalidInputError(f"sigma1: positive definite, but its rotated copies round to "
                                     f"matrices that are not, got {sigma1.tolist()}") from None
         # exact per-component normalizers; mixture weights are uniform 1/K
@@ -408,7 +403,8 @@ class DoubleBanana(_GridSampledTarget):
 
 @dataclass(frozen=True)
 class LogisticDataset:
-    """Binary classification data: real features plus a trailing 0/1 label."""
+    """Binary classification data: real features plus a trailing 0/1 label,
+    kept as a float array of 0.0 and 1.0."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -425,7 +421,7 @@ class LogisticDataset:
         if mb > features.shape[0]:
             raise InvalidInputError(f"minibatch_size: must lie in [0, {features.shape[0]}], got {mb}")
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", lab.astype(int))
+        object.__setattr__(self, "labels", lab)
         object.__setattr__(self, "minibatch_size", mb)
 
     @classmethod
@@ -494,7 +490,7 @@ class LogisticPosterior(TargetModel):
     def _active(self):
         rows = slice(None) if self._batch_idx is None else self._batch_idx
         feats = self.dataset.features[rows]
-        return feats, self.dataset.labels[rows].astype(float), len(self.dataset.features) / len(feats)
+        return feats, self.dataset.labels[rows], len(self.dataset.features) / len(feats)
 
     # --- density surface ---------------------------------------------------------
     def log_density_batch(self, points):

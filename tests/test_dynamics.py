@@ -151,8 +151,7 @@ def test_refresh_anchors_is_deterministic_for_duplicated_particles():
 def test_refresh_anchors_repairs_indefinite_star_curvature():
     model = StarMixture()
     rng = np.random.default_rng(4)
-    anchors = refresh_anchors(rng.uniform(-2.0, 2.0, size=(5, 2)), model,
-                              PrecondPolicy(floor_ratio=1e-6))
+    anchors = refresh_anchors(rng.uniform(-2.0, 2.0, size=(5, 2)), model, floor_ratio=1e-6)
     for q_l in anchors.bundle.q:
         eig = np.linalg.eigvalsh(q_l)
         assert eig[0] >= 1e-6 * max(1.0, eig[-1]) * (1.0 - 1e-9)
@@ -293,6 +292,9 @@ def test_run_validates_configuration_before_iterating():
                                               f"got '{source}'$"):
             run(target, "matrix_svgd_average", n_particles=4, iterations=1,
                 policy=PrecondPolicy(source=source))
+    # with no policy given, the run takes the target's own source
+    for target in (model, logistic):
+        run(target, "svn", n_particles=3, iterations=1)
     # non-integral counts are rejected, not truncated
     for kwargs, name in ((dict(n_particles=3.9, iterations=5), "n_particles"),
                          (dict(n_particles=4, iterations=2.5), "iterations"),

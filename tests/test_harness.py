@@ -468,7 +468,7 @@ def test_cli_sample_gaussian_draws_the_standard_normal_of_a_bare_config(tmp_path
 
 def test_package_exports_resolve_and_test_only_surfaces_are_gone():
     import msvgd
-    from msvgd import harness, kernels, metrics, targets
+    from msvgd import dynamics, harness, kernels, metrics, targets
 
     assert [name for name in msvgd.__all__ if not hasattr(msvgd, name)] == []
     gone = [(msvgd, "grid_moments"), (targets, "grid_moments"), (harness, "load_particles"),
@@ -500,6 +500,11 @@ def test_package_exports_resolve_and_test_only_surfaces_are_gone():
     assert targets.LogisticPosterior.curvature_source == "fisher"
     assert list(inspect.signature(metrics.mmd_sq).parameters) == ["xs", "ys"]
     assert list(inspect.signature(targets.Gaussian).parameters) == ["mean", "cov"]
+    # a Gaussian samples by its Cholesky factor, and the refresh helpers take
+    # the floor ratio, not a policy whose source they never read
+    assert not hasattr(targets.Gaussian([0.0], [[1.0]]), "_cov_sqrt")
+    helpers = (dynamics.averaged_preconditioner, dynamics.refresh_anchors, dynamics.svn_metrics)
+    assert [f.__name__ for f in helpers if "policy" in inspect.signature(f).parameters] == []
 
 
 def test_cli_exit_codes_by_error_category(tmp_path, capsys):

@@ -17,7 +17,7 @@ from helpers import (
     weight_gradients,
 )
 from msvgd import kernels
-from msvgd.dynamics import PrecondPolicy, refresh_anchors, svn_direction
+from msvgd.dynamics import refresh_anchors, svn_direction
 from msvgd.errors import ConfigError, InvalidInputError
 from msvgd.kernels import (
     ConstPrecond,
@@ -369,7 +369,7 @@ def _fisher_logistic_anchors(rng, n):
     labels = (rng.random(300) < 1.0 / (1.0 + np.exp(-feats @ np.linspace(-1.0, 1.0, 20)))).astype(float)
     model = LogisticPosterior(LogisticDataset(features=feats, labels=labels))
     pts = rng.standard_normal((n, 20))
-    anchors = refresh_anchors(pts, model, PrecondPolicy(source="fisher"))
+    anchors = refresh_anchors(pts, model)
     return anchors, pts, model.grad_log_density_batch(pts)
 
 
@@ -393,7 +393,7 @@ def test_mixture_direction_matches_the_per_anchor_loop(monkeypatch, per_chunk):
     model = StarMixture()
     rng = np.random.default_rng(16)
     pts = rng.uniform(-3.0, 3.0, size=(200, 2))
-    anchors = refresh_anchors(pts, model, PrecondPolicy(floor_ratio=0.05))
+    anchors = refresh_anchors(pts, model, floor_ratio=0.05)
     counts = _active_counts(anchors, pts)
     assert len(kernels._chunks(len(anchors.points), 200 * 200)) > 1
     chunks = kernels._active_chunks(counts)

@@ -151,7 +151,7 @@ def test_certified_matrices_clear_the_floor_and_skip_the_eigensolve():
 
 def test_make_bundle_identity():
     b = make_bundle(np.eye(3))
-    roots = [Gaussian(np.zeros(3), cov)._cov_sqrt for cov in (b.q, b.q_inv)]
+    roots = [Gaussian(np.zeros(3), cov)._chol for cov in (b.q, b.q_inv)]
     for factor in (b.q, b.q_inv, *roots):
         assert np.allclose(factor, np.eye(3), rtol=0, atol=1e-14)
     assert abs(b.log_det) <= 1e-14
@@ -160,8 +160,8 @@ def test_make_bundle_identity():
 
 def test_make_bundle_diagonal_closed_form():
     b = make_bundle(np.diag([4.0, 1.0]))
-    assert np.allclose(Gaussian(np.zeros(2), cov=b.q)._cov_sqrt, np.diag([2.0, 1.0]), atol=1e-12)
-    assert np.allclose(Gaussian(np.zeros(2), cov=b.q_inv)._cov_sqrt, np.diag([0.5, 1.0]), atol=1e-12)
+    assert np.allclose(Gaussian(np.zeros(2), cov=b.q)._chol, np.diag([2.0, 1.0]), atol=1e-12)
+    assert np.allclose(Gaussian(np.zeros(2), cov=b.q_inv)._chol, np.diag([0.5, 1.0]), atol=1e-12)
     assert np.allclose(b.q_inv, np.diag([0.25, 1.0]), atol=1e-12)
     assert abs(b.log_det - np.log(4.0)) <= 1e-12
 
@@ -179,11 +179,11 @@ def test_bundle_factor_round_trips():
         assert np.linalg.norm(b.q @ b.q_inv - np.eye(d)) <= 1e-8 * np.sqrt(d)
         assert np.linalg.norm(inv_root @ b.q @ inv_root - np.eye(d)) <= 1e-8 * np.sqrt(d)
         assert abs(b.log_det - np.linalg.slogdet(b.q)[1]) <= 1e-8 * max(1.0, abs(b.log_det))
-        # the Gaussian target's sampling root cov^(1/2), with m or its inverse as cov
+        # the Gaussian target's sampling factor L (cov = L L^T), with m or its inverse as cov
         for gauss in (Gaussian(np.zeros(d), cov=m), Gaussian(np.zeros(d), cov=np.linalg.inv(m))):
-            root = gauss._cov_sqrt
-            assert np.linalg.norm(root @ root - gauss.cov) <= 1e-8 * np.linalg.norm(gauss.cov)
-            assert np.linalg.norm(root @ gauss.precision @ root - np.eye(d)) <= 1e-8 * np.sqrt(d)
+            chol = gauss._chol
+            assert np.linalg.norm(chol @ chol.T - gauss.cov) <= 1e-8 * np.linalg.norm(gauss.cov)
+            assert np.linalg.norm(chol.T @ gauss.precision @ chol - np.eye(d)) <= 1e-8 * np.sqrt(d)
 
 
 def test_identity_bundle_is_exact():

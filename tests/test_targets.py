@@ -22,6 +22,7 @@ from msvgd import targets as targets_module
 from msvgd.cli import main
 from msvgd.dynamics import PrecondPolicy, run
 from msvgd.errors import ConfigError, InvalidInputError
+from msvgd.psdlin import symmetrize
 from msvgd.targets import (
     DoubleBanana,
     Gaussian,
@@ -88,6 +89,13 @@ def test_gaussian_sampler_moments_and_determinism():
         g.reference_sample(0, seed=1)
     with pytest.raises(InvalidInputError, match="sample size: must be an integer"):
         g.reference_sample(2.5, seed=1)
+    # a diagonal covariance's Cholesky factor is its per-coordinate square
+    # roots: the draws are mean + z * sqrt(diag(cov)) to the bit
+    for cov in (np.eye(3), np.diag([100.0, 1.0]), np.diag(np.logspace(0, 2, 20)), 1e-14 * np.eye(2)):
+        mean = np.linspace(-1.0, 1.0, len(cov))
+        z = np.random.default_rng(4).standard_normal((50, len(cov)))
+        assert np.array_equal(Gaussian(mean, cov).reference_sample(50, seed=4),
+                              mean + z * np.sqrt(np.diag(cov)))
 
 
 def test_gaussian_keeps_a_tiny_covariance_exactly():
@@ -99,7 +107,7 @@ def test_gaussian_keeps_a_tiny_covariance_exactly():
             g = make_target("gaussian", mean=[0, 0], cov=cov)
         assert np.array_equal(g.cov, cov)
         assert np.allclose(g.precision @ g.cov, np.eye(2), rtol=0, atol=1e-12)
-        assert np.allclose(g._cov_sqrt @ g._cov_sqrt, g.cov, rtol=1e-12, atol=0)
+        assert np.allclose(g._chol @ g._chol.T, g.cov, rtol=1e-12, atol=0)
 
 
 # ------------------------------------------------------------------- star
@@ -187,19 +195,25 @@ def test_star_rejects_nonpositive_component_count():
     assert StarMixture(components=3.0).n_components == 3
 
 
-def test_gaussian_rejects_a_matrix_with_a_round_off_eigenvalue():
-    # eigenvalues (1, 1, 1e-16): Cholesky passes some rotations, but eigh may
-    # round the least eigenvalue to <= 0, where the sampling root is NaN
+def test_gaussian_accepts_a_matrix_that_cholesky_factors():
+    # eigenvalues (1, 1, 1e-16): Cholesky passes some rotations where eigh
+    # rounds the least eigenvalue to <= 0; the target samples by that factor
     rng = np.random.default_rng(0)
+    eigh_nonpositive = 0
     for _ in range(200):
         basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         matrix = (basis * [1.0, 1.0, 1e-16]) @ basis.T
         try:
-            g = Gaussian(np.zeros(3), matrix)
-        except InvalidInputError as exc:
-            assert str(exc).startswith("cov: must be positive definite")
+            np.linalg.cholesky(symmetrize(matrix))
+        except np.linalg.LinAlgError:
+            with pytest.raises(InvalidInputError, match="^cov: must be positive definite"):
+                Gaussian(np.zeros(3), matrix)
             continue
-        assert np.all(np.isfinite(g._cov_sqrt)) and np.all(np.isfinite(g.reference_sample(5, 0)))
+        g = Gaussian(np.zeros(3), matrix)
+        eigh_nonpositive += np.linalg.eigvalsh(g.cov)[0] <= 0.0
+        for value in (g._chol, g.precision, g.log_density_batch(np.zeros((1, 3))), g.reference_sample(5, 0)):
+            assert np.all(np.isfinite(value))
+    assert eigh_nonpositive > 0
 
 
 def test_targets_reject_a_covariance_that_is_not_positive_definite():

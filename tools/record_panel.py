@@ -1,4 +1,4 @@
-"""Write the byte-identity record panel: 56 runs through ``msvgd.cli.main``.
+"""Write the byte-identity record panel: 60 runs through ``msvgd.cli.main``.
 
     python3 tools/record_panel.py OUT
 
@@ -9,6 +9,8 @@ script.  OUT must be empty or absent.  The panel is
   reference draws, ``floor_ratio`` 0.05) for 4 methods x seeds 0-9,
 - ``gaussian``, ``sine`` and ``double_banana`` at n=50, 30 iterations and
   2000 reference draws for 4 methods,
+- a 20-D ``gaussian`` with mean 0 and covariance diag(10^(2i/19)), i = 0..19
+  (logspace(0, 2, 20)), at the same settings for 4 methods,
 - a 4-D, 200-row ``logistic_posterior`` with minibatch 50 for 4 methods.
 
 The logistic dataset is drawn from a fixed seed with the stdlib and written
@@ -67,7 +69,7 @@ def write_logistic_data(path: Path, rows: int = 200, dim: int = 4) -> None:
 
 
 def panel_configs() -> list[dict]:
-    """The 56 run configs, each with its own relative ``out_dir``."""
+    """The 60 run configs, each with its own relative ``out_dir``."""
     base = {"n": 50, "iters": 30, "checkpoints": [0, 30], "mmd_reference_n": 2000}
     configs = []
     for seed in range(10):
@@ -79,6 +81,11 @@ def panel_configs() -> list[dict]:
         for method in METHODS:
             configs.append({**base, "target": kind, "method": method,
                             "out_dir": f"toy/{kind}/{method}"})
+    cov = [[10.0 ** (2.0 * i / 19) if i == j else 0.0 for j in range(20)] for i in range(20)]
+    gaussian_d20 = {"kind": "gaussian", "mean": [0.0] * 20, "cov": cov}
+    for method in METHODS:
+        configs.append({**base, "target": gaussian_d20, "method": method,
+                        "out_dir": f"gaussian_d20/{method}"})
     logistic = {"kind": "logistic_posterior", "data_path": LOGISTIC_DATA, "minibatch_size": 50}
     for method in METHODS:
         configs.append({**base, "target": logistic, "method": method, "mmd_reference_n": 0,
