@@ -135,18 +135,17 @@ def averaged_preconditioner(positions, model: TargetModel,
 def refresh_anchors(positions, model: TargetModel,
                     floor_ratio: float = DEFAULT_FLOOR_RATIO) -> MixturePrecond:
     """The mixture kernel with one anchor per particle: local repaired
-    curvature plus a median-trick bandwidth measured in that anchor's own
-    metric, for all anchors at once."""
+    curvature, all anchors at once, and median-trick bandwidths, each in
+    its anchor's own metric, formed where a direction reads them (see
+    ``MixturePrecond``)."""
     positions = np.asarray(positions, dtype=float)
     bundle = make_bundle(_curvature_stack(positions, model), floor_ratio=floor_ratio)
     _finite_or_abort(bundle.q, "metric", "anchor")
-    return MixturePrecond(positions.copy(), bundle, _resolve_bandwidth(positions, metric=bundle))
+    return MixturePrecond(positions, bundle)
 
 
 def _resolve_bandwidth(positions, metric: PreconditionerBundle | None = None):
-    stacked = metric is not None and metric.q.ndim > 2
-    h = median_bandwidth(positions, metric=metric)
-    return _finite_or_abort(h, "bandwidth", "anchor" if stacked else None)
+    return _finite_or_abort(median_bandwidth(positions, metric=metric), "bandwidth")
 
 
 def svn_metrics(positions, model: TargetModel, bandwidth: float,

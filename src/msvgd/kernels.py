@@ -31,7 +31,9 @@ mixture weights form the (m, n, d) offsets of the points from the anchors
 instead, because the anchor Gaussians' scores need the offsets themselves.
 The mixture's anchor weights are mostly round-off: ``_stein_sum`` forms each
 anchor's kernel only over the particles whose weight is above
-``WEIGHT_FLOOR``.
+``WEIGHT_FLOOR``, and ``MixturePrecond`` forms an anchor's median-trick
+bandwidth only when a direction first reads it, at two or more such
+particles.
 
 Bandwidths are plain (unsquared) denominators: k = exp(-dist^2 / (2h)).
 ``median_bandwidth`` picks them by the median trick; given a stacked bundle
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, as_floats, as_points, as_real
+from .errors import ConfigError, InvalidInputError, NumericalAbort, as_floats, as_points, as_real
 from .psdlin import PreconditionerBundle, identity_bundle
 
 
@@ -155,9 +157,10 @@ def _pair_table_medians(points, q) -> np.ndarray:
     a, b = np.triu_indices(d)
     table = u[a] * u[b]
     table[a != b] *= 2.0
+    del i, j, u  # the loop reads the table alone; a direction runs it beside its weights
     coef = q[:, a, b]
     medians = np.empty(len(q))
-    for chunk in _chunks(len(q), len(i)):
+    for chunk in _chunks(len(q), table.shape[1]):
         d2 = coef[chunk] @ table
         medians[chunk] = _row_medians(np.maximum(d2, 0.0, out=d2))
     return medians
@@ -171,12 +174,14 @@ def _median_trick(medians, n: int) -> np.ndarray:
     return np.where(h == 0.0, 1.0, h)
 
 
-def _stein_sum(points, grads, q, q_inv, h, w, wg) -> np.ndarray:
+def _stein_sum(points, grads, q, q_inv, h, w, wg, active, counts) -> np.ndarray:
     """Stein direction of the kernel sum_l w_l(x) w_l(x') Q_l^{-1} k_l(x, x').
 
     ``q``/``q_inv`` are (m, d, d) metric stacks, ``h`` the (m,) bandwidths,
-    ``w`` the weights w_l(x_j), shape (n, m), and ``wg`` their gradients,
-    shape (m, n, d).  With k_l = k_{Q_l}(x_i, x_j),
+    ``w`` the weights w_l(x_j), shape (n, m), ``wg`` their gradients,
+    shape (m, n, d), ``active`` the (m, n) mask of active pairs and
+    ``counts`` its row sums (see ``MixturePrecond._weights_and_gradients``).  With
+    k_l = k_{Q_l}(x_i, x_j),
 
         phi(x_i) = (1/n) sum_l w_l(x_i) sum_j k_l [Q_l^{-1} (w_l(x_j) g_j
                    + grad w_l(x_j)) + w_l(x_j) (x_i - x_j) / h_l].
@@ -190,10 +195,8 @@ def _stein_sum(points, grads, q, q_inv, h, w, wg) -> np.ndarray:
     ``_active_chunks``), each one's active set padded to the chunk's largest
     with weight 0 and weight gradient 0, which add exact zeros.
     """
-    active = ~(w.T <= WEIGHT_FLOOR)  # (m, n)
     h = h[:, None, None]
     phi = np.zeros_like(points)
-    counts = np.count_nonzero(active, axis=1)
     for anchors, size in _active_chunks(counts):
         # each row lists its anchor's active particles first; the rest pads
         idx = np.argsort(~active[anchors], axis=1, kind="stable")[:, :size]
@@ -311,34 +314,70 @@ class MixturePrecond(KernelStrategy):
 
     K(x, x') = sum_l w_l(x) w_l(x') K_{Q_l}(x, x') where w_l are the
     responsibilities of Gaussians N(z_l, Q_l^{-1}).  The anchor set is the
-    kernel's whole state: ``points`` z_l, one stacked ``bundle`` of local
-    metrics Q_l (q of shape (m, d, d)) and one bandwidth h_l per anchor in
-    ``bandwidths``.  The Stein direction distributes over anchors; each
-    anchor contributes its driving term, its repulsion term, and a
-    weight-gradient term from differentiating w_l(x') under the divergence.
-    Each anchor's term is formed only over the particles where its weight is
-    above ``WEIGHT_FLOOR``, anchors of similar active counts a chunk at a
-    time (see ``_stein_sum``).
+    kernel's whole state: ``points`` z_l (its own copy), one stacked
+    ``bundle`` of local metrics Q_l (q of shape (m, d, d)) and one bandwidth
+    h_l per anchor in ``bandwidths``.  The Stein direction distributes over
+    anchors; each anchor contributes its driving term, its repulsion term,
+    and a weight-gradient term from differentiating w_l(x') under the
+    divergence.  Each anchor's term is formed only over its active
+    particles, those where its weight is above ``WEIGHT_FLOOR``, anchors of
+    similar active counts a chunk at a time (see ``_stein_sum``).
+
+    Given no bandwidths, h_l is the median-trick bandwidth of the anchors
+    measured in Q_l, formed by one stacked ``median_bandwidth`` call the first
+    time a direction reads it: when anchor l has two or more active
+    particles.  With one, h_l enters only that particle's self-distance,
+    zero up to round-off, so the anchor takes h_l = inf, the kernel's limit
+    there (self-kernel 1, repulsion 0), until its median is formed.  A
+    non-finite median raises ``NumericalAbort`` naming its anchor, in the
+    ``refresh`` phase.
     """
 
     kind = "mixture_precond"
 
-    def __init__(self, points, bundle: PreconditionerBundle, bandwidths):
-        points = as_points(points)
-        bandwidths = as_floats(bandwidths, "bandwidths")
-        if bundle.q.shape[:-2] != points.shape[:1] or bandwidths.shape != points.shape[:1]:
+    def __init__(self, points, bundle: PreconditionerBundle, bandwidths=None):
+        points = as_points(points).copy()
+        # inf stands for a median not formed yet; a formed one is finite
+        h = np.full(len(points), np.inf) if bandwidths is None else as_floats(bandwidths, "bandwidths")
+        if bundle.q.shape[:-2] != points.shape[:1] or h.shape != points.shape[:1]:
             raise InvalidInputError("anchors need one metric and one bandwidth per point")
         if bundle.dim != points.shape[1]:
             raise InvalidInputError("anchor metric dimensions must match anchor points")
-        if not np.all(np.isfinite(bandwidths)) or np.any(bandwidths <= 0.0):
+        if bandwidths is not None and not np.all(np.isfinite(h) & (h > 0.0)):
             raise InvalidInputError("anchor bandwidths must be positive and finite")
         self.points = points
         self.bundle = bundle
-        self.bandwidths = bandwidths
         self.dim = points.shape[1]
+        self._h = h
+
+    @property
+    def bandwidths(self) -> np.ndarray:
+        """h_l for every anchor; reading it forms every median not formed yet."""
+        return self._bandwidths_read(np.ones(len(self.points), dtype=bool))
+
+    def _bandwidths_read(self, reads) -> np.ndarray:
+        """The (m,) bandwidths for a direction that reads the anchors of the
+        mask ``reads``: each one's median formed if it is not yet, and inf
+        for an anchor whose median is not formed."""
+        todo = np.flatnonzero(reads & np.isinf(self._h))
+        if todo.size:
+            b = self.bundle
+            if todo.size < len(b.q):
+                b = PreconditionerBundle(q=b.q[todo], q_inv=b.q_inv[todo], log_det=b.log_det[todo])
+            h = median_bandwidth(self.points, metric=b)
+            bad = np.flatnonzero(~np.isfinite(h))
+            if bad.size:
+                anchor = int(todo[bad[0]])
+                raise NumericalAbort(f"refresh: bandwidth of anchor {anchor} has non-finite entries",
+                                     phase="refresh", particle=anchor)
+            self._h[todo] = h
+        return self._h
 
     def _weights_and_gradients(self, points):
-        """w_l(x_i), shape (n, m), and grad w_l(x_i), shape (m, n, d).
+        """w_l(x_i), shape (n, m), grad w_l(x_i), shape (m, n, d), the (m, n)
+        mask of active pairs, those whose weight is above ``WEIGHT_FLOOR`` or
+        not finite (a NaN weight must reach the direction), and the mask's
+        row counts.
 
         The weights are the softmax over l of the scores log N(x; z_l, Q_l^{-1}),
         whose shared (2 pi)^{-d/2} factor cancels, formed with one max shift:
@@ -355,9 +394,11 @@ class MixturePrecond(KernelStrategy):
         avg = np.einsum("nl,lnd->nd", w, t)
         t -= avg[None, :, :]
         t *= w.T[:, :, None]
-        return w, t
+        active = ~(w.T <= WEIGHT_FLOOR)
+        return w, t, active, np.count_nonzero(active, axis=1)
 
     def direction(self, points, grads):
         points, grads = self._check_pair_inputs(points, grads)
-        w, wg = self._weights_and_gradients(points)
-        return _stein_sum(points, grads, self.bundle.q, self.bundle.q_inv, self.bandwidths, w, wg)
+        w, wg, active, counts = self._weights_and_gradients(points)
+        h = self._bandwidths_read(counts >= 2)
+        return _stein_sum(points, grads, self.bundle.q, self.bundle.q_inv, h, w, wg, active, counts)

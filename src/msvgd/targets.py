@@ -43,8 +43,10 @@ it is where a bad parameter becomes a ``ConfigError``.
 
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -401,10 +403,16 @@ class DoubleBanana(_GridSampledTarget):
         return -hess
 
 
+# the last dataset file ``LogisticDataset.from_file`` parsed: its key
+# (resolved path, delimiter, the file's bytes) -> the checked, read-only array
+_PARSED: dict = {}
+
+
 @dataclass(frozen=True)
 class LogisticDataset:
     """Binary classification data: real features plus a trailing 0/1 label,
-    kept as a float array of 0.0 and 1.0."""
+    kept as a float array of 0.0 and 1.0.  Both are read-only copies, so
+    the caller's arrays can change without changing the checked data."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -420,8 +428,10 @@ class LogisticDataset:
         mb = as_count(self.minibatch_size, "minibatch_size", 0)
         if mb > features.shape[0]:
             raise InvalidInputError(f"minibatch_size: must lie in [0, {features.shape[0]}], got {mb}")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", lab)
+        for name, value in (("features", features), ("labels", lab)):
+            value = value.copy()
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "minibatch_size", mb)
 
     @classmethod
@@ -435,15 +445,40 @@ class LogisticDataset:
         rows, too few columns) is a ``data_path: <file>: ...`` error, and a
         non-finite feature or a label other than 0 or 1 is
         ``data_path: <file>: row <r>: ...``, r counting parsed rows from 1.
+
+        The last file parsed is kept, keyed by its resolved path, the
+        delimiter and the file's bytes, and the bytes read for the key are
+        the ones parsed.  So a process that reads one file for several runs
+        parses it once, and a rewritten file is parsed anew.
         """
         text = delimiter.decode("latin1") if isinstance(delimiter, bytes) else delimiter
         if text is not None and (not isinstance(text, str) or len(text) != 1 or text in "\r\n#"):
             raise InvalidInputError("delimiter: must be one character other than a newline "
                                     f"or '#', or null for whitespace, got {delimiter!r}")
         try:
+            path = Path(data_path)
+            data = path.read_bytes()
+        except (TypeError, ValueError):
+            key, source = None, data_path  # not a path: np.loadtxt reports the fault
+        else:
+            key = (path.resolve(), delimiter, data)
+            source = io.TextIOWrapper(io.BytesIO(data))  # the key's bytes, decoded as open() would
+        raw = _PARSED.get(key)
+        if raw is None:
+            raw = cls._parse(source, data_path, delimiter)
+            if key is not None:
+                _PARSED.clear()
+                _PARSED[key] = raw
+        return cls(features=raw[:, :-1], labels=raw[:, -1], minibatch_size=minibatch_size)
+
+    @staticmethod
+    def _parse(source, data_path, delimiter) -> np.ndarray:
+        """``from_file``'s parse of ``source`` and its row checks, faults named
+        by ``data_path``: the (rows, d + 1) array, read-only."""
+        try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # an empty file is reported below
-                raw = np.loadtxt(data_path, delimiter=delimiter, ndmin=2)
+                raw = np.loadtxt(source, delimiter=delimiter, ndmin=2)
         except ValueError as exc:
             reason = " ".join(str(exc).split())  # numpy's text may span lines
             raise InvalidInputError(f"data_path: could not parse dataset file {data_path}: {reason}") from exc
@@ -459,7 +494,8 @@ class LogisticDataset:
                 raise InvalidInputError(f"row {bad[0] + 1}: {rule}, got {raw[bad[0]].tolist()}")
         except InvalidInputError as exc:
             raise InvalidInputError(f"data_path: {data_path}: {exc}") from None
-        return cls(features=raw[:, :-1], labels=raw[:, -1], minibatch_size=minibatch_size)
+        raw.flags.writeable = False
+        return raw
 
 
 class LogisticPosterior(TargetModel):

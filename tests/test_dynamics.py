@@ -416,13 +416,21 @@ def test_refresh_overflow_from_finite_curvature_aborts_with_the_iteration():
     assert exc.value.iteration == 0
     assert "refresh: averaged curvature has non-finite entries" in str(exc.value)
     assert (exc.value.phase, exc.value.particle) == ("refresh", None)
-    # each anchor's metric is finite, but its median-trick distances overflow
+    # each anchor's metric is finite, but its distances overflow; every anchor
+    # has one active particle, so no median is read and the direction aborts
     model = precision_target(1e306 * np.eye(2))
     with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore", invalid="ignore"):
         run(model, "matrix_svgd_mixture", n_particles=5, iterations=2, init_scale=10.0)
-    assert exc.value.iteration == 0
-    assert "refresh: bandwidth of anchor 0 has non-finite entries" in str(exc.value)
-    assert (exc.value.phase, exc.value.particle) == ("refresh", 0)
+    assert str(exc.value) == "iteration 0: update direction has non-finite entries"
+    assert (exc.value.iteration, exc.value.phase, exc.value.particle) == (0, "direction", 3)
+    # anchors 1 and 2 share two active particles, so their medians are read,
+    # and each overflows on the far point; anchor 0 has one and reads none
+    points, model = np.array([[1e155, 0.0], [0.0, 0.0], [1e-3, 0.0]]), precision_target(np.eye(2))
+    kernel = refresh_anchors(points, model)
+    with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore", invalid="ignore"):
+        kernel.direction(points, model.grad_log_density_batch(points))
+    assert str(exc.value) == "refresh: bandwidth of anchor 1 has non-finite entries"
+    assert (exc.value.iteration, exc.value.phase, exc.value.particle) == (None, "refresh", 1)
     # the scalar median-trick bandwidth of a far-flung start overflows
     with pytest.raises(NumericalAbort) as exc, np.errstate(over="ignore", invalid="ignore"):
         run(StarMixture(), "vanilla_svgd", n_particles=5, iterations=2, init_scale=1e200)

@@ -16,8 +16,8 @@ from helpers import (
     strategies_for,
     weight_gradients,
 )
-from msvgd import kernels
-from msvgd.dynamics import refresh_anchors, svn_direction
+from msvgd import dynamics, kernels
+from msvgd.dynamics import PrecondPolicy, refresh_anchors, run, svn_direction
 from msvgd.errors import ConfigError, InvalidInputError
 from msvgd.kernels import (
     ConstPrecond,
@@ -25,8 +25,8 @@ from msvgd.kernels import (
     ScalarRBF,
     median_bandwidth,
 )
-from msvgd.psdlin import identity_bundle, make_bundle
-from msvgd.targets import LogisticDataset, LogisticPosterior, StarMixture
+from msvgd.psdlin import PreconditionerBundle, identity_bundle, make_bundle
+from msvgd.targets import Gaussian, LogisticDataset, LogisticPosterior, StarMixture
 
 
 # -------------------------------------------------------------- bandwidth
@@ -423,6 +423,79 @@ def test_mixture_direction_matches_the_per_anchor_loop(monkeypatch, per_chunk):
                              bundle=make_bundle(np.stack([m] * 6)), bandwidths=np.full(6, 0.8))
     assert np.all(_active_counts(anchors, pts) == 12)
     check(anchors, pts, grads)
+
+
+@pytest.mark.parametrize("refresh_period", [1, 3])
+def test_mixture_reads_each_bandwidth_as_its_anchor_metric_median(monkeypatch, refresh_period):
+    # an 8-D logistic posterior, particles spread so that some anchors have
+    # one active particle and some more; at refresh_period 3 some anchor with
+    # one at its refresh has two or more in a later direction
+    rng = np.random.default_rng(5)
+    feats = np.column_stack([np.ones(1000), rng.standard_normal((1000, 7))])
+    labels = (rng.random(1000) < 1.0 / (1.0 + np.exp(-feats @ np.linspace(-1.0, 1.0, 8)))).astype(float)
+    model = LogisticPosterior(LogisticDataset(features=feats, labels=labels))
+    events = []
+    stein_sum, refresh = kernels._stein_sum, dynamics.refresh_anchors
+
+    def spy_sum(points, grads, q, q_inv, h, w, wg, active, counts):
+        events.append((h.copy(), counts.copy()))
+        return stein_sum(points, grads, q, q_inv, h, w, wg, active, counts)
+
+    def spy_refresh(*args):
+        events.append(refresh(*args))
+        return events[-1]
+
+    monkeypatch.setattr(kernels, "_stein_sum", spy_sum)
+    monkeypatch.setattr(dynamics, "refresh_anchors", spy_refresh)
+    run(model, "matrix_svgd_mixture", n_particles=20, iterations=6, init_scale=0.3,
+        policy=PrecondPolicy(source="fisher", refresh_period=refresh_period))
+    assert len(events) == 6 + 6 // refresh_period
+    grown = reads = 0
+    for event in events:
+        if isinstance(event, MixturePrecond):
+            kernel, at_refresh = event, None
+            continue
+        h, counts = event
+        at_refresh = counts if at_refresh is None else at_refresh
+        grown += np.count_nonzero((at_refresh <= 1) & (counts >= 2))
+        for l in np.flatnonzero(counts >= 2):
+            own = PreconditionerBundle(q=kernel.bundle.q[l], q_inv=kernel.bundle.q_inv[l],
+                                       log_det=kernel.bundle.log_det[l])
+            assert h[l] == median_bandwidth(kernel.points, metric=own)
+            reads += 1
+    assert reads > 0 and (grown > 0) == (refresh_period == 3)
+
+
+def test_mixture_refresh_and_its_first_direction_form_the_weights_once(monkeypatch):
+    calls = []
+    form = MixturePrecond._weights_and_gradients
+    monkeypatch.setattr(MixturePrecond, "_weights_and_gradients",
+                        lambda self, points: calls.append(len(points)) or form(self, points))
+    model = StarMixture()
+    pts = np.random.default_rng(21).uniform(-3.0, 3.0, size=(30, 2))
+    grads = model.grad_log_density_batch(pts)
+    kernel = refresh_anchors(pts, model)
+    phi = kernel.direction(pts.copy(), grads)
+    assert calls == [30]
+    # on star every anchor reads its median, so the lazy kernel is the eager one
+    assert np.array_equal(phi, MixturePrecond(pts, kernel.bundle, kernel.bandwidths).direction(pts, grads))
+    calls.clear()
+    run(model, "matrix_svgd_mixture", n_particles=10, iterations=3)
+    assert calls == [10, 10, 10]
+
+
+def test_mixture_unformed_bandwidth_is_exact_in_a_tight_metric():
+    # under Q = 1e14 I each anchor's weight sits on its own particle alone, so
+    # no median is read; the self-distance round-off, about 1e-16 x'Qx, must
+    # not move the direction from the one with every median formed
+    model = Gaussian(mean=[0.5, -0.5], cov=1e-14 * np.eye(2))
+    pts = np.random.default_rng(23).uniform(-1.0, 1.0, size=(12, 2))
+    grads = model.grad_log_density_batch(pts)
+    kernel = refresh_anchors(pts, model)
+    lazy = kernel.direction(pts, grads)
+    assert np.all(np.isinf(kernel._h))
+    assert np.all(np.isfinite(kernel.bandwidths))  # forms every median
+    np.testing.assert_allclose(lazy, kernel.direction(pts, grads), rtol=1e-12, atol=0.0)
 
 
 def test_sparse_weight_mixture_direction_matches_brute_force_above_d3():

@@ -3,7 +3,7 @@ from outside the package.  A refactor that moves or renames one of them must
 fail here rather than only under ``perfbench/run.py --trace 1``.  And
 ``tools/ab_runs.py`` keeps its own copies of the benchmark's workload
 configs, seed panels and logistic CSV; a drift between the two must fail
-here too."""
+here too, as must a fault in its record comparison."""
 
 import importlib.util
 import sys
@@ -84,3 +84,27 @@ def test_ab_runs_keeps_the_benchmark_workloads(tmp_path, monkeypatch):
             bench.prepare()
             ab_runs.write_logistic_data(tmp_path / "ab_runs.csv")
             assert (tmp_path / "ab_runs.csv").read_bytes() == bench.data_path.read_bytes()
+
+
+def test_ab_runs_record_identity_compares_two_output_trees(tmp_path, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    ab_runs = _load(ROOT / "tools" / "ab_runs.py", "ab_runs_tool")
+    header = "iter,particle,coord_0,coord_1\n"
+    for side, timing, coord in (("a", "1.5", "0.25"), ("b", "2.5", "0.25")):
+        (tmp_path / side / "svn").mkdir(parents=True)
+        (tmp_path / side / "svn" / "timing.json").write_text(timing)
+        (tmp_path / side / "svn" / "metrics.json").write_text("{}")
+        (tmp_path / side / "svn" / "particles_iter000000.csv").write_text(f"{header}0,0,1.0,{coord}\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    # timing.json is not part of the record
+    assert ab_runs.record_identity(a, b) == {"identical": True, "differing": [], "max_abs_diff": None}
+    (b / "svn" / "particles_iter000000.csv").write_text(f"{header}0,0,1.0,0.2500000000000001\n")
+    (b / "svn" / "metrics.json").write_text('{"mmd": 1}')
+    (b / "svn" / "particles_iter000001.csv").write_text(f"{header}1,0,1.0,0.25\n")
+    report = ab_runs.record_identity(a, b)
+    assert report["differing"] == ["svn/metrics.json", "svn/particles_iter000000.csv",
+                                   "svn/particles_iter000001.csv"]
+    assert not report["identical"] and report["max_abs_diff"] == 0.2500000000000001 - 0.25
+    (b / "svn" / "particles_iter000000.csv").write_text(f"{header}0,0,1.0,0.25\n0,1,0.0,0.0\n")
+    assert ab_runs.record_identity(a, b)["max_abs_diff"] == float("inf")

@@ -487,6 +487,55 @@ def test_logistic_dataset_file_round_trip(tmp_path, capsys):
             LogisticDataset.from_file(path, bad)
 
 
+def test_logistic_dataset_file_is_parsed_once_until_its_bytes_change(tmp_path, monkeypatch):
+    parses = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(a[0]) or loadtxt(*a, **k))
+    path = tmp_path / "data.csv"
+    path.write_text("0.25,1\n0.5,0\n")
+    first = LogisticDataset.from_file(path)
+    again = LogisticDataset.from_file(tmp_path / "." / "data.csv")
+    assert len(parses) == 1
+    assert np.array_equal(again.features, first.features) and np.array_equal(again.labels, first.labels)
+    assert not targets_module._PARSED[next(iter(targets_module._PARSED))].flags.writeable
+    # a rewrite of the same size, whatever its mtime, is parsed anew
+    path.write_text("0.75,0\n0.5,1\n")
+    rewritten = LogisticDataset.from_file(path)
+    assert len(parses) == 2
+    assert np.array_equal(rewritten.features, [[0.75], [0.5]])
+    assert np.array_equal(rewritten.labels, [0.0, 1.0])
+    assert np.array_equal(LogisticDataset.from_file(path).labels, [0.0, 1.0])
+    assert len(parses) == 2
+    # a file that fails its checks raises on every read, and is not kept
+    path.write_text("0.5,0\n0.5,2\n")
+    for _ in range(2):
+        with pytest.raises(InvalidInputError,
+                           match=f"^data_path: {re.escape(str(path))}: row 2: label must be 0 or 1"):
+            LogisticDataset.from_file(path)
+    assert len(parses) == 4
+    # the parse reads the bytes that were hashed, though the file changes meanwhile
+    path.write_text("0.25,1\n0.5,0\n")
+
+    def racing_loadtxt(*args, **kwargs):
+        path.write_text("0.75,0\n0.5,1\n")
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", racing_loadtxt)
+    assert np.array_equal(LogisticDataset.from_file(path).labels, [1.0, 0.0])
+
+
+def test_logistic_dataset_keeps_read_only_copies_of_its_arrays():
+    features, labels = np.eye(2), np.array([0.0, 1.0])
+    data = LogisticDataset(features=features, labels=labels)
+    labels[0] = 7.0
+    features[0, 0] = np.nan
+    assert np.array_equal(data.labels, [0.0, 1.0]) and np.array_equal(data.features, np.eye(2))
+    assert np.array_equal(LogisticPosterior(data).grad_log_density_batch(np.zeros((1, 2))), [[-0.5, 0.5]])
+    for value in (data.features, data.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 0.0
+
+
 def test_logistic_gradient_at_zero_matches_closed_form():
     rng = np.random.default_rng(7)
     data = synthetic_dataset(rng)

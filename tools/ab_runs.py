@@ -20,9 +20,10 @@ posterior on a 1000-row CSV, Fisher curvature).  Outputs are written to a
 temporary directory, as a run would write them.
 
 Prints one JSON object: per workload and method, each side's seconds and
-their median and quartiles, B's median over A's, and in how many of the
-paired rounds B was faster.  Run it with the same checkout as A and B to
-see the tool's own spread: a claimed gain should exceed it.
+their median and quartiles, B's median over A's, in how many of the
+paired rounds B was faster, and whether the two sides' first-round outputs
+are the same bytes (``record_identity``).  Run it with the same checkout as
+A and B to see the tool's own spread: a claimed gain should exceed it.
 """
 
 from __future__ import annotations
@@ -101,6 +102,26 @@ def timed_run(harness, raw: dict, out: Path) -> float:
     return time.perf_counter() - start
 
 
+def record_identity(a: Path, b: Path) -> dict:
+    """Compare two run output directories, ``timing.json`` aside: whether
+    they hold the same files with the same bytes, the files that differ or
+    are on one side only, and the largest |difference| of a particle
+    coordinate over the particle CSVs that differ (inf for a change of
+    shape, None if no particle CSV differs)."""
+    def files(root):
+        return {p.relative_to(root): p for p in root.rglob("*") if p.is_file() and p.name != "timing.json"}
+
+    fa, fb = files(a), files(b)
+    differing = sorted(str(name) for name in fa.keys() | fb.keys()
+                       if name not in fa or name not in fb or fa[name].read_bytes() != fb[name].read_bytes())
+    deltas = []
+    for name in map(Path, differing):
+        if name.name.startswith("particles_") and name in fa and name in fb:
+            x, y = (np.loadtxt(side[name], delimiter=",", skiprows=1, ndmin=2)[:, 2:] for side in (fa, fb))
+            deltas.append(float(np.max(np.abs(x - y))) if x.shape == y.shape else float("inf"))
+    return {"identical": not differing, "differing": differing, "max_abs_diff": max(deltas, default=None)}
+
+
 def quartiles(values) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -118,6 +139,7 @@ def main(argv=None) -> int:
     names = args.workload or list(WORKLOADS)
     sides = {"a": load_harness(args.a, "msvgd_a"), "b": load_harness(args.b, "msvgd_b")}
     seconds = {(w, m, s): [] for w in names for m in METHODS for s in sides}
+    records = {}
     with tempfile.TemporaryDirectory() as scratch:
         data_path = Path(scratch, "logistic.csv")
         write_logistic_data(data_path)
@@ -136,7 +158,10 @@ def main(argv=None) -> int:
                 for m in methods:
                     raw = config(m, panel[r % len(panel)], data_path)
                     for s in order:
-                        seconds[w, m, s].append(timed_run(sides[s], raw, Path(scratch, s, m)))
+                        seconds[w, m, s].append(timed_run(sides[s], raw, Path(scratch, s, w, m)))
+            if r == 0:
+                records = {(w, m): record_identity(Path(scratch, "a", w, m), Path(scratch, "b", w, m))
+                           for w in names for m in METHODS}
     report = {"a": str(Path(args.a).resolve()), "b": str(Path(args.b).resolve()),
               "rounds": args.rounds, "blas_threads": 1, "workloads": {}}
     for w in names:
@@ -146,7 +171,7 @@ def main(argv=None) -> int:
             cells[m] = {"a": quartiles(a), "b": quartiles(b),
                         "b_over_a": statistics.median(b) / statistics.median(a),
                         "b_faster_pairs": sum(y < x for x, y in zip(a, b)),
-                        "a_s": a, "b_s": b}
+                        "first_round_records": records[w, m], "a_s": a, "b_s": b}
     print(json.dumps(report, indent=2))
     return 0
 
