@@ -227,43 +227,35 @@ def _reference_seed(seed: int) -> int:
     return int(np.random.SeedSequence([seed, 2]).generate_state(1)[0])
 
 
-# the one prepared MMD reference kept in this process, keyed by
-# (canonical target, seed, mmd_reference_n), beside the reports of the
-# snapshots scored against it, at most _REPORTS_KEPT of them, keyed by the
-# snapshot's shape and bytes; a miss replaces both
-_reference_memo: dict = {}
-_REPORTS_KEPT = 32
-
-
-def _mmd_reference(config: RunConfig, model: TargetModel) -> tuple[metrics.MmdReference, dict]:
-    """The run's prepared MMD reference and its report memo, shared by every
-    run in this process with the same target, seed and reference size (both
-    checkpoints of a run, all methods of a comparison)."""
-    key = (json.dumps(config.to_dict()["target"], sort_keys=True), config.seed,
-           config.mmd_reference_n)
-    if key not in _reference_memo:
-        _reference_memo.clear()
-        draws = model.reference_sample(config.mmd_reference_n, seed=_reference_seed(config.seed))
-        _reference_memo[key] = (metrics.prepare_reference(draws), {})
-    return _reference_memo[key]
+def _scoring(config: RunConfig, model: TargetModel) -> tuple[metrics.MmdReference, dict] | None:
+    """The MMD reference of a run, prepared from its seeded draws, beside an
+    empty memo of the reports scored against it; None for a run that scores
+    no MMD."""
+    if config.mmd_reference_n == 0 or isinstance(model, LogisticPosterior):
+        return None
+    draws = model.reference_sample(config.mmd_reference_n, seed=_reference_seed(config.seed))
+    return metrics.prepare_reference(draws), {}
 
 
 def _mmd_report(snapshot: np.ndarray, reference: metrics.MmdReference,
                 reports: dict) -> metrics.MmdReport:
     """``metrics.mmd_sq(snapshot, reference)``, scored once per distinct
-    snapshot: every method of a comparison starts from the same seeded draw."""
+    snapshot, keyed by its shape and bytes: every method of a comparison
+    starts from the same seeded draw."""
     key = (snapshot.shape, snapshot.tobytes())
     if key not in reports:
-        if len(reports) == _REPORTS_KEPT:
-            del reports[next(iter(reports))]  # the oldest
         reports[key] = metrics.mmd_sq(snapshot, reference)
     return reports[key]
 
 
-def run_experiment(config: RunConfig, out_dir: str | None = None) -> RunRecord:
+def run_experiment(config: RunConfig, out_dir: str | None = None, *,
+                   scoring: tuple[metrics.MmdReference, dict] | None = None) -> RunRecord:
     """Execute one configured run, compute per-checkpoint metrics and write
     its record under ``out_dir`` (default: the config's ``out_dir``).  A
-    run that aborts writes ``aborted.json`` there instead and re-raises."""
+    run that aborts writes ``aborted.json`` there instead and re-raises.
+    ``scoring`` is the prepared MMD reference and report memo that
+    ``compare`` shares among its runs; given none, a run prepares its own
+    after its dynamics."""
     model = build_target(config)
     destination = Path(out_dir if out_dir is not None else config.out_dir)
     try:
@@ -279,14 +271,13 @@ def run_experiment(config: RunConfig, out_dir: str | None = None) -> RunRecord:
         (destination / "aborted.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         raise
 
-    reference = None
-    if config.mmd_reference_n > 0 and not isinstance(model, LogisticPosterior):
-        reference, reports = _mmd_reference(config, model)
+    if scoring is None:
+        scoring = _scoring(config, model)
     rows = []
     for c in sorted(result.snapshots):
         row: dict = {"iter": c}
-        if reference is not None:
-            report = _mmd_report(result.snapshots[c], reference, reports)
+        if scoring is not None:
+            report = _mmd_report(result.snapshots[c], *scoring)
             row["mmd"] = {"value": report.value, "bandwidth": report.bandwidth,
                           "n_x": report.n_x, "n_y": report.n_y}
         if isinstance(model, LogisticPosterior):
@@ -355,7 +346,12 @@ def compare(configs, out_dir) -> dict:
                 raise ConfigError(f"{key}: configs in a comparison must agree, got "
                                   f"{json.dumps(value)} vs {json.dumps(shared[key])}")
 
-    records = {cfg.method: run_experiment(cfg, out_dir=Path(out_dir) / cfg.method) for cfg in configs}
+    # the configs agree on target, seed and reference size, so one reference
+    # and one report memo serve every run; each run still builds its own
+    # target, which may keep per-run state (the logistic minibatch)
+    scoring = _scoring(first, build_target(first))
+    records = {cfg.method: run_experiment(cfg, out_dir=Path(out_dir) / cfg.method, scoring=scoring)
+               for cfg in configs}
     checkpoints = sorted(first.checkpoints)
     values = [[_comparison_value(records[m].metric_rows[i]) for m in methods]
               for i in range(len(checkpoints))]

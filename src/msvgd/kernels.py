@@ -314,41 +314,37 @@ class MixturePrecond(KernelStrategy):
 
     K(x, x') = sum_l w_l(x) w_l(x') K_{Q_l}(x, x') where w_l are the
     responsibilities of Gaussians N(z_l, Q_l^{-1}).  The anchor set is the
-    kernel's whole state: ``points`` z_l (its own copy), one stacked
-    ``bundle`` of local metrics Q_l (q of shape (m, d, d)) and one bandwidth
-    h_l per anchor in ``bandwidths``.  The Stein direction distributes over
-    anchors; each anchor contributes its driving term, its repulsion term,
-    and a weight-gradient term from differentiating w_l(x') under the
-    divergence.  Each anchor's term is formed only over its active
-    particles, those where its weight is above ``WEIGHT_FLOOR``, anchors of
-    similar active counts a chunk at a time (see ``_stein_sum``).
+    kernel's whole state: ``points`` z_l (its own copy) and one stacked
+    ``bundle`` of local metrics Q_l (q of shape (m, d, d)), from which each
+    bandwidth h_l follows.  The Stein direction distributes over anchors;
+    each anchor contributes its driving term, its repulsion term, and a
+    weight-gradient term from differentiating w_l(x') under the divergence.
+    Each anchor's term is formed only over its active particles, those where
+    its weight is above ``WEIGHT_FLOOR``, anchors of similar active counts a
+    chunk at a time (see ``_stein_sum``).
 
-    Given no bandwidths, h_l is the median-trick bandwidth of the anchors
-    measured in Q_l, formed by one stacked ``median_bandwidth`` call the first
-    time a direction reads it: when anchor l has two or more active
-    particles.  With one, h_l enters only that particle's self-distance,
-    zero up to round-off, so the anchor takes h_l = inf, the kernel's limit
-    there (self-kernel 1, repulsion 0), until its median is formed.  A
-    non-finite median raises ``NumericalAbort`` naming its anchor, in the
-    ``refresh`` phase.
+    h_l is the median-trick bandwidth of the anchors measured in Q_l, formed
+    by one stacked ``median_bandwidth`` call the first time a direction reads
+    it: when anchor l has two or more active particles.  With one, h_l
+    enters only that particle's self-distance, zero up to round-off, so the
+    anchor takes h_l = inf, the kernel's limit there (self-kernel 1,
+    repulsion 0), until its median is formed.  ``bandwidths`` forms every
+    median.  A non-finite median raises ``NumericalAbort`` naming its
+    anchor, in the ``refresh`` phase.
     """
 
     kind = "mixture_precond"
 
-    def __init__(self, points, bundle: PreconditionerBundle, bandwidths=None):
+    def __init__(self, points, bundle: PreconditionerBundle):
         points = as_points(points).copy()
-        # inf stands for a median not formed yet; a formed one is finite
-        h = np.full(len(points), np.inf) if bandwidths is None else as_floats(bandwidths, "bandwidths")
-        if bundle.q.shape[:-2] != points.shape[:1] or h.shape != points.shape[:1]:
-            raise InvalidInputError("anchors need one metric and one bandwidth per point")
+        if bundle.q.shape[:-2] != points.shape[:1]:
+            raise InvalidInputError("anchors need one metric per point")
         if bundle.dim != points.shape[1]:
             raise InvalidInputError("anchor metric dimensions must match anchor points")
-        if bandwidths is not None and not np.all(np.isfinite(h) & (h > 0.0)):
-            raise InvalidInputError("anchor bandwidths must be positive and finite")
         self.points = points
         self.bundle = bundle
         self.dim = points.shape[1]
-        self._h = h
+        self._h = np.full(len(points), np.inf)  # inf: a median not formed yet
 
     @property
     def bandwidths(self) -> np.ndarray:

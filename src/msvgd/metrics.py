@@ -136,7 +136,7 @@ def mmd_sq(xs, ys) -> MmdReport:
     prepared from one; an array goes through ``prepare_reference`` first, so
     it holds one sorted n_y(n_y-1)/2 float triangle, 16 MB at n_y = 2000.  A
     caller scoring many samples against the same draws prepares them once,
-    as the harness does per target, seed and reference size.  Each score
+    as the harness does per run and per comparison.  Each score
     sorts only its own n_x(n_x-1)/2 + n_x n_y fresh distances and merges
     them against the triangle for the pooled median, copying nothing of size
     n_y^2, then sums the kernel over its own pairs, its cross pairs and the

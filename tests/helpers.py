@@ -261,7 +261,6 @@ def random_anchor_set(rng, n_anchors, d):
     return MixturePrecond(
         points=rng.standard_normal((n_anchors, d)),
         bundle=make_bundle(np.stack([random_spd(rng, d) for _ in range(n_anchors)])),
-        bandwidths=0.5 + rng.random(n_anchors),
     )
 
 

@@ -202,15 +202,20 @@ def _count_prepared_references(monkeypatch):
     return calls
 
 
-def test_metrics_json_is_identical_with_the_reference_memo_cold_and_warm(tmp_path, monkeypatch):
+def _record_files(root):
+    """Every file under ``root`` but the timing sidecars, by relative path."""
+    return {p.relative_to(root): p.read_bytes() for p in Path(root).rglob("*")
+            if p.is_file() and p.name != "timing.json"}
+
+
+def test_runs_of_one_config_each_prepare_their_own_reference(tmp_path, monkeypatch):
     calls = _count_prepared_references(monkeypatch)
     cfg = parse_config(minimal_config(n=12, iters=5, checkpoints=[0, 5], mmd_reference_n=300))
-    harness_module._reference_memo.clear()
-    run_experiment(cfg, out_dir=str(tmp_path / "cold"))
-    run_experiment(cfg, out_dir=str(tmp_path / "warm"))
-    assert calls == [300]  # both checkpoints of both runs share one preparation
-    for name in ("metrics.json", "particles_iter000000.csv", "particles_iter000005.csv"):
-        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+    run_experiment(cfg, out_dir=str(tmp_path / "first"))
+    run_experiment(cfg, out_dir=str(tmp_path / "again"))
+    assert calls == [300, 300]  # both checkpoints of a run share one; nothing crosses runs
+    files = _record_files(tmp_path / "first")
+    assert len(files) == 3 and files == _record_files(tmp_path / "again")
 
 
 def test_runs_differing_in_target_seed_or_reference_size_never_share_a_reference(tmp_path, monkeypatch):
@@ -219,21 +224,20 @@ def test_runs_differing_in_target_seed_or_reference_size_never_share_a_reference
                           checkpoints=[0, 2], mmd_reference_n=80)
     variants = [base, {**base, "target": {"kind": "gaussian", "mean": [0.0, 0.5]}},
                 {**base, "mmd_reference_n": 90}, {**base, "seed": 2}]
-    harness_module._reference_memo.clear()
     for i, raw in enumerate(variants + variants[:1]):
         cfg = parse_config(raw)
         calls.clear()
         record = run_experiment(cfg, out_dir=str(tmp_path / f"run{i}"))
-        assert calls == [cfg.mmd_reference_n]  # each run is a miss: nothing was shared
+        assert calls == [cfg.mmd_reference_n]  # each run prepares its own: nothing was shared
         draws = build_target(cfg).reference_sample(cfg.mmd_reference_n,
                                                    harness_module._reference_seed(cfg.seed))
         for row in record.metric_rows:
             fresh = mmd_sq(record.snapshots[row["iter"]], draws)
             assert (row["mmd"]["value"], row["mmd"]["bandwidth"]) == (fresh.value, fresh.bandwidth)
-        assert len(harness_module._reference_memo) == 1
 
 
 def test_compare_scores_the_shared_initial_draw_once(tmp_path, monkeypatch):
+    calls = _count_prepared_references(monkeypatch)
     scored = []
     score = harness_module.metrics.mmd_sq
     monkeypatch.setattr(harness_module.metrics, "mmd_sq",
@@ -241,28 +245,18 @@ def test_compare_scores_the_shared_initial_draw_once(tmp_path, monkeypatch):
     configs = [parse_config(minimal_config(method=m, n=20, iters=30, checkpoints=[0, 30],
                                            mmd_reference_n=300, precond={"floor_ratio": 0.05}))
                for m in METHOD_DEFAULT_RATES]
-    harness_module._reference_memo.clear()
-    compare(configs, out_dir=tmp_path / "memo")
+    compare(configs, out_dir=tmp_path / "compare")
+    assert calls == [300]
     assert len(scored) == 5  # one iteration-0 score for the four methods' one draw
-    scored.clear()
-    run = harness_module.run_experiment
-
-    def run_cold(config, *args, **kwargs):
-        harness_module._reference_memo.clear()
-        return run(config, *args, **kwargs)
-
-    monkeypatch.setattr(harness_module, "run_experiment", run_cold)
-    compare(configs, out_dir=tmp_path / "cold")
-    assert len(scored) == 8
-    files = sorted(p.relative_to(tmp_path / "memo") for p in (tmp_path / "memo").rglob("*")
-                   if p.is_file() and p.name != "timing.json")
-    assert len(files) == 4 * 3 + 1  # metrics.json and two particle files per method
-    for name in files:
-        assert (tmp_path / "memo" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes(), name
+    compared = _record_files(tmp_path / "compare")
+    assert len(compared) == 4 * 3 + 1  # metrics.json and two particle files per method
+    for cfg in configs:  # each config run alone writes the bytes compare wrote for it
+        run_experiment(cfg, out_dir=str(tmp_path / "alone" / cfg.method))
+    assert _record_files(tmp_path / "alone") == {name: data for name, data in compared.items()
+                                                 if name != Path("comparison.csv")}
 
 
-def test_report_memo_is_bounded_and_keyed_by_shape_and_bytes(monkeypatch):
-    monkeypatch.setattr(harness_module, "_REPORTS_KEPT", 3)
+def test_report_memo_is_keyed_by_shape_and_bytes(monkeypatch):
     scored = []
     score = harness_module.metrics.mmd_sq
     monkeypatch.setattr(harness_module.metrics, "mmd_sq",
@@ -278,9 +272,7 @@ def test_report_memo_is_bounded_and_keyed_by_shape_and_bytes(monkeypatch):
     moved[0, 0] = np.nextafter(moved[0, 0], np.inf)
     for snapshot in (x[:5], x[::-1], moved):
         harness_module._mmd_report(snapshot, reference, reports)
-    assert scored == [(6, 2), (5, 2), (6, 2), (6, 2)] and len(reports) == 3
-    harness_module._mmd_report(x, reference, reports)  # the oldest was dropped
-    assert len(scored) == 5 and len(reports) == 3
+    assert scored == [(6, 2), (5, 2), (6, 2), (6, 2)] and len(reports) == 4
 
 
 def test_run_experiment_is_byte_deterministic(tmp_path):
@@ -484,6 +476,11 @@ def test_package_exports_resolve_and_test_only_surfaces_are_gone():
              for view in ("log_density", "grad_log_density")]
     assert [f"{getattr(owner, '__name__', owner)}.{name}" for owner, name in gone
             if hasattr(owner, name)] == []
+    # compare hands its one MMD reference to each run: no process-wide memo
+    # or report cap, and a mixture kernel forms its own bandwidths
+    assert [name for name in ("_reference_memo", "_REPORTS_KEPT", "_mmd_reference")
+            if hasattr(harness, name)] == []
+    assert list(inspect.signature(kernels.MixturePrecond).parameters) == ["points", "bundle"]
     # a run always writes its record: no in-memory switch, and compare needs a directory
     assert "persist" not in inspect.signature(harness.run_experiment).parameters
     assert inspect.signature(harness.compare).parameters["out_dir"].default is inspect.Parameter.empty

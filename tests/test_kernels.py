@@ -224,14 +224,9 @@ def test_anchor_set_validation():
     pts = rng.standard_normal((3, 2))
     bundle = make_bundle(np.stack([random_spd(rng, 2) for _ in range(3)]))
     with pytest.raises(InvalidInputError):
-        MixturePrecond(points=pts, bundle=make_bundle(bundle.q[:2]), bandwidths=np.ones(3))
+        MixturePrecond(points=pts, bundle=make_bundle(bundle.q[:2]))
     with pytest.raises(InvalidInputError):
-        MixturePrecond(points=pts, bundle=bundle, bandwidths=np.array([1.0, -1.0, 1.0]))
-    with pytest.raises(InvalidInputError, match="^bandwidths: could not convert"):
-        MixturePrecond(points=pts, bundle=bundle, bandwidths="ab")
-    with pytest.raises(InvalidInputError):
-        MixturePrecond(points=pts, bundle=make_bundle(np.stack([random_spd(rng, 3) for _ in range(3)])),
-                       bandwidths=np.ones(3))
+        MixturePrecond(points=pts, bundle=make_bundle(np.stack([random_spd(rng, 3) for _ in range(3)])))
 
 
 # ---------------------------------------------------------------- weights
@@ -246,14 +241,13 @@ def test_mixture_weights_identical_anchors_split_evenly():
     rng = np.random.default_rng(8)
     m = random_spd(rng, 2)
     z = rng.standard_normal(2)
-    anchors = MixturePrecond(points=np.stack([z, z]), bundle=make_bundle(np.stack([m, m])),
-                             bandwidths=np.ones(2))
+    anchors = MixturePrecond(points=np.stack([z, z]), bundle=make_bundle(np.stack([m, m])))
     assert np.allclose(mixture_weights(rng.standard_normal(2), anchors), [0.5, 0.5], atol=1e-15)
 
 
 def test_mixture_weights_equidistant_anchors_split_evenly():
     anchors = MixturePrecond(points=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                             bundle=make_bundle(np.stack([np.eye(2), np.eye(2)])), bandwidths=np.ones(2))
+                             bundle=make_bundle(np.stack([np.eye(2), np.eye(2)])))
     assert np.allclose(mixture_weights(np.zeros(2), anchors), [0.5, 0.5], atol=1e-15)
 
 
@@ -340,9 +334,8 @@ def test_single_anchor_mixture_equals_const_precond():
     rng = np.random.default_rng(13)
     m = random_spd(rng, 2)
     b = make_bundle(m)
-    mix = MixturePrecond(points=rng.standard_normal((1, 2)), bundle=make_bundle(m[None]),
-                         bandwidths=np.array([0.8]))
-    const = ConstPrecond(b, bandwidth=0.8)
+    mix = MixturePrecond(points=rng.standard_normal((1, 2)), bundle=make_bundle(m[None]))
+    const = ConstPrecond(b, bandwidth=mix.bandwidths[0])
     pts = rng.standard_normal((6, 2))
     grads = rng.standard_normal((6, 2))
     x, y = rng.standard_normal(2), rng.standard_normal(2)
@@ -354,9 +347,9 @@ def test_multi_anchor_mixture_differs_from_const_even_with_shared_metric():
     rng = np.random.default_rng(14)
     m = random_spd(rng, 2)
     b = make_bundle(m)
-    mix = MixturePrecond(points=rng.standard_normal((3, 2)), bundle=make_bundle(np.stack([m, m, m])),
-                         bandwidths=np.full(3, 0.9))
-    const = ConstPrecond(b, bandwidth=0.9)
+    mix = MixturePrecond(points=rng.standard_normal((3, 2)), bundle=make_bundle(np.stack([m, m, m])))
+    assert np.all(mix.bandwidths == mix.bandwidths[0])  # one metric, so one median
+    const = ConstPrecond(b, bandwidth=mix.bandwidths[0])
     pts = rng.standard_normal((6, 2))
     grads = rng.standard_normal((6, 2))
     assert not np.allclose(mix.direction(pts, grads), const.direction(pts, grads), atol=1e-6)
@@ -412,7 +405,7 @@ def test_mixture_direction_matches_the_per_anchor_loop(monkeypatch, per_chunk):
     anchors = random_anchor_set(rng, 8, 3)
     far = anchors.points.copy()
     far[5] = 50.0
-    anchors = MixturePrecond(points=far, bundle=anchors.bundle, bandwidths=anchors.bandwidths)
+    anchors = MixturePrecond(points=far, bundle=anchors.bundle)
     pts, grads = rng.standard_normal((12, 3)), rng.standard_normal((12, 3))
     counts = _active_counts(anchors, pts)
     assert counts[5] == 0 and np.all(np.delete(counts, 5) > 0)
@@ -420,7 +413,7 @@ def test_mixture_direction_matches_the_per_anchor_loop(monkeypatch, per_chunk):
     # identical anchors: every weight is 1/m and every pair is active
     m = random_spd(rng, 3)
     anchors = MixturePrecond(points=np.tile(rng.standard_normal(3), (6, 1)),
-                             bundle=make_bundle(np.stack([m] * 6)), bandwidths=np.full(6, 0.8))
+                             bundle=make_bundle(np.stack([m] * 6)))
     assert np.all(_active_counts(anchors, pts) == 12)
     check(anchors, pts, grads)
 
@@ -478,7 +471,9 @@ def test_mixture_refresh_and_its_first_direction_form_the_weights_once(monkeypat
     phi = kernel.direction(pts.copy(), grads)
     assert calls == [30]
     # on star every anchor reads its median, so the lazy kernel is the eager one
-    assert np.array_equal(phi, MixturePrecond(pts, kernel.bundle, kernel.bandwidths).direction(pts, grads))
+    eager = MixturePrecond(pts, kernel.bundle)
+    assert np.array_equal(eager.bandwidths, kernel.bandwidths)
+    assert np.array_equal(phi, eager.direction(pts, grads))
     calls.clear()
     run(model, "matrix_svgd_mixture", n_particles=10, iterations=3)
     assert calls == [10, 10, 10]
@@ -506,8 +501,7 @@ def test_sparse_weight_mixture_direction_matches_brute_force_above_d3():
     for d in (4, 6):
         centers = 3.0 * rng.standard_normal((4, d))
         anchors = MixturePrecond(points=centers,
-                                 bundle=make_bundle(np.stack([4.0 * random_spd(rng, d) for _ in range(4)])),
-                                 bandwidths=0.5 + rng.random(4))
+                                 bundle=make_bundle(np.stack([4.0 * random_spd(rng, d) for _ in range(4)])))
         pts = centers[np.arange(10) % 4] + 0.3 * rng.standard_normal((10, d))
         grads = rng.standard_normal((10, d))
         counts = _active_counts(anchors, pts)

@@ -3,7 +3,8 @@ from outside the package.  A refactor that moves or renames one of them must
 fail here rather than only under ``perfbench/run.py --trace 1``.  And
 ``tools/ab_runs.py`` keeps its own copies of the benchmark's workload
 configs, seed panels and logistic CSV; a drift between the two must fail
-here too, as must a fault in its record comparison."""
+here too, as must a fault in its record comparison or in the way it runs
+a round of each workload."""
 
 import importlib.util
 import sys
@@ -108,3 +109,31 @@ def test_ab_runs_record_identity_compares_two_output_trees(tmp_path, monkeypatch
     assert not report["identical"] and report["max_abs_diff"] == 0.2500000000000001 - 0.25
     (b / "svn" / "particles_iter000000.csv").write_text(f"{header}0,0,1.0,0.25\n0,1,0.0,0.0\n")
     assert ab_runs.record_identity(a, b)["max_abs_diff"] == float("inf")
+
+
+def test_ab_runs_times_star_compare_from_one_compare_per_side(tmp_path, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    ab_runs = _load(ROOT / "tools" / "ab_runs.py", "ab_runs_tool")
+    import msvgd.harness as harness
+
+    compares, prepared = [], []
+    compare, prepare = harness.compare, harness.metrics.prepare_reference
+    monkeypatch.setattr(harness, "compare", lambda configs, out: compares.append(
+        Path(out).relative_to(tmp_path).parts) or compare(configs, out))
+    monkeypatch.setattr(harness.metrics, "prepare_reference", lambda ys: prepared.append(len(ys)) or prepare(ys))
+    sides = {"a": harness, "b": harness}
+    methods = ab_runs.METHODS[::-1]
+    tiny = {"n": 6, "iters": 2, "checkpoints": [0, 2], "mmd_reference_n": 40}
+    timed = ab_runs.paired_runs(sides, ("b", "a"), "star_compare", methods, 3, tmp_path, None, **tiny)
+    # every method of a side is timed inside that side's one compare, which
+    # prepares the single reference its runs share
+    assert [(s, m) for s, m, _ in timed] == [(s, m) for s in "ba" for m in methods]
+    assert compares == [("b", "star_compare"), ("a", "star_compare")] and prepared == [40, 40]
+    assert all(t > 0.0 for _, _, t in timed) and harness.run_experiment.__name__ == "run_experiment"
+    identity = ab_runs.record_identity(tmp_path / "a" / "star_compare", tmp_path / "b" / "star_compare")
+    assert identity["identical"] and (tmp_path / "a" / "star_compare" / "comparison.csv").is_file()
+    # the other shapes alternate the sides call by call
+    compares.clear()
+    timed = ab_runs.paired_runs(sides, ("a", "b"), "star_dynamics", methods, 0, tmp_path, None, **tiny)
+    assert [(s, m) for s, m, _ in timed] == [(s, m) for m in methods for s in "ab"] and compares == []

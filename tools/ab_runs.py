@@ -6,24 +6,29 @@ A and B are checkout roots (each holds ``src/msvgd``).  Both are imported
 into this one process, as the packages ``msvgd_a`` and ``msvgd_b``, so the
 two sides share the host's state at each moment: whole-run timings taken
 in separate processes drift between runs far more than within one.  Each
-round runs every method of every workload once per side, one
-``harness.run_experiment`` call at a time, alternating the sides call by
-call (A first in even rounds, B first in odd ones) in a method order
-shuffled per round by the round index.
+round runs every method of every workload once per side, in a method order
+shuffled per round by the round index, and times each
+``harness.run_experiment`` call, as perfbench does, by wrapping the module
+attribute.  ``star_compare`` runs a round's methods through one
+``harness.compare`` per side, as ``msvgd compare`` does, so they share one
+prepared MMD reference; the other workloads run one ``run_experiment``
+call at a time.  The sides alternate compare by compare or call by call
+(A first in even rounds, B first in odd ones).
 
 The workloads have the shapes of perfbench's (same configs and seed
 panels, one BLAS thread): ``star_compare`` (n=50, 30 iterations, MMD
 against 2000 reference draws at iterations 0 and 30, every method of a
-round on one program seed, as one ``compare`` runs them), ``star_dynamics``
+round on one program seed), ``star_dynamics``
 (n=200, 10 iterations, scoring off) and ``logistic_fisher`` (20-D logistic
 posterior on a 1000-row CSV, Fisher curvature).  Outputs are written to a
 temporary directory, as a run would write them.
 
-Prints one JSON object: per workload and method, each side's seconds and
-their median and quartiles, B's median over A's, in how many of the
-paired rounds B was faster, and whether the two sides' first-round outputs
-are the same bytes (``record_identity``).  Run it with the same checkout as
-A and B to see the tool's own spread: a claimed gain should exceed it.
+Prints one JSON object: per workload, whether the two sides' first-round
+output trees are the same bytes (``record_identity``; ``comparison.csv``
+included), and per method each side's seconds and their median and
+quartiles, B's median over A's and in how many of the paired rounds B was
+faster.  Run it with the same checkout as A and B to see the tool's own
+spread: a claimed gain should exceed it.
 """
 
 from __future__ import annotations
@@ -95,11 +100,52 @@ def load_harness(root: str, name: str):
     return importlib.import_module(f"{name}.harness")
 
 
-def timed_run(harness, raw: dict, out: Path) -> float:
-    config = harness.parse_config(raw)
-    start = time.perf_counter()
-    harness.run_experiment(config, out_dir=str(out))
-    return time.perf_counter() - start
+# the workloads whose methods one ``harness.compare`` runs
+COMPARED = ("star_compare",)
+
+
+def timed_runs(harness, raws, out: Path, through_compare: bool) -> dict[str, float]:
+    """Seconds of each ``harness.run_experiment`` call, by method, for the
+    configs ``raws``: run through one ``harness.compare`` into ``out``, or
+    each in its own call into ``out/<method>``."""
+    configs = [harness.parse_config(raw) for raw in raws]
+    run = harness.run_experiment
+    seconds = {}
+
+    def timed(config, *args, **kwargs):
+        start = time.perf_counter()
+        record = run(config, *args, **kwargs)
+        seconds[config.method] = time.perf_counter() - start
+        return record
+
+    harness.run_experiment = timed
+    try:
+        if through_compare:
+            harness.compare(configs, out)
+        else:
+            for config in configs:
+                harness.run_experiment(config, out_dir=str(out / config.method))
+    finally:
+        harness.run_experiment = run
+    return seconds
+
+
+def paired_runs(sides: dict, order, workload: str, methods, seed: int, root, data_path,
+                **overrides) -> list[tuple[str, str, float]]:
+    """(side, method, seconds) of every run of one round of ``workload`` on
+    program seed ``seed``, each side's outputs under ``root/<side>/<workload>``:
+    the methods in one ``compare`` per side for a ``COMPARED`` workload, else
+    one call per method, the sides taken in ``order`` compare by compare or
+    call by call.  ``overrides`` replace config keys."""
+    config = WORKLOADS[workload][0]
+    raws = [{**config(m, seed, data_path), **overrides} for m in methods]
+    through_compare = workload in COMPARED
+    timed = []
+    for unit in [raws] if through_compare else [[raw] for raw in raws]:
+        for s in order:
+            runs = timed_runs(sides[s], unit, Path(root, s, workload), through_compare)
+            timed += [(s, m, t) for m, t in runs.items()]
+    return timed
 
 
 def record_identity(a: Path, b: Path) -> dict:
@@ -144,34 +190,29 @@ def main(argv=None) -> int:
         data_path = Path(scratch, "logistic.csv")
         write_logistic_data(data_path)
         for w in names:  # warm-up: one short run per side and method
-            config, panel = WORKLOADS[w]
-            for m in METHODS:
-                for s, harness in sides.items():
-                    raw = {**config(m, panel[0], data_path), "iters": 2, "checkpoints": [0, 2]}
-                    timed_run(harness, raw, Path(scratch, "warm-up", s))
+            paired_runs(sides, ("a", "b"), w, METHODS, WORKLOADS[w][1][0], Path(scratch, "warm-up"),
+                        data_path, iters=2, checkpoints=[0, 2])
         for r in range(args.rounds):
             order = ("a", "b") if r % 2 == 0 else ("b", "a")
             for w in names:
-                config, panel = WORKLOADS[w]
                 methods = list(METHODS)
                 random.Random(r).shuffle(methods)
-                for m in methods:
-                    raw = config(m, panel[r % len(panel)], data_path)
-                    for s in order:
-                        seconds[w, m, s].append(timed_run(sides[s], raw, Path(scratch, s, w, m)))
+                panel = WORKLOADS[w][1]
+                for s, m, t in paired_runs(sides, order, w, methods, panel[r % len(panel)], scratch,
+                                           data_path):
+                    seconds[w, m, s].append(t)
             if r == 0:
-                records = {(w, m): record_identity(Path(scratch, "a", w, m), Path(scratch, "b", w, m))
-                           for w in names for m in METHODS}
+                records = {w: record_identity(Path(scratch, "a", w), Path(scratch, "b", w)) for w in names}
     report = {"a": str(Path(args.a).resolve()), "b": str(Path(args.b).resolve()),
               "rounds": args.rounds, "blas_threads": 1, "workloads": {}}
     for w in names:
-        cells = report["workloads"].setdefault(w, {})
+        cells = report["workloads"].setdefault(w, {"first_round_records": records[w]})
         for m in METHODS:
             a, b = seconds[w, m, "a"], seconds[w, m, "b"]
             cells[m] = {"a": quartiles(a), "b": quartiles(b),
                         "b_over_a": statistics.median(b) / statistics.median(a),
                         "b_faster_pairs": sum(y < x for x, y in zip(a, b)),
-                        "first_round_records": records[w, m], "a_s": a, "b_s": b}
+                        "a_s": a, "b_s": b}
     print(json.dumps(report, indent=2))
     return 0
 
