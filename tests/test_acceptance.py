@@ -34,7 +34,7 @@ from msvgd.dynamics import (
     svn_direction,
     svn_metrics,
 )
-from msvgd.harness import parse_config, run_experiment
+from msvgd.harness import compare, parse_config, run_experiment
 from msvgd.kernels import ScalarRBF, median_bandwidth
 from msvgd.metrics import predictive_metrics
 from msvgd.psdlin import make_bundle
@@ -66,10 +66,10 @@ def test_criterion_1_method_ordering_on_the_star_target(capsys, tmp_path):
     t0 = time.perf_counter()
     finals = {m: [] for m in ("matrix_svgd_mixture", "matrix_svgd_average", "vanilla_svgd", "svn")}
     for seed in range(10):
+        records = compare([star_config(method, seed) for method in finals],
+                          tmp_path / f"seed{seed}")["records"]
         for method in finals:
-            record = run_experiment(star_config(method, seed),
-                                    out_dir=str(tmp_path / f"seed{seed}" / method))
-            finals[method].append(record.metric_rows[-1]["mmd"]["value"])
+            finals[method].append(records[method].metric_rows[-1]["mmd"]["value"])
     med = {m: float(np.median(v)) for m, v in finals.items()}
     wins = sum(mx < vn for mx, vn in zip(finals["matrix_svgd_mixture"], finals["vanilla_svgd"]))
     elapsed = time.perf_counter() - t0

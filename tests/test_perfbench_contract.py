@@ -1,10 +1,9 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps msvgd functions by name
 from outside the package.  A refactor that moves or renames one of them must
 fail here rather than only under ``perfbench/run.py --trace 1``.  And
-``tools/ab_runs.py`` keeps its own copies of the benchmark's workload
-configs, seed panels and logistic CSV; a drift between the two must fail
-here too, as must a fault in its record comparison or in the way it runs
-a round of each workload."""
+``tools/ab_runs.py`` runs the benchmark's own workloads, timer and checks on
+two checkouts; a fault in the way it alternates them, times them or
+compares their records must fail here too."""
 
 import importlib.util
 import sys
@@ -64,29 +63,6 @@ def test_tracer_wraps_every_traced_function_and_restores_the_originals():
     assert not changed, f"originals not restored: {changed}"
 
 
-def test_ab_runs_keeps_the_benchmark_workloads(tmp_path, monkeypatch):
-    # ab_runs pins one BLAS thread in os.environ when imported; the test
-    # process gets its own values back afterwards
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    ab_runs = _load(ROOT / "tools" / "ab_runs.py", "ab_runs_tool")
-    workloads = _load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads", ROOT / "perfbench")
-    assert sorted(ab_runs.WORKLOADS) == sorted(workloads.WORKLOADS)
-    assert ab_runs.METHODS == workloads.METHODS
-    for name, cls in workloads.WORKLOADS.items():
-        config, panel = ab_runs.WORKLOADS[name]
-        bench = cls(tmp_path / name, seed=0)
-        assert panel == cls.PANEL, name
-        for method in workloads.METHODS:
-            ours = config(method, panel[0], getattr(bench, "data_path", None))
-            theirs = bench.config(method)
-            assert {**ours, "seed": None} == {**theirs, "seed": None}, (name, method)
-        if name == "logistic_fisher":
-            bench.prepare()
-            ab_runs.write_logistic_data(tmp_path / "ab_runs.csv")
-            assert (tmp_path / "ab_runs.csv").read_bytes() == bench.data_path.read_bytes()
-
-
 def test_ab_runs_record_identity_compares_two_output_trees(tmp_path, monkeypatch):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
@@ -115,25 +91,75 @@ def test_ab_runs_times_star_compare_from_one_compare_per_side(tmp_path, monkeypa
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     ab_runs = _load(ROOT / "tools" / "ab_runs.py", "ab_runs_tool")
-    import msvgd.harness as harness
+    sides = {s: ab_runs.load_package(ROOT, f"msvgd_ab_{s}") for s in "ab"}
+    for name in [n for n in sys.modules if n.startswith("msvgd_ab_")]:
+        monkeypatch.setitem(sys.modules, name, sys.modules[name])  # dropped at teardown
+    path, msvgd = list(sys.path), sys.modules.get("msvgd")
+    run, workloads = benchmark = ab_runs.load_benchmark(sides["a"])
+    # the benchmark files are imported without a bare module name or a path entry
+    assert sys.path == path and sys.modules.get("msvgd") is msvgd
+    assert {"run", "oracles", "workloads"}.isdisjoint(sys.modules)
 
-    compares, prepared = [], []
-    compare, prepare = harness.compare, harness.metrics.prepare_reference
-    monkeypatch.setattr(harness, "compare", lambda configs, out: compares.append(
-        Path(out).relative_to(tmp_path).parts) or compare(configs, out))
-    monkeypatch.setattr(harness.metrics, "prepare_reference", lambda ys: prepared.append(len(ys)) or prepare(ys))
-    sides = {"a": harness, "b": harness}
-    methods = ab_runs.METHODS[::-1]
-    tiny = {"n": 6, "iters": 2, "checkpoints": [0, 2], "mmd_reference_n": 40}
-    timed = ab_runs.paired_runs(sides, ("b", "a"), "star_compare", methods, 3, tmp_path, None, **tiny)
-    # every method of a side is timed inside that side's one compare, which
-    # prepares the single reference its runs share
-    assert [(s, m) for s, m, _ in timed] == [(s, m) for s in "ba" for m in methods]
-    assert compares == [("b", "star_compare"), ("a", "star_compare")] and prepared == [40, 40]
-    assert all(t > 0.0 for _, _, t in timed) and harness.run_experiment.__name__ == "run_experiment"
-    identity = ab_runs.record_identity(tmp_path / "a" / "star_compare", tmp_path / "b" / "star_compare")
-    assert identity["identical"] and (tmp_path / "a" / "star_compare" / "comparison.csv").is_file()
-    # the other shapes alternate the sides call by call
-    compares.clear()
-    timed = ab_runs.paired_runs(sides, ("a", "b"), "star_dynamics", methods, 0, tmp_path, None, **tiny)
-    assert [(s, m) for s, m, _ in timed] == [(s, m) for m in methods for s in "ab"] and compares == []
+    timers, calls, compares, prepared = {}, [], [], []
+
+    class Timer(run.OpTimer):
+        def __init__(self, modules):
+            super().__init__(modules)
+            timers[modules[0]] = self  # keyed by the side's harness
+
+    monkeypatch.setattr(run, "OpTimer", Timer)
+    for s, package in sides.items():
+        # wrapped before the timers install, so each timer times these
+        def run_experiment(config, *args, s=s, inner=package.harness.run_experiment, **kwargs):
+            calls.append((s, config.method))
+            return inner(config, *args, **kwargs)
+
+        def compare(configs, out_dir, s=s, inner=package.cli.compare):
+            compares.append(s)
+            return inner(configs, out_dir)
+
+        def prepare_reference(ys, s=s, inner=package.harness.metrics.prepare_reference):
+            prepared.append((s, len(ys)))
+            return inner(ys)
+
+        monkeypatch.setattr(package.harness, "run_experiment", run_experiment)
+        monkeypatch.setattr(package.cli, "compare", compare)
+        monkeypatch.setattr(package.harness.metrics, "prepare_reference", prepare_reference)
+
+    def shrunk(cls, **attrs):
+        benches = {s: cls(tmp_path / cls.name / s, ab_runs.BENCH_SEED) for s in "ab"}
+        for bench in benches.values():
+            vars(bench).update(n=6, iters=2, checkpoints=(0, 2), PANEL=(3,), **attrs)
+        return benches
+
+    def check_timed(cells, operations):
+        assert list(timers) == [sides["a"].harness, sides["b"].harness]
+        for s, package in sides.items():
+            timer = timers[package.harness]
+            assert cells["verdict"][s]["attempted"] == operations and cells["verdict"][s]["failed"] == 0
+            for m in workloads.METHODS:
+                assert cells[m][f"{s}_s"] == timer.seconds[m] and all(t > 0.0 for t in timer.seconds[m])
+            # the timer is gone again: the recorder above is back in place
+            assert package.harness.run_experiment.__name__ == "run_experiment"
+        assert cells["first_round_records"]["identical"]
+        timers.clear()
+
+    # star_compare: the warm-up and each of 2 rounds run one compare per side,
+    # which prepares the single reference its four runs share; A goes first
+    # in the warm-up and in even rounds
+    cells = ab_runs.paired_rounds(benchmark, sides, shrunk(workloads.StarCompare, MMD_REFERENCE_N=40), 2)
+    assert compares == list("ababba") and prepared == [(s, 40) for s in "ababba"]
+    assert [s for s, _ in calls] == [s for s in "ababba" for _ in range(4)]
+    check_timed(cells, 2 * len(workloads.METHODS))
+    assert (tmp_path / "star_compare" / "a" / "round000" / "comparison.csv").is_file()
+    # star_dynamics: the sides alternate call by call, in the same order
+    calls.clear()
+    cells = ab_runs.paired_rounds(benchmark, sides, shrunk(workloads.StarDynamics), 2)
+    per_round = sum(workloads.StarDynamics.REPEATS.values())
+    assert [s for s, _ in calls] == list("ab" * (4 + per_round) + "ba" * per_round)
+    assert all(calls[k][1] == calls[k + 1][1] for k in range(0, len(calls), 2)) and compares == list("ababba")
+    check_timed(cells, 2 * per_round)
+    # logistic_fisher: both sides read one dataset file, so the data_path
+    # echoed in their records agrees
+    cells = ab_runs.paired_rounds(benchmark, sides, shrunk(workloads.LogisticFisher), 2)
+    check_timed(cells, 2 * sum(workloads.LogisticFisher.REPEATS.values()))

@@ -1,34 +1,34 @@
-"""Whole-run A/B timing of two msvgd checkouts in one interpreter.
+"""Whole-run A/B timing of two msvgd checkouts in one interpreter, by the
+benchmark's own workloads, operation timer and output checks.
 
     python3 tools/ab_runs.py A B [--rounds 10] [--workload NAME ...]
 
 A and B are checkout roots (each holds ``src/msvgd``).  Both are imported
 into this one process, as the packages ``msvgd_a`` and ``msvgd_b``, so the
 two sides share the host's state at each moment: whole-run timings taken
-in separate processes drift between runs far more than within one.  Each
-round runs every method of every workload once per side, in a method order
-shuffled per round by the round index, and times each
-``harness.run_experiment`` call, as perfbench does, by wrapping the module
-attribute.  ``star_compare`` runs a round's methods through one
-``harness.compare`` per side, as ``msvgd compare`` does, so they share one
-prepared MMD reference; the other workloads run one ``run_experiment``
-call at a time.  The sides alternate compare by compare or call by call
-(A first in even rounds, B first in odd ones).
+in separate processes drift between runs far more than within one.
 
-The workloads have the shapes of perfbench's (same configs and seed
-panels, one BLAS thread): ``star_compare`` (n=50, 30 iterations, MMD
-against 2000 reference draws at iterations 0 and 30, every method of a
-round on one program seed), ``star_dynamics``
-(n=200, 10 iterations, scoring off) and ``logistic_fisher`` (20-D logistic
-posterior on a 1000-row CSV, Fisher curvature).  Outputs are written to a
-temporary directory, as a run would write them.
+The benchmark is the ``perfbench/`` of the checkout that holds this script,
+imported read-only.  Each side runs its own perfbench ``Workload``, both
+built from one benchmark seed, so every round, the warm-up included,
+shuffles the two sides' operations into the same order, and both sides
+read one logistic dataset file.  perfbench's ``OpTimer`` times every
+``run_experiment`` call on each side's modules.  The sides take turns
+operation by operation: one ``msvgd compare`` on star_compare, one
+``run_experiment`` call on the other workloads, A first in even rounds and
+B first in odd ones.  ``--rounds`` must cover the longest seed panel of the
+chosen workloads (10 with star_compare), because the output checks judge
+the whole panel.  Outputs are written to a temporary directory, with BLAS
+on one thread.
 
-Prints one JSON object: per workload, whether the two sides' first-round
-output trees are the same bytes (``record_identity``; ``comparison.csv``
-included), and per method each side's seconds and their median and
-quartiles, B's median over A's and in how many of the paired rounds B was
-faster.  Run it with the same checkout as A and B to see the tool's own
-spread: a claimed gain should exceed it.
+Prints one JSON object: per workload, each side's verdict as perfbench
+reaches it (``correct``, ``problems``, ``attempted``, ``failed``: the
+oracle self-test, the workload's output checks and the operation count),
+whether the two sides' first-round output trees are the same bytes
+(``first_round_records``), and per method each side's operation seconds,
+their median and quartiles, B's median over A's and in how many of the
+paired operations B was faster.  Run it with the same checkout as A and B
+to see the tool's own spread: a claimed gain should exceed it.
 """
 
 from __future__ import annotations
@@ -36,59 +36,34 @@ from __future__ import annotations
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # one process, no extra threads, as perfbench runs
+    os.environ[_var] = "1"  # before numpy is first imported, as perfbench runs
 
 import argparse
 import importlib
 import importlib.util
 import json
-import random
 import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 
-METHODS = ("vanilla_svgd", "matrix_svgd_average", "matrix_svgd_mixture", "svn")
-LOGISTIC_ROWS, LOGISTIC_DIM, LOGISTIC_SEED = 1000, 20, 20191028
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH_SEED = 0
 
 
-def star_config(n, iters, checkpoints, mmd_reference_n):
-    def config(method, seed, data_path):
-        return {"target": {"kind": "star_mixture"}, "method": method, "n": n, "iters": iters,
-                "seed": seed, "checkpoints": checkpoints, "precond": {"floor_ratio": 0.05},
-                "mmd_reference_n": mmd_reference_n}
-    return config
+def _exec(path: Path, name: str):
+    """The module at ``path``, executed as ``name`` without entering ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def logistic_config(method, seed, data_path):
-    return {"target": {"kind": "logistic_posterior", "data_path": str(data_path)},
-            "method": method, "n": 100, "iters": 30, "seed": seed, "checkpoints": [0, 30]}
-
-
-# name: (config builder, program seed panel)
-WORKLOADS = {
-    "star_compare": (star_config(50, 30, [0, 30], 2000), tuple(range(10))),
-    "star_dynamics": (star_config(200, 10, [0, 5, 10], 0), (0, 1, 2, 3, 4)),
-    "logistic_fisher": (logistic_config, (0, 1, 2, 3, 4)),
-}
-
-
-def write_logistic_data(path: Path) -> None:
-    """perfbench's logistic dataset: an intercept and 19 standard normal
-    features, labels drawn from weights linspace(-1, 1, 20)."""
-    rng = np.random.default_rng(LOGISTIC_SEED)
-    feats = np.column_stack([np.ones(LOGISTIC_ROWS),
-                             rng.standard_normal((LOGISTIC_ROWS, LOGISTIC_DIM - 1))])
-    z = feats @ np.linspace(-1.0, 1.0, LOGISTIC_DIM)
-    labels = (rng.random(LOGISTIC_ROWS) < 1.0 / (1.0 + np.exp(-z))).astype(float)
-    np.savetxt(path, np.column_stack([feats, labels]), delimiter=",", fmt="%.17g")
-
-
-def load_harness(root: str, name: str):
-    """``msvgd.harness`` of the checkout at ``root``, imported as ``name``."""
+def load_package(root, name: str):
+    """The ``msvgd`` package of the checkout at ``root``, imported as
+    ``name``, with its ``harness`` and ``cli`` submodules loaded."""
     init = Path(root).resolve() / "src" / "msvgd" / "__init__.py"
     if not init.is_file():
         raise SystemExit(f"ab_runs: no msvgd sources under {root}")
@@ -97,55 +72,97 @@ def load_harness(root: str, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(f"{name}.harness")
+    importlib.import_module(f"{name}.cli")
+    return package
 
 
-# the workloads whose methods one ``harness.compare`` runs
-COMPARED = ("star_compare",)
-
-
-def timed_runs(harness, raws, out: Path, through_compare: bool) -> dict[str, float]:
-    """Seconds of each ``harness.run_experiment`` call, by method, for the
-    configs ``raws``: run through one ``harness.compare`` into ``out``, or
-    each in its own call into ``out/<method>``."""
-    configs = [harness.parse_config(raw) for raw in raws]
-    run = harness.run_experiment
-    seconds = {}
-
-    def timed(config, *args, **kwargs):
-        start = time.perf_counter()
-        record = run(config, *args, **kwargs)
-        seconds[config.method] = time.perf_counter() - start
-        return record
-
-    harness.run_experiment = timed
+def load_benchmark(package):
+    """perfbench's ``run`` and ``workloads`` modules, with ``workloads``
+    importing ``package`` as msvgd.  No bytecode is written under
+    ``perfbench/``, and ``sys.path`` and ``sys.modules`` are left as they
+    were."""
+    saved = {name: sys.modules.get(name) for name in ("oracles", "msvgd")}
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        if through_compare:
-            harness.compare(configs, out)
-        else:
-            for config in configs:
-                harness.run_experiment(config, out_dir=str(out / config.method))
+        run = _exec(BENCH / "run.py", "perfbench_run")
+        sys.modules.update(oracles=_exec(BENCH / "oracles.py", "perfbench_oracles"), msvgd=package)
+        workloads = _exec(BENCH / "workloads.py", "perfbench_workloads")
     finally:
-        harness.run_experiment = run
-    return seconds
+        sys.dont_write_bytecode = dont_write
+        for name, module in saved.items():
+            sys.modules.pop(name, None)
+            if module is not None:
+                sys.modules[name] = module
+    return run, workloads
 
 
-def paired_runs(sides: dict, order, workload: str, methods, seed: int, root, data_path,
-                **overrides) -> list[tuple[str, str, float]]:
-    """(side, method, seconds) of every run of one round of ``workload`` on
-    program seed ``seed``, each side's outputs under ``root/<side>/<workload>``:
-    the methods in one ``compare`` per side for a ``COMPARED`` workload, else
-    one call per method, the sides taken in ``order`` compare by compare or
-    call by call.  ``overrides`` replace config keys."""
-    config = WORKLOADS[workload][0]
-    raws = [{**config(m, seed, data_path), **overrides} for m in methods]
-    through_compare = workload in COMPARED
-    timed = []
-    for unit in [raws] if through_compare else [[raw] for raw in raws]:
-        for s in order:
-            runs = timed_runs(sides[s], unit, Path(root, s, workload), through_compare)
-            timed += [(s, m, t) for m, t in runs.items()]
-    return timed
+def _round(bench, index: int, warm_up: bool = False):
+    """``bench.run_round(index, warm_up)``, one operation per step.
+    ``run_round`` runs with ``_run`` stubbed, so perfbench's own bookkeeping
+    picks the program seed, the round directory and the shuffled order; the
+    workload's ``_run`` then runs the operations.  ``StarCompare._run`` runs
+    its whole ``msvgd compare`` on the first step."""
+    calls = []
+    bench._run = lambda *args: calls.append(args) or ()
+    try:
+        bench.run_round(index, warm_up)
+    finally:
+        del bench._run
+    program_seed = calls[0][0]
+    for method, out in bench._run(*calls[0]):
+        if not warm_up:
+            bench.outputs.append((program_seed, method, out))
+        yield method
+
+
+def _alternate(workloads, sides: dict, steps: dict) -> None:
+    """Step each side's round in turns, in the order of ``steps``, with the
+    ``workloads`` module bound to that side's ``harness`` and ``cli``."""
+    while steps:
+        for s in list(steps):
+            workloads.harness, workloads.cli = sides[s].harness, sides[s].cli
+            if next(steps[s], None) is None:
+                del steps[s]
+
+
+def paired_rounds(benchmark, sides: dict, benches: dict, rounds: int) -> dict:
+    """Prepare the perfbench workloads ``benches`` ({"a": workload, "b":
+    workload}, built from one benchmark seed), run their warm-up and
+    ``rounds`` rounds on ``sides`` ({"a": package, "b": package}) in turns,
+    and check each side's outputs; returns the workload's report."""
+    run, workloads = benchmark
+    a, b = benches["a"], benches["b"]
+    if hasattr(a, "data_path"):  # one dataset file, so the records' config echoes agree
+        b.data_path = a.data_path
+    for bench in (a, b):
+        bench.prepare()
+    _alternate(workloads, sides, {s: _round(benches[s], 0, warm_up=True) for s in "ab"})
+    timers = {s: run.OpTimer([p.harness, p.cli, p]) for s, p in sides.items()}
+    try:
+        for r in range(rounds):
+            order = "ab" if r % 2 == 0 else "ba"
+            _alternate(workloads, sides, {s: _round(benches[s], r) for s in order})
+    finally:
+        for timer in timers.values():
+            timer.uninstall()
+    verdicts = {}
+    for s, bench in benches.items():
+        problems = [f"oracle self-test failed: {name}" for name in workloads.oracles.self_test(sides[s])]
+        problems += bench.check()
+        if timers[s].attempted - timers[s].failed != bench.operations_written():
+            problems.append("operation count does not match the outputs written")
+        verdicts[s] = {"correct": not problems, "problems": problems,
+                       "attempted": timers[s].attempted, "failed": timers[s].failed}
+    # round_dirs[0] is the warm-up
+    cells = {"verdict": verdicts, "first_round_records": record_identity(a.round_dirs[1], b.round_dirs[1])}
+    for m in workloads.METHODS:
+        a_s, b_s = timers["a"].seconds.get(m, []), timers["b"].seconds.get(m, [])
+        if min(len(a_s), len(b_s)) < 2:  # failed operations; the verdicts say which
+            continue
+        cells[m] = {"a": quartiles(a_s), "b": quartiles(b_s),
+                    "b_over_a": statistics.median(b_s) / statistics.median(a_s),
+                    "b_faster_pairs": sum(y < x for x, y in zip(a_s, b_s)), "a_s": a_s, "b_s": b_s}
+    return cells
 
 
 def record_identity(a: Path, b: Path) -> dict:
@@ -178,41 +195,22 @@ def main(argv=None) -> int:
     ap.add_argument("a")
     ap.add_argument("b")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
+    ap.add_argument("--workload", action="append")
     args = ap.parse_args(argv)
-    if args.rounds < 2:
-        ap.error("--rounds must be at least 2")
-    names = args.workload or list(WORKLOADS)
-    sides = {"a": load_harness(args.a, "msvgd_a"), "b": load_harness(args.b, "msvgd_b")}
-    seconds = {(w, m, s): [] for w in names for m in METHODS for s in sides}
-    records = {}
-    with tempfile.TemporaryDirectory() as scratch:
-        data_path = Path(scratch, "logistic.csv")
-        write_logistic_data(data_path)
-        for w in names:  # warm-up: one short run per side and method
-            paired_runs(sides, ("a", "b"), w, METHODS, WORKLOADS[w][1][0], Path(scratch, "warm-up"),
-                        data_path, iters=2, checkpoints=[0, 2])
-        for r in range(args.rounds):
-            order = ("a", "b") if r % 2 == 0 else ("b", "a")
-            for w in names:
-                methods = list(METHODS)
-                random.Random(r).shuffle(methods)
-                panel = WORKLOADS[w][1]
-                for s, m, t in paired_runs(sides, order, w, methods, panel[r % len(panel)], scratch,
-                                           data_path):
-                    seconds[w, m, s].append(t)
-            if r == 0:
-                records = {w: record_identity(Path(scratch, "a", w), Path(scratch, "b", w)) for w in names}
+    sides = {"a": load_package(args.a, "msvgd_a"), "b": load_package(args.b, "msvgd_b")}
+    benchmark = load_benchmark(sides["a"])
+    known = benchmark[1].WORKLOADS
+    names = args.workload or list(known)
+    if not set(names) <= set(known):
+        ap.error(f"--workload must be one of {sorted(known)}")
+    if args.rounds < max(len(known[w].PANEL) for w in names):
+        ap.error("--rounds must cover the seed panel of every chosen workload")
     report = {"a": str(Path(args.a).resolve()), "b": str(Path(args.b).resolve()),
               "rounds": args.rounds, "blas_threads": 1, "workloads": {}}
-    for w in names:
-        cells = report["workloads"].setdefault(w, {"first_round_records": records[w]})
-        for m in METHODS:
-            a, b = seconds[w, m, "a"], seconds[w, m, "b"]
-            cells[m] = {"a": quartiles(a), "b": quartiles(b),
-                        "b_over_a": statistics.median(b) / statistics.median(a),
-                        "b_faster_pairs": sum(y < x for x, y in zip(a, b)),
-                        "a_s": a, "b_s": b}
+    with tempfile.TemporaryDirectory() as scratch:
+        for w in names:
+            benches = {s: known[w](Path(scratch, w, s), BENCH_SEED) for s in "ab"}
+            report["workloads"][w] = paired_rounds(benchmark, sides, benches, args.rounds)
     print(json.dumps(report, indent=2))
     return 0
 

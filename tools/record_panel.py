@@ -47,8 +47,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from msvgd import cli  # noqa: E402
+from msvgd.dynamics import METHODS  # noqa: E402
 
-METHODS = ("vanilla_svgd", "matrix_svgd_average", "matrix_svgd_mixture", "svn")
 TOY_TARGETS = ("gaussian", "sine", "double_banana")
 LOGISTIC_DATA = "logistic.csv"
 LOGISTIC_SEED = 20191028
